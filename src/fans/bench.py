@@ -78,13 +78,8 @@ def _map_ids(tokens):
 
 def _build_table_ids(name: str, ids, counts):
     """Spread table in id space; tie-breaks use the id as dictionary index."""
-    if name == "ranged":
-        return static_codec._ranged_spread(list(enumerate(counts)))
-    if name == "uniform":
-        return static_codec._uniform_spread(list(enumerate(counts)))
-    if name == "textorder":
-        return static_codec._text_order_spread(ids)
-    raise ValueError(f"unknown strategy {name!r}")
+    freqs = StaticFrequencies(dict(enumerate(counts)), len(ids))
+    return static_codec.build_spread(SpreadStrategy(name), freqs, range(len(counts)), ids)
 
 
 def timed_fam_encode(ids, d: int, reps: int = 1):

@@ -10,7 +10,7 @@ class FansError(Exception):
 
 
 class EmptyStackError(FansError):
-    """Pop attempted on an empty bit stack."""
+    """A pop or a read ran past the bottom of a bit stack."""
 
 
 class BadPadding(FansError):

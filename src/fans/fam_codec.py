@@ -9,10 +9,12 @@ decoder. For nonempty input the encoder always finishes in state 1 with no
 slots left.
 
 The decoder runs the same arithmetic backwards: it starts from state 1,
-rebuilds the prepared sequence from position 0 upward, grows the per-symbol
-occurrence lists as it goes, and pops a dictionary entry (back to front)
-every time it meets the marker. Nothing but the code bits, the dictionary and
-the token count crosses the wire.
+rebuilds the prepared sequence from position 0 upward, and takes a dictionary
+entry (back to front) every time it meets the marker. Next to each rebuilt
+slot it keeps the slot's rank among its symbol's slots, and it keeps the
+per-symbol counts, so each step's state is count + rank without a search. It
+reads each renormalization shift from the packed code bytes at once. Nothing
+but the code bits, the dictionary and the token count crosses the wire.
 
 fam_encode/fam_decode are the fast paths. EncoderState/DecoderState plus
 encode_step/decode_step expose one loop iteration at a time so tests can
@@ -24,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .bitio import EXPANDED_BITS, BitStack
+from .bitio import EXPANDED_BITS, BitStack, refill
 from .errors import CorruptError, EmptyStackError
 from .fam_model import LT, Symbol, build_dictionary, build_indices, prepare
 
@@ -96,58 +98,93 @@ def _decode_core(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
     lt = d
     x = 1
     L = 0
+    # rank[q] is the number of earlier slots holding recon[q], and cnt[w] the
+    # number of slots holding w so far, so a transition needs no search.
     # Grown by appends rather than preallocated: n comes off the wire, and a
     # corrupt header must not be able to demand an m-sized allocation.
     recon: list[int] = []
-    inc: list[list[int]] = [[] for _ in range(d + 1)]
-    inc_lt = inc[lt]
+    rank: list[int] = []
+    cnt = [0] * (d + 1)
     cursor = d
     out: list[int] = []
-    pop = code.pop
+    image = code.drain()
+    data = image.data
+    pos = len(data)
+    win = 0
+    avail = image.bit_length - 8 * pos
+    blen = 1  # bound.bit_length(), kept in step with bound = L + 1
+    bnext = 2  # 1 << blen
     try:
         while L < m:
             bound = L + 1
-            while x < bound:
-                x = x + x + pop()
+            if bound >= bnext:
+                blen += 1
+                bnext += bnext
+            if x < bound:
+                # Take the bits that bring x up to bound's length at once;
+                # at most one more is then needed to reach bound.
+                k = blen - x.bit_length() or 1
+                if avail < k:
+                    pos, win, avail = refill(data, pos, win, avail, k)
+                avail -= k
+                x = (x << k) | (win >> avail)
+                win &= (1 << avail) - 1
+                if x < bound:
+                    if not avail:
+                        pos, win, avail = refill(data, pos, win, avail, 1)
+                    avail -= 1
+                    x = x + x + (win >> avail)
+                    win &= (1 << avail) - 1
             p = x - bound
             if p > L:
                 raise CorruptError("slot reference beyond rebuilt region")
             if p == L or recon[p] == lt:
                 # Marker: introduces the next dictionary token (back to
-                # front). The marker's own occurrence list includes the slot
-                # being rebuilt, so it grows before the rank is taken.
-                inc_lt.append(L)
-                k = bisect_left(inc_lt, p)
-                fcur = len(inc_lt)
+                # front). The marker's own count includes the slot being
+                # rebuilt, and that slot ranks last among the markers.
+                c = cnt[lt]
+                x = c + 1 + (c if p == L else rank[p])
+                cnt[lt] = c + 1
                 recon.append(lt)
+                rank.append(c)
                 if cursor == 0:
                     raise CorruptError("dictionary exhausted before stream end")
                 if L + 2 > m:
                     raise CorruptError("prepared sequence overrun")
                 cursor -= 1
                 recon.append(cursor)
-                inc[cursor].append(L + 1)
+                rank.append(0)
+                cnt[cursor] = 1
                 out.append(cursor)
                 L += 2
             else:
                 w = recon[p]
-                lst = inc[w]
-                k = bisect_left(lst, p)
-                fcur = len(lst)
+                c = cnt[w]
+                x = c + rank[p]
+                cnt[w] = c + 1
                 recon.append(w)
-                lst.append(L)
+                rank.append(c)
                 out.append(w)
                 L += 1
-            x = fcur + k
         if cursor != 0:
             raise CorruptError("dictionary entries left over after stream end")
-        while x < m:
-            x = x + x + pop()
+        if x < m:
+            k = m.bit_length() - x.bit_length() or 1
+            if avail < k:
+                pos, win, avail = refill(data, pos, win, avail, k)
+            avail -= k
+            x = (x << k) | (win >> avail)
+            win &= (1 << avail) - 1
+            if x < m:
+                if not avail:
+                    pos, win, avail = refill(data, pos, win, avail, 1)
+                avail -= 1
+                x = x + x + (win >> avail)
     except EmptyStackError:
         raise CorruptError("code bits exhausted mid-decode") from None
     if x != m:
         raise CorruptError("final state does not match token count")
-    if len(code):
+    if avail or pos:
         raise CorruptError("unconsumed code bits after decode")
     out.reverse()
     return out, x

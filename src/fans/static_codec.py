@@ -12,17 +12,21 @@ compared by cross-multiplication, never as floats, with ties going to the
 smaller dictionary index. The text_order spread exists for size and timing
 comparisons: its table is the reversed input, so it cannot be rebuilt from an
 archive alone.
+
+The decoder turns the spread into the classic tANS decode table: slot j gives
+its symbol and the state before the slot was taken, which is the symbol's
+count plus the slot's rank among that symbol's slots. Each renormalization
+shift is read from the packed code bytes at once.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .bitio import EXPANDED_BITS, BitStack, read_varint, write_varint
+from .bitio import EXPANDED_BITS, BitStack, read_varint, refill, write_varint
 from .errors import (
     CorruptError,
     EmptyInputError,
@@ -174,25 +178,49 @@ def _encode_core(seq, counts, slots, total) -> tuple[bytearray, int]:
 
 
 def _decode_core(code: BitStack, final_state, spread, counts, slots, n, total):
+    """Decode n symbols with the table; consumes the stack."""
     if not total <= final_state < 2 * total:
         raise CorruptError("final state outside the table range")
+    # The tANS decode table: the state before slot j was taken is the slot's
+    # symbol count plus its rank among that symbol's slots.
+    nxt = [0] * total
+    for s, lst in slots.items():
+        for state, j in enumerate(lst, counts[s]):
+            nxt[j] = state
+    tlen = total.bit_length()
     x = final_state
     out = []
     emit = out.append
-    pop = code.pop
+    image = code.drain()
+    data = image.data
+    pos = len(data)
+    win = 0
+    avail = image.bit_length - 8 * pos
     try:
         for _ in range(n):
             j = x - total
-            s = spread[j]
-            emit(s)
-            x = counts[s] + bisect_left(slots[s], j)
-            while x < total:
-                x = x + x + pop()
+            emit(spread[j])
+            x = nxt[j]
+            if x < total:
+                # Take the bits that bring x up to total's length at once; at
+                # most one more is then needed to reach total.
+                k = tlen - x.bit_length() or 1
+                if avail < k:
+                    pos, win, avail = refill(data, pos, win, avail, k)
+                avail -= k
+                x = (x << k) | (win >> avail)
+                win &= (1 << avail) - 1
+                if x < total:
+                    if not avail:
+                        pos, win, avail = refill(data, pos, win, avail, 1)
+                    avail -= 1
+                    x = x + x + (win >> avail)
+                    win &= (1 << avail) - 1
     except EmptyStackError:
         raise CorruptError("code bits exhausted mid-decode") from None
     if x != total:
         raise CorruptError("state did not drain to the table size")
-    if len(code):
+    if avail or pos:
         raise CorruptError("unconsumed code bits after decode")
     out.reverse()
     return out

@@ -35,8 +35,10 @@ def test_push_rejects_non_bits():
     s = BitStack()
     with pytest.raises(ValueError):
         s.push(2)
-    with pytest.raises(ValueError):
-        BitStack(b"\x02")
+    # ASCII digits, separators and spaces must not pass as bits either.
+    for bad in (b"\x02", b"01", b"\x00_\x01", b" \x01"):
+        with pytest.raises(ValueError):
+            BitStack(bad)
 
 
 def test_pack_known_vectors():
@@ -51,6 +53,12 @@ def test_pack_known_vectors():
     img = pack(BitStack([1] * 9))
     assert img.data == b"\xff\x01"
     assert img.bit_length == 9
+
+
+def test_drain_hands_over_packed_bits():
+    s = BitStack([1, 0, 0, 1, 0])
+    assert s.drain() == ByteImage(b"\x09", 5)
+    assert len(s) == 0 and s.drain() == ByteImage(b"", 0)
 
 
 def test_unpack_known_vectors():
@@ -123,6 +131,23 @@ def test_lifo_order(bits):
         s.push(b)
     popped = [s.pop() for _ in range(len(bits))]
     assert popped == bits[::-1]
+
+
+@given(st.lists(st.one_of(st.integers(0, 1), st.none()), max_size=300))
+def test_interleaved_push_pop_matches_a_list(ops):
+    # None is a pop. The packed bytes, padding included, must match a stack
+    # built from the surviving bits.
+    s, model = BitStack(), []
+    for op in ops:
+        if op is None:
+            if model:
+                assert s.pop() == model.pop()
+        else:
+            s.push(op)
+            model.append(op)
+    assert list(s) == model
+    assert s == BitStack(model)
+    assert list(unpack(pack(s))) == model
 
 
 @settings(max_examples=20)

@@ -179,3 +179,16 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    # A small file's CLI call is mostly interpreter start and imports, and
+    # importing numpy alone would be about half of it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fans.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
