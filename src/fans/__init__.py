@@ -4,7 +4,7 @@ The adaptive coder transmits only the code bits, the dictionary (ordered by
 last occurrence) and the token count; the decoder rebuilds the frequency
 model as it goes. Static ranged/uniform/text-order spreads are included as
 baselines, along with a single-file archive format, a CLI and a benchmark
-harness.
+harness. compress and decompress turn bytes into an archive and back.
 """
 
 from .bench import BenchRecord, bench_dir, bench_file, compute_entropy
@@ -17,24 +17,15 @@ from .container import (
     unpack_archive,
 )
 from .errors import FansError
-from .fam_codec import (
-    DecoderState,
-    EncoderState,
-    decode_step,
-    encode_step,
-    fam_decode,
-    fam_encode,
-    select_symbol,
-)
-from .fam_model import LT, build_dictionary, build_indices, prepare
+from .fam_codec import fam_decode, fam_encode
+from .fam_model import build_dictionary
+from .pipeline import compress, decompress
 from .static_codec import (
     SpreadStrategy,
     SpreadTable,
     StaticFrequencies,
     build_spread,
     count_frequencies,
-    deserialize_frequencies,
-    serialize_frequencies,
     static_decode,
     static_encode,
 )
@@ -47,10 +38,7 @@ __all__ = [
     "BenchRecord",
     "BitStack",
     "ByteImage",
-    "DecoderState",
-    "EncoderState",
     "FansError",
-    "LT",
     "SpreadStrategy",
     "SpreadTable",
     "StaticFrequencies",
@@ -58,24 +46,19 @@ __all__ = [
     "bench_dir",
     "bench_file",
     "build_dictionary",
-    "build_indices",
     "build_spread",
+    "compress",
     "compute_entropy",
     "count_frequencies",
-    "decode_step",
-    "deserialize_frequencies",
+    "decompress",
     "detokenize",
     "dict_filter",
-    "encode_step",
     "fam_decode",
     "fam_encode",
     "pack",
     "pack_archive",
     "parse_dict_entries",
-    "prepare",
     "read_varint",
-    "select_symbol",
-    "serialize_frequencies",
     "static_decode",
     "static_encode",
     "tokenize",

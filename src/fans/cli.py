@@ -7,110 +7,23 @@ or unreadable, 2 for usage errors (argparse's default).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from . import selftest as selftest_mod
-from .bench import STRATEGIES, bench_dir, compute_entropy, format_csv, format_markdown
-from .bitio import BitStack, pack, unpack
-from .container import (
-    ALGO_FAM,
-    ALGO_IDS,
-    ALGO_NAMES,
-    ALGO_TEXT_ORDER,
-    dict_filter,
-    encode_dict_entries,
-    pack_archive,
-    parse_dict_entries,
-    unpack_archive,
-)
-from .errors import ExternalToolFailure, FansError, NotDecodableError
-from .fam_codec import fam_decode, fam_encode
+from .bench import bench_dir, compute_entropy, format_csv, format_markdown
+from .container import ALGO_IDS
+from .errors import FansError
 from .fam_model import build_dictionary
-from .static_codec import (
-    StaticFrequencies,
-    build_spread,
-    count_frequencies,
-    static_decode,
-    static_encode,
-)
-from .tokenizer import TokenizerMode, detokenize, tokenize
-
-FILTER_ENV = "DICT_FILTER_CMD"
-
-
-def _filter_command(required: bool) -> str | None:
-    cmd = os.environ.get(FILTER_ENV)
-    if required and not cmd:
-        raise ExternalToolFailure(f"{FILTER_ENV} is not set")
-    return cmd
-
-
-def _compress_bytes(raw: bytes, algo: str, mode: TokenizerMode, use_filter: bool) -> bytes:
-    tokens = tokenize(raw, mode)
-    n = len(tokens)
-    if algo == "fam":
-        code, w0 = fam_encode(tokens)
-        state = None
-        freqs = None
-    else:
-        w0 = build_dictionary(tokens)
-        if n:
-            freqs = count_frequencies(tokens, w0)
-            table = build_spread(STRATEGIES[algo], freqs, w0, tokens)
-            code, state = static_encode(tokens, table, freqs)
-        else:
-            code, state, freqs = BitStack(), 0, None
-    filtered_blob = None
-    if use_filter:
-        cmd = _filter_command(required=True)
-        filtered_blob = dict_filter(encode_dict_entries(w0), cmd, "compress")
-    return pack_archive(
-        ALGO_IDS[algo],
-        mode,
-        n,
-        w0,
-        pack(code),
-        final_state=state,
-        freqs=freqs,
-        filtered_blob=filtered_blob,
-    )
-
-
-def _decompress_bytes(data: bytes) -> bytes:
-    archive = unpack_archive(data)
-    entries = archive.entries
-    if archive.filtered:
-        cmd = _filter_command(required=True)
-        blob = dict_filter(archive.dict_blob, cmd, "decompress")
-        entries = parse_dict_entries(blob, archive.d)
-    if archive.algo == ALGO_TEXT_ORDER:
-        raise NotDecodableError(
-            "text-order archives are for size comparison only: their table is "
-            "the reversed text and cannot be rebuilt from the archive"
-        )
-    if archive.algo == ALGO_FAM:
-        tokens = fam_decode(unpack(archive.code), entries, archive.n)
-    else:
-        freqs = table = None
-        if archive.n:
-            freqs = StaticFrequencies(dict(zip(entries, archive.freqs)), archive.n)
-            table = build_spread(STRATEGIES[ALGO_NAMES[archive.algo]], freqs, entries)
-        tokens = static_decode(
-            unpack(archive.code), archive.final_state or 0, table, freqs, archive.n
-        )
-    if archive.mode is TokenizerMode.LOSSLESS:
-        return detokenize(tokens)
-    # Words-only archives cannot reproduce the original bytes; emit the
-    # token stream, one per line.
-    return b"\n".join(tokens) + (b"\n" if tokens else b"")
+from .pipeline import FILTER_ENV, compress, decompress
+from .static_codec import count_frequencies
+from .tokenizer import TokenizerMode, tokenize
 
 
 def _cmd_compress(args) -> int:
     raw = Path(args.input).read_bytes()
     mode = TokenizerMode(args.mode)
-    data = _compress_bytes(raw, args.algo, mode, args.filter_dict)
+    data = compress(raw, args.algo, mode, args.filter_dict)
     Path(args.output).write_bytes(data)
     print(f"{args.input}: {len(raw)} -> {len(data)} bytes ({args.algo}, {mode.value})")
     return 0
@@ -118,7 +31,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_decompress(args) -> int:
     data = Path(args.input).read_bytes()
-    out = _decompress_bytes(data)
+    out = decompress(data)
     Path(args.output).write_bytes(out)
     print(f"{args.input}: {len(data)} -> {len(out)} bytes")
     return 0
@@ -128,7 +41,7 @@ def _cmd_verify(args) -> int:
     data = Path(args.archive).read_bytes()
     reference = Path(args.reference).read_bytes()
     try:
-        out = _decompress_bytes(data)
+        out = decompress(data)
     except FansError as exc:
         print(f"verify: archive rejected: {exc}", file=sys.stderr)
         return 1
@@ -165,11 +78,7 @@ def _cmd_entropy(args) -> int:
     raw = Path(args.input).read_bytes()
     mode = TokenizerMode(args.mode)
     tokens = tokenize(raw, mode)
-    if tokens:
-        freqs = count_frequencies(tokens, build_dictionary(tokens))
-        bits = compute_entropy(freqs)
-    else:
-        bits = 0.0
+    bits = compute_entropy(count_frequencies(tokens, build_dictionary(tokens)))
     print(f"tokens: {len(tokens)}")
     print(f"entropy_bits: {bits:.4f}")
     print(f"entropy_bytes: {bits / 8:.1f}")
@@ -183,6 +92,13 @@ def _cmd_selftest(args) -> int:
         return 1
     print("selftest: all checks passed")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="size/time table for a corpus directory")
     p.add_argument("-m", "--mode", choices=[m.value for m in TokenizerMode], default="paper")
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_positive_int, default=1)
     p.add_argument("--algos", default="fam,ranged,uniform,textorder")
     p.add_argument("--lex-dict", action="store_true", help="report lexicographic dictionary size")
     p.add_argument("corpus")

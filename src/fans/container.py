@@ -32,7 +32,7 @@ from .errors import (
     TrailingBytes,
     TruncatedError,
 )
-from .static_codec import StaticFrequencies
+from .static_codec import StaticFrequencies, serialize_frequencies
 from .tokenizer import TokenizerMode
 
 MAGIC = b"FANS"
@@ -159,8 +159,7 @@ def pack_archive(
     out += write_varint(len(blob))
     out += blob
     if algo != ALGO_FAM and freqs is not None:
-        for tok in dictionary:
-            out += write_varint(freqs.counts[tok])
+        out += serialize_frequencies(freqs, dictionary)
     out += code.data
     return bytes(out)
 
@@ -271,7 +270,8 @@ def dict_filter(blob: bytes, command_template: str, direction: str) -> bytes:
 
     The template is run through the shell with {in} and {out} replaced by
     temporary file paths; an optional {direction} placeholder receives
-    "compress" or "decompress" so one wrapper can serve both ways.
+    "compress" or "decompress" so one wrapper can serve both ways. Literal
+    braces are doubled, as in str.format.
     """
     if direction not in ("compress", "decompress"):
         raise ValueError(f"bad filter direction: {direction!r}")
@@ -279,9 +279,15 @@ def dict_filter(blob: bytes, command_template: str, direction: str) -> bytes:
         src = Path(tmp) / "blob.in"
         dst = Path(tmp) / "blob.out"
         src.write_bytes(blob)
-        cmd = command_template.format_map(
-            {"in": str(src), "out": str(dst), "direction": direction}
-        )
+        try:
+            cmd = command_template.format_map(
+                {"in": str(src), "out": str(dst), "direction": direction}
+            )
+        except (KeyError, IndexError, AttributeError, ValueError) as exc:
+            raise ExternalToolFailure(
+                f"bad placeholder in filter command ({exc}): only {{in}}, {{out}} and "
+                "{direction} are replaced, and literal braces are written {{ }}"
+            ) from None
         try:
             proc = subprocess.run(cmd, shell=True, capture_output=True)
         except OSError as exc:

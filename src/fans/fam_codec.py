@@ -4,7 +4,7 @@ The encoder walks the token stream start to end. Its coding table is the
 not-yet-consumed prefix of the prepared (reversed, marker-bearing) sequence,
 so the table shrinks by one slot per coded symbol and the per-symbol
 frequencies count down as occurrences are used up. A token's last occurrence
-is coded as the LT marker, which is also how the dictionary order reaches the
+is coded as the marker, which is also how the dictionary order reaches the
 decoder. For nonempty input the encoder always finishes in state 1 with no
 slots left.
 
@@ -16,25 +16,22 @@ per-symbol counts, so each step's state is count + rank without a search. It
 reads each renormalization shift from the packed code bytes at once. Nothing
 but the code bits, the dictionary and the token count crosses the wire.
 
-fam_encode/fam_decode are the fast paths. EncoderState/DecoderState plus
-encode_step/decode_step expose one loop iteration at a time so tests can
-check per-step invariants; they produce bit-identical results.
+fam_encode_ids/fam_decode_ids code dictionary ids; fam_encode/fam_decode
+wrap them for token streams.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
-
 from .bitio import EXPANDED_BITS, BitStack, refill
 from .errors import CorruptError, EmptyStackError
-from .fam_model import LT, Symbol, build_dictionary, build_indices, prepare
+from .fam_model import map_ids
 
 
-def _encode_core(ids: list[int], d: int) -> tuple[bytearray, int, int]:
+def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     """Encode a stream of dictionary ids (0..d-1); the marker id is d.
 
-    Returns (code bits in push order, final state, final slot count).
+    Returns (code bits as 0/1 bytes in push order, final state, final slot
+    count). For nonempty input the last two are always 1 and 0.
     """
     n = len(ids)
     lt = d
@@ -88,12 +85,18 @@ def _encode_core(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     return bits, x, l
 
 
-def _decode_core(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
+def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
     """Decode n dictionary ids from the code bits; consumes the stack.
 
     Returns (ids in stream order, final state). Raises CorruptError whenever
     the bits, the dictionary size and the token count do not add up.
     """
+    if n == 0:
+        if d or len(code):
+            raise CorruptError("empty stream with leftover dictionary or bits")
+        return [], 0
+    if d == 0 or d > n:
+        raise CorruptError("dictionary size impossible for token count")
     m = n + d
     lt = d
     x = 1
@@ -198,139 +201,13 @@ def fam_encode(tokens: list[bytes]) -> tuple[BitStack, list[bytes]]:
     """
     if not tokens:
         return BitStack(), []
-    w0 = build_dictionary(tokens)
-    tok2id = {t: i for i, t in enumerate(w0)}
-    ids = [tok2id[t] for t in tokens]
-    bits, x, l = _encode_core(ids, len(w0))
+    w0, ids = map_ids(tokens)
+    bits, x, l = fam_encode_ids(ids, len(w0))
     assert x == 1 and l == 0, "encoder did not drain to state 1"
     return BitStack(bits), w0
 
 
 def fam_decode(code: BitStack, dictionary: list[bytes], n: int) -> list[bytes]:
     """Decode n tokens; consumes (and must empty) the code stack."""
-    d = len(dictionary)
-    if n == 0:
-        if d or len(code):
-            raise CorruptError("empty stream with leftover dictionary or bits")
-        return []
-    if d == 0 or d > n:
-        raise CorruptError("dictionary size impossible for token count")
-    ids, _ = _decode_core(code, d, n)
+    ids, _ = fam_decode_ids(code, len(dictionary), n)
     return [dictionary[i] for i in ids]
-
-
-# -- step-level interface ---------------------------------------------------
-
-
-@dataclass
-class EncoderState:
-    """One encoder position: state, remaining slots, live frequencies, bits."""
-
-    x: int
-    l: int
-    f: dict[Symbol, int]
-    code: BitStack = field(default_factory=BitStack)
-
-    @classmethod
-    def initial(cls, tokens: list[bytes]) -> tuple["EncoderState", dict[Symbol, list[int]]]:
-        """Build the model for a stream and return (state, index lists)."""
-        w0 = build_dictionary(tokens)
-        index_lists, freqs = build_indices(prepare(tokens, w0), w0)
-        start = len(tokens) + len(w0)
-        return cls(x=start, l=start, f=freqs), index_lists
-
-
-def select_symbol(state: EncoderState, token: bytes) -> Symbol:
-    """Pick the coded symbol for the next token: itself, or LT when spent.
-
-    Choosing LT consumes the token's own slot, hence the early decrement.
-    """
-    if state.f[token] > 0:
-        return token
-    state.l -= 1
-    return LT
-
-
-def encode_step(state: EncoderState, w: Symbol, positions: list[int]) -> EncoderState:
-    """Renormalize and take one table transition for symbol w."""
-    fw = state.f[w]
-    x = state.x
-    threshold = fw + fw
-    while x >= threshold:
-        state.code.push(x & 1)
-        x >>= 1
-    state.x = state.l + positions[x - fw]
-    state.l -= 1
-    state.f[w] = fw - 1
-    return state
-
-
-@dataclass
-class DecoderState:
-    """Mirror of the encoder: rebuilt prefix, live occurrence lists, cursor."""
-
-    x: int
-    L: int
-    recon: list[Symbol]
-    inc: dict[Symbol, list[int]]
-    dictionary: list[bytes]
-    cursor: int
-    code: BitStack
-    output: list[bytes]
-
-    @classmethod
-    def initial(cls, code: BitStack, dictionary: list[bytes], n: int) -> "DecoderState":
-        inc: dict[Symbol, list[int]] = {t: [] for t in dictionary}
-        inc[LT] = []
-        return cls(
-            x=1,
-            L=0,
-            recon=[],
-            inc=inc,
-            dictionary=list(dictionary),
-            cursor=len(dictionary),
-            code=code,
-            output=[],
-        )
-
-
-def decode_step(state: DecoderState) -> tuple[DecoderState, Symbol]:
-    """Invert one encoder step; returns the coded symbol (token or LT)."""
-    bound = state.L + 1
-    x = state.x
-    try:
-        while x < bound:
-            x = x + x + state.code.pop()
-    except EmptyStackError:
-        raise CorruptError("code bits exhausted mid-decode") from None
-    p = x - bound
-    if p > state.L:
-        raise CorruptError("slot reference beyond rebuilt region")
-    recon = state.recon
-    if p == state.L or recon[p] is LT:
-        lst = state.inc[LT]
-        lst.append(state.L)
-        k = bisect_left(lst, p)
-        fcur = len(lst)
-        recon.append(LT)
-        if state.cursor == 0:
-            raise CorruptError("dictionary exhausted before stream end")
-        state.cursor -= 1
-        tok = state.dictionary[state.cursor]
-        recon.append(tok)
-        state.inc[tok].append(state.L + 1)
-        state.output.append(tok)
-        state.L += 2
-        symbol: Symbol = LT
-    else:
-        w = recon[p]
-        lst = state.inc[w]
-        k = bisect_left(lst, p)
-        fcur = len(lst)
-        recon.append(w)
-        lst.append(state.L)
-        state.output.append(w)
-        state.L += 1
-        symbol = w
-    state.x = fcur + k
-    return state, symbol

@@ -1,30 +1,17 @@
-"""Forward-adaptive model for the token stream.
+"""Forward-adaptive model for the token stream: the dictionary and the ids.
 
 The dictionary lists each distinct token once, ordered by the position of its
-last occurrence (ascending). The prepared sequence is the input with a marker
-inserted after each token's last occurrence, then reversed; in the reversed
-sequence every marker sits immediately before the occurrence it annotates.
+last occurrence (ascending). Every coder works on ids, each token's index in
+that dictionary. The adaptive coder's prepared sequence is the id stream with
+a marker (id d) inserted after each token's last occurrence, then reversed;
+in it every marker sits immediately before the occurrence it annotates.
 Encoding the marker instead of a token's final occurrence is what lets the
 decoder learn the dictionary order without a transmitted frequency table.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
-
-
-class _LastTokenMarker:
-    """Singleton marker standing in for a token's last occurrence."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "lt"
-
-
-LT = _LastTokenMarker()
-
-Symbol = Hashable  # a token (bytes) or the LT marker
+from typing import Sequence
 
 
 def build_dictionary(tokens: Sequence[bytes]) -> list[bytes]:
@@ -34,31 +21,8 @@ def build_dictionary(tokens: Sequence[bytes]) -> list[bytes]:
     return list(dict.fromkeys(reversed(tokens)))[::-1]
 
 
-def prepare(tokens: Sequence[bytes], dictionary: Sequence[bytes]) -> list[Symbol]:
-    """Insert LT after each last occurrence, then reverse the sequence."""
-    out: list[Symbol] = []
-    seen = set()
-    for tok in reversed(tokens):
-        if tok not in seen:
-            seen.add(tok)
-            out.append(LT)
-        out.append(tok)
-    return out
-
-
-def build_indices(
-    prepared: Sequence[Symbol], dictionary: Sequence[bytes]
-) -> tuple[dict[Symbol, list[int]], dict[Symbol, int]]:
-    """Occurrence positions in the prepared sequence, plus start frequencies.
-
-    Each dictionary token's frequency is one less than its occurrence count
-    (the final occurrence is covered by the marker); the marker's frequency
-    is the dictionary size.
-    """
-    index_lists: dict[Symbol, list[int]] = {t: [] for t in dictionary}
-    index_lists[LT] = []
-    for pos, sym in enumerate(prepared):
-        index_lists[sym].append(pos)
-    freqs: dict[Symbol, int] = {t: len(index_lists[t]) - 1 for t in dictionary}
-    freqs[LT] = len(dictionary)
-    return index_lists, freqs
+def map_ids(tokens: Sequence[bytes]) -> tuple[list[bytes], list[int]]:
+    """The dictionary, and the stream with each token as its dictionary index."""
+    dictionary = build_dictionary(tokens)
+    index = {t: i for i, t in enumerate(dictionary)}
+    return dictionary, [index[t] for t in tokens]

@@ -1,0 +1,147 @@
+"""Library entry points: bytes to archive and back, through dictionary ids.
+
+compress tokenizes, numbers each token by its index in the last-occurrence
+dictionary, codes the ids and packs the archive; decompress runs the chain
+backwards. encode_ids and decode_ids are the coding stage alone, model or
+table build plus the coding loop, which is what the benchmark times.
+
+The static coders' spread is built over ids, with the id standing in for the
+dictionary index, so its tie-breaks and its slots are the ones a token-keyed
+table over the same dictionary gets.
+"""
+
+from __future__ import annotations
+
+import os
+
+from .bitio import BitStack, pack, unpack
+from .container import (
+    ALGO_FAM,
+    ALGO_IDS,
+    ALGO_NAMES,
+    ALGO_TEXT_ORDER,
+    Archive,
+    dict_filter,
+    encode_dict_entries,
+    pack_archive,
+    parse_dict_entries,
+    unpack_archive,
+)
+from .errors import ExternalToolFailure, NotDecodableError
+from .fam_codec import fam_decode_ids, fam_encode_ids
+from .fam_model import map_ids
+from .static_codec import (
+    SpreadStrategy,
+    SpreadTable,
+    StaticFrequencies,
+    build_spread,
+    static_decode_ids,
+    static_encode_ids,
+)
+from .tokenizer import TokenizerMode, detokenize, tokenize
+
+FILTER_ENV = "DICT_FILTER_CMD"
+
+
+def _filter_command() -> str:
+    cmd = os.environ.get(FILTER_ENV)
+    if not cmd:
+        raise ExternalToolFailure(f"{FILTER_ENV} is not set")
+    return cmd
+
+
+def count_ids(ids: list[int], d: int) -> list[int]:
+    """Occurrences of each id 0..d-1."""
+    counts = [0] * d
+    for i in ids:
+        counts[i] += 1
+    return counts
+
+
+def _spread(algo: str, counts: list[int], n: int, ids: list[int] | None) -> SpreadTable:
+    freqs = StaticFrequencies(dict(enumerate(counts)), n)
+    return build_spread(SpreadStrategy(algo), freqs, range(len(counts)), ids)
+
+
+def encode_ids(
+    algo: str, ids: list[int], d: int, counts: list[int] | None = None
+) -> tuple[bytearray, int | None, list[int] | None]:
+    """Code an id stream; returns (code bits as 0/1 bytes, final state, census).
+
+    The static coders count the ids unless given their counts, and return the
+    census they used. The adaptive coder needs none and leaves no final state
+    to store, so it returns None for both.
+    """
+    if algo == "fam":
+        return fam_encode_ids(ids, d)[0], None, None
+    if counts is None:
+        counts = count_ids(ids, d)
+    if not ids:
+        return bytearray(), 0, counts
+    bits, final_state = static_encode_ids(ids, _spread(algo, counts, len(ids), ids), counts)
+    return bits, final_state, counts
+
+
+def decode_ids(archive: Archive, text: list[int] | None = None) -> list[int]:
+    """Decode an archive's code section to the id stream.
+
+    A text-order table is the reversed id stream itself, so only a caller
+    that already holds it (`text`) can decode such an archive.
+    """
+    code = unpack(archive.code)
+    if archive.algo == ALGO_FAM:
+        return fam_decode_ids(code, archive.d, archive.n)[0]
+    if archive.algo == ALGO_TEXT_ORDER and text is None:
+        raise NotDecodableError(
+            "text-order archives are for size comparison only: their table is "
+            "the reversed text and cannot be rebuilt from the archive"
+        )
+    counts, n = archive.freqs, archive.n
+    table = _spread(ALGO_NAMES[archive.algo], counts, n, text) if n else None
+    return static_decode_ids(code, archive.final_state, table, counts, n)
+
+
+def compress(
+    raw: bytes,
+    algo: str = "fam",
+    mode: TokenizerMode = TokenizerMode.LOSSLESS,
+    use_filter: bool = False,
+) -> bytes:
+    """Archive bytes for raw; use_filter pipes the dictionary through FILTER_ENV."""
+    dictionary, ids = map_ids(tokenize(raw, mode))
+    n = len(ids)
+    bits, final_state, counts = encode_ids(algo, ids, len(dictionary))
+    del ids
+    freqs = None
+    if counts is not None:
+        freqs = StaticFrequencies(dict(zip(dictionary, counts)), n)
+    filtered_blob = None
+    if use_filter:
+        filtered_blob = dict_filter(encode_dict_entries(dictionary), _filter_command(), "compress")
+    return pack_archive(
+        ALGO_IDS[algo],
+        mode,
+        n,
+        dictionary,
+        pack(BitStack(bits)),
+        final_state=final_state,
+        freqs=freqs,
+        filtered_blob=filtered_blob,
+    )
+
+
+def decompress(data: bytes) -> bytes:
+    """The original bytes, or in paper mode the words one per line."""
+    archive = unpack_archive(data)
+    entries = archive.entries
+    if archive.filtered:
+        blob = dict_filter(archive.dict_blob, _filter_command(), "decompress")
+        entries = parse_dict_entries(blob, archive.d)
+    ids = decode_ids(archive)
+    tokens = [entries[i] for i in ids]
+    del ids
+    if archive.mode is TokenizerMode.LOSSLESS:
+        return detokenize(tokens)
+    # Words-only archives cannot reproduce the original bytes; emit the
+    # token stream, one per line.
+    return b"\n".join(tokens) + (b"\n" if tokens else b"")

@@ -149,12 +149,19 @@ def build_spread(
     raise ValueError(f"unknown spread strategy: {strategy!r}")
 
 
-def _encode_core(seq, counts, slots, total) -> tuple[bytearray, int]:
-    """Shared coding loop; counts/slots may be dicts (tokens) or lists (ids)."""
+def static_encode_ids(ids, table: SpreadTable, counts) -> tuple[bytearray, int]:
+    """Code a nonempty stream with the table; the table size is len(ids).
+
+    Symbols index counts and table.slots, so ids with lists and tokens with
+    dicts both work. Returns (code bits as 0/1 bytes in push order, final
+    state).
+    """
+    total = len(ids)
     x = total
+    slots = table.slots
     bits = bytearray()
     expand = EXPANDED_BITS
-    for s in seq:
+    for s in ids:
         c = counts[s]
         threshold = c + c
         if x >= threshold:
@@ -177,14 +184,30 @@ def _encode_core(seq, counts, slots, total) -> tuple[bytearray, int]:
     return bits, x
 
 
-def _decode_core(code: BitStack, final_state, spread, counts, slots, n, total):
-    """Decode n symbols with the table; consumes the stack."""
+def static_decode_ids(
+    code: BitStack, final_state: int, table: SpreadTable | None, counts, n: int
+) -> list:
+    """Decode n symbols with the table; consumes (and must empty) the stack.
+
+    Symbols are keyed as in static_encode_ids. Raises CorruptError whenever
+    the bits, the final state, the table and the count do not add up.
+    """
+    if n == 0:
+        if final_state != 0 or len(code):
+            raise CorruptError("empty stream with leftover state or bits")
+        return []
+    if table is None or counts is None:
+        raise ValueError("nonempty stream needs a spread table and frequencies")
+    spread = table.spread
+    total = len(spread)
+    if total != n:
+        raise CorruptError("frequency total does not match the token count")
     if not total <= final_state < 2 * total:
         raise CorruptError("final state outside the table range")
     # The tANS decode table: the state before slot j was taken is the slot's
     # symbol count plus its rank among that symbol's slots.
     nxt = [0] * total
-    for s, lst in slots.items():
+    for s, lst in table.slots.items():
         for state, j in enumerate(lst, counts[s]):
             nxt[j] = state
     tlen = total.bit_length()
@@ -239,7 +262,7 @@ def static_encode(
         raise ValueError("nonempty input needs a spread table and frequencies")
     if freqs.total != len(tokens):
         raise ValueError("frequency total does not match the token count")
-    bits, x = _encode_core(tokens, freqs.counts, table.slots, freqs.total)
+    bits, x = static_encode_ids(tokens, table, freqs.counts)
     return BitStack(bits), x
 
 
@@ -251,15 +274,7 @@ def static_decode(
     n: int,
 ) -> list[bytes]:
     """Decode n tokens; consumes (and must empty) the code stack."""
-    if n == 0:
-        if final_state != 0 or len(code):
-            raise CorruptError("empty stream with leftover state or bits")
-        return []
-    if table is None or freqs is None:
-        raise ValueError("nonempty stream needs a spread table and frequencies")
-    if freqs.total != n:
-        raise CorruptError("frequency total does not match the token count")
-    return _decode_core(code, final_state, table.spread, freqs.counts, table.slots, n, n)
+    return static_decode_ids(code, final_state, table, None if freqs is None else freqs.counts, n)
 
 
 def serialize_frequencies(freqs: StaticFrequencies, dictionary: list[bytes]) -> bytes:

@@ -17,12 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from fans.bench import _map_ids, bench_file, timed_fam_encode, timed_static_encode
+from fans.bench import bench_file, timed
 from fans.bitio import BitStack
-from fans.cli import _compress_bytes, _decompress_bytes
 from fans.container import unpack_archive
 from fans.errors import FansError
-from fans.fam_codec import _decode_core, _encode_core, fam_decode, fam_encode
+from fans.fam_codec import fam_decode, fam_decode_ids, fam_encode, fam_encode_ids
+from fans.fam_model import map_ids
+from fans.pipeline import compress, count_ids, decompress, encode_ids
 from fans.static_codec import (
     SpreadStrategy,
     build_spread,
@@ -57,12 +58,11 @@ def _check_sequence(tokens: list[bytes]) -> tuple[list[str], list[str]]:
     if fam_decode(code.copy(), w0, n) != tokens:
         trips.append("fam")
     d = len(w0)
-    tok2id = {t: i for i, t in enumerate(w0)}
-    bits, x, l = _encode_core([tok2id[t] for t in tokens], d)
+    bits, x, l = fam_encode_ids(map_ids(tokens)[1], d)
     if (x, l) != (1, 0):
         finals.append(f"encoder x={x} l={l}")
     stack = BitStack(bits)
-    out_ids, final = _decode_core(stack, d, n)
+    out_ids, final = fam_decode_ids(stack, d, n)
     if final != n + d or len(stack):
         finals.append(f"decoder x={final} leftover={len(stack)}")
     if [w0[i] for i in out_ids] != tokens:
@@ -146,8 +146,7 @@ def test_2_hand_trace_vectors(capsys):
     problems = []
     for tokens, want_bits, want_w0 in expected:
         code, w0 = fam_encode(tokens)
-        tok2id = {t: i for i, t in enumerate(w0)}
-        _, x, _ = _encode_core([tok2id[t] for t in tokens], len(w0))
+        _, x, _ = fam_encode_ids(map_ids(tokens)[1], len(w0))
         if list(code) != want_bits or w0 != want_w0 or x != 1:
             problems.append(f"{tokens}: bits {list(code)}, dict {w0}, final {x}")
     _verdict(
@@ -220,12 +219,13 @@ def test_6_timing_asymmetry(capsys):
     for k in range(copies):
         tag = b"~%d" % (k % 24)
         stream.extend(tok + tag if tok in rare else tok for tok in base)
-    w0, ids, counts = _map_ids(stream)
+    w0, ids = map_ids(stream)
+    counts = count_ids(ids, len(w0))
 
     # Minimum over repetitions for both coders, the harness's own
     # noise-robustness strategy.
-    fam_seconds, (_bits, x, l) = timed_fam_encode(ids, len(w0), reps=3)
-    uniform_seconds, _ = timed_static_encode("uniform", ids, counts, reps=3)
+    fam_seconds, (_bits, x, l) = timed(fam_encode_ids, ids, len(w0), reps=3)
+    uniform_seconds, _ = timed(encode_ids, "uniform", ids, len(w0), counts, reps=3)
     ratio = uniform_seconds / fam_seconds
     ok = len(stream) >= 2_000_000 and (x, l) == (1, 0) and ratio >= 3.0
     _verdict(
@@ -253,7 +253,7 @@ def test_7_accounting_identity(capsys, corpus_rows, tmp_path):
             problems.append(f"{record.text}/fam: freq bytes {record.freq_bytes}")
 
     # The frequency term must itself include a real final-state varint.
-    archive = unpack_archive(_compress_bytes(b"a b a b c", "ranged", TokenizerMode.PAPER, False))
+    archive = unpack_archive(compress(b"a b a b c", "ranged", TokenizerMode.PAPER))
     sizes = archive.sizes
     if sizes.final_state < 1:
         problems.append("static archive lacks a final-state varint")
@@ -268,8 +268,8 @@ def test_7_accounting_identity(capsys, corpus_rows, tmp_path):
 
 def test_8_corruption_fuzz(capsys):
     raw = (CORPUS / "asyoulik.txt").read_bytes()[:6000]
-    archive = _compress_bytes(raw, "fam", TokenizerMode.LOSSLESS, False)
-    assert _decompress_bytes(archive) == raw
+    archive = compress(raw, "fam", TokenizerMode.LOSSLESS)
+    assert decompress(archive) == raw
 
     rng = random.Random(88)
     cases = {(offset, 1 << rng.randrange(8)) for offset in range(16)}
@@ -281,7 +281,7 @@ def test_8_corruption_fuzz(capsys):
         damaged = bytearray(archive)
         damaged[offset] ^= mask
         try:
-            out = _decompress_bytes(bytes(damaged))
+            out = decompress(bytes(damaged))
         except FansError:
             rejected += 1
         except Exception:  # noqa: BLE001 - anything unstructured is a failure

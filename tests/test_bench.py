@@ -15,14 +15,15 @@ from fans.bench import (
     compute_entropy,
     format_csv,
     format_markdown,
-    timed_fam_decode,
-    timed_fam_encode,
-    timed_static_decode,
-    timed_static_encode,
+    timed,
 )
-from fans.bitio import BitStack
+from fans.bitio import BitStack, pack
+from fans.container import ALGO_FAM, unpack_archive
+from fans.fam_codec import fam_decode_ids, fam_encode_ids
+from fans.fam_model import map_ids
+from fans.pipeline import compress, count_ids, decode_ids, encode_ids
 from fans.static_codec import StaticFrequencies
-from fans.tokenizer import TokenizerMode
+from fans.tokenizer import TokenizerMode, tokenize
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 ALGOS = ["fam", "ranged", "uniform", "textorder"]
@@ -41,19 +42,22 @@ def test_timed_coders_round_trip_in_id_space():
     # Ids must be numbered by the last-occurrence dictionary, so derive them
     # from a token stream the same way the harness does.
     rng = random.Random(55)
-    tokens = [bytes([97 + rng.randrange(5)]) for _ in range(300)]
-    _w0, ids, counts = bench._map_ids(tokens)
+    raw = b" ".join(bytes([97 + rng.randrange(5)]) for _ in range(300))
+    w0, ids = map_ids(tokenize(raw, TokenizerMode.PAPER))
+    counts = count_ids(ids, len(w0))
     n, d = len(ids), len(counts)
 
-    _, (bits, x, l) = timed_fam_encode(ids, d)
+    _, (bits, x, l) = timed(fam_encode_ids, ids, d)
     assert (x, l) == (1, 0)
-    _, (out, final) = timed_fam_decode(BitStack(bits), d, n)
+    _, (out, final) = timed(fam_decode_ids, BitStack(bits), d, n)
     assert out == ids
     assert final == n + d
 
     for name in ("ranged", "uniform", "textorder"):
-        _, (bits, state, _table) = timed_static_encode(name, ids, counts)
-        _, out = timed_static_decode(name, BitStack(bits), state, ids, counts, n)
+        _, (bits, state, _counts) = timed(encode_ids, name, ids, d, counts)
+        archive = unpack_archive(compress(raw, name, TokenizerMode.PAPER))
+        assert (pack(BitStack(bits)), state) == (archive.code, archive.final_state)
+        _, out = timed(decode_ids, archive, ids)
         assert out == ids
 
 
@@ -112,11 +116,11 @@ def test_bench_dir_reports_failures(tmp_path, monkeypatch):
     sample = tmp_path / "sample.txt"
     sample.write_bytes(b"a a b c")  # id stream is not a palindrome
 
-    def broken(code, d, n, reps=1):
-        seconds, (ids, final) = timed_fam_decode(code, d, n, reps)
-        return seconds, (list(reversed(ids)), final)
+    def broken(archive, text=None):
+        ids = decode_ids(archive, text)
+        return ids[::-1] if archive.algo == ALGO_FAM else ids
 
-    monkeypatch.setattr(bench, "timed_fam_decode", broken)
+    monkeypatch.setattr(bench, "decode_ids", broken)
     records, notes = bench_dir(tmp_path, ["fam", "ranged"], TokenizerMode.PAPER)
     assert [r.algo for r in records] == ["ranged"]  # the broken row is dropped
     assert any("FAILED" in note and "fam" in note for note in notes)

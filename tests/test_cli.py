@@ -118,6 +118,10 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    for reps in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--reps", reps, str(tmp_path)])
+        assert exc.value.code == 2
 
 
 def test_entropy_command(tmp_path, capsys):

@@ -212,6 +212,25 @@ def test_dict_filter_failures():
         dict_filter(b"x", "cp {in} {out}", "sideways")
 
 
+@pytest.mark.parametrize(
+    "template,named",
+    [
+        ('awk "{print}" {in} > {out}', "'print'"),
+        ("cp {in} {out}; echo ${HOME}", "'HOME'"),
+        ("cp {in} {out} {", "Single '{'"),
+    ],
+)
+def test_dict_filter_stray_braces_are_structured_errors(template, named):
+    with pytest.raises(ExternalToolFailure) as exc:
+        dict_filter(b"x", template, "compress")
+    assert named in str(exc.value)
+    assert "{{ }}" in str(exc.value)
+
+
+def test_dict_filter_doubled_braces_are_literal():
+    assert dict_filter(b"x", "cp {in} {out}; echo ${{HOME}} > /dev/null", "compress") == b"x"
+
+
 @pytest.mark.skipif(shutil.which("gzip") is None, reason="gzip not installed")
 def test_dict_filter_direction_template():
     template = (

@@ -1,9 +1,10 @@
 """Decoder cores against the loops they replaced, and against hostile input.
 
-The oracles below are the decode loops as they were before the cores took
-ranks from tables and read packed bytes: one bisect per symbol to recover a
-rank, and one pop per code bit. On valid and corrupted code alike, the fast
-cores must return the same tokens or raise the same CorruptError.
+The oracles are the decode loops as they were before the cores took ranks
+from tables and read packed bytes: one bisect per symbol to recover a rank,
+and one pop per code bit. The fam oracle is the step-level decoder of
+fam_oracle.py. On valid and corrupted code alike, the fast cores must return
+the same tokens or raise the same CorruptError.
 """
 
 from __future__ import annotations
@@ -27,72 +28,10 @@ from fans.static_codec import (
     static_encode,
 )
 
+from fam_oracle import oracle_fam_decode
+
 CODERS = ["fam", "ranged", "uniform", "textorder"]
 REFILL_BITS = 8 * REFILL_BYTES
-
-
-def oracle_fam_decode(code: BitStack, dictionary: list[bytes], n: int) -> list[bytes]:
-    d = len(dictionary)
-    if n == 0:
-        if d or len(code):
-            raise CorruptError("empty stream with leftover dictionary or bits")
-        return []
-    if d == 0 or d > n:
-        raise CorruptError("dictionary size impossible for token count")
-    m = n + d
-    lt = d
-    x = 1
-    L = 0
-    recon: list[int] = []
-    inc: list[list[int]] = [[] for _ in range(d + 1)]
-    inc_lt = inc[lt]
-    cursor = d
-    out: list[int] = []
-    pop = code.pop
-    try:
-        while L < m:
-            bound = L + 1
-            while x < bound:
-                x = x + x + pop()
-            p = x - bound
-            if p > L:
-                raise CorruptError("slot reference beyond rebuilt region")
-            if p == L or recon[p] == lt:
-                inc_lt.append(L)
-                k = bisect_left(inc_lt, p)
-                fcur = len(inc_lt)
-                recon.append(lt)
-                if cursor == 0:
-                    raise CorruptError("dictionary exhausted before stream end")
-                if L + 2 > m:
-                    raise CorruptError("prepared sequence overrun")
-                cursor -= 1
-                recon.append(cursor)
-                inc[cursor].append(L + 1)
-                out.append(cursor)
-                L += 2
-            else:
-                w = recon[p]
-                lst = inc[w]
-                k = bisect_left(lst, p)
-                fcur = len(lst)
-                recon.append(w)
-                lst.append(L)
-                out.append(w)
-                L += 1
-            x = fcur + k
-        if cursor != 0:
-            raise CorruptError("dictionary entries left over after stream end")
-        while x < m:
-            x = x + x + pop()
-    except EmptyStackError:
-        raise CorruptError("code bits exhausted mid-decode") from None
-    if x != m:
-        raise CorruptError("final state does not match token count")
-    if len(code):
-        raise CorruptError("unconsumed code bits after decode")
-    out.reverse()
-    return [dictionary[i] for i in out]
 
 
 def oracle_static_decode(code: BitStack, final_state, table, freqs, n) -> list[bytes]:

@@ -1,4 +1,8 @@
-"""Adaptive coder tests: frozen traces, step mechanics, mirror invariants."""
+"""Adaptive coder tests: frozen traces, step mechanics, mirror invariants.
+
+The step-level coder lives in fam_oracle.py; its steps must mirror each other
+and match the fast coder bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -10,18 +14,10 @@ from hypothesis import strategies as st
 
 from fans.bitio import BitStack
 from fans.errors import CorruptError, FansError
-from fans.fam_codec import (
-    DecoderState,
-    EncoderState,
-    _decode_core,
-    _encode_core,
-    decode_step,
-    encode_step,
-    fam_decode,
-    fam_encode,
-    select_symbol,
-)
-from fans.fam_model import LT, build_dictionary
+from fans.fam_codec import fam_decode, fam_decode_ids, fam_encode, fam_encode_ids
+from fans.fam_model import build_dictionary, map_ids
+
+from fam_oracle import LT, DecoderState, EncoderState, decode_step, encode_step, select_symbol
 
 # (tokens, code bits in push order, dictionary)
 TRACES = [
@@ -45,10 +41,9 @@ def test_frozen_trace_decode(tokens, bits, w0):
 
 @pytest.mark.parametrize("tokens,bits,w0", TRACES)
 def test_frozen_trace_final_states(tokens, bits, w0):
-    tok2id = {t: i for i, t in enumerate(w0)}
-    _, x, l = _encode_core([tok2id[t] for t in tokens], len(w0))
+    _, x, l = fam_encode_ids(map_ids(tokens)[1], len(w0))
     assert (x, l) == (1, 0)
-    _, final = _decode_core(BitStack(bits), len(w0), len(tokens))
+    _, final = fam_decode_ids(BitStack(bits), len(w0), len(tokens))
     assert final == len(tokens) + len(w0)
 
 
@@ -83,6 +78,7 @@ def test_decode_step_known_transition():
     state = DecoderState(
         x=5,
         L=2,
+        m=5,
         recon=[LT, b"a"],
         inc={LT: [0], b"a": [1], b"b": []},
         dictionary=[b"b", b"a"],

@@ -5,7 +5,9 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fans.fam_model import LT, build_dictionary, build_indices, prepare
+from fans.fam_model import build_dictionary, map_ids
+
+from fam_oracle import LT, build_indices, prepare
 
 A, B = b"a", b"b"
 
@@ -14,6 +16,11 @@ def test_build_dictionary_last_occurrence_order():
     assert build_dictionary([A, B, A]) == [B, A]
     assert build_dictionary([A, A]) == [A]
     assert build_dictionary([]) == []
+
+
+def test_map_ids_numbers_tokens_by_dictionary_index():
+    assert map_ids([A, B, A]) == ([B, A], [1, 0, 1])
+    assert map_ids([]) == ([], [])
 
 
 def test_prepare_known_vectors():

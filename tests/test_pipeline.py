@@ -1,0 +1,43 @@
+"""Library entry points: whole archives pinned, and the bench writes the same."""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from fans.bench import bench_file
+from fans.pipeline import compress, decompress
+from fans.tokenizer import TokenizerMode, tokenize
+
+ALICE = Path(__file__).parent / "data" / "corpus" / "alice29.txt"
+
+# SHA-256 of compress(alice29.txt, algo, mode). The archives were recorded
+# before the CLI, the bench and the library shared one pipeline; any change
+# here is a format change.
+DIGESTS = {
+    ("lossless", "fam"): "9d2432c158f85bfc05ccef93db3bb46cb9b8deca0ee90f2db9cdaaef720ae01c",
+    ("lossless", "ranged"): "ad7d62f7f13075a86c56718579298157152b58099c4120370c0972b832e295a2",
+    ("lossless", "uniform"): "c66107cc2fb05b31108cee76b6c880e44c04fe7f474c5c6c32bbc7bb557d321d",
+    ("lossless", "textorder"): "c4ff831371cc16e79e1f5d26038b75c4206cfd5eb46c3ff0ccead5ea3407d2df",
+    ("paper", "fam"): "05ca3acc4aed02a9d253d3ebd5ea417c23e158e2a24812e0fe6726308de08714",
+    ("paper", "ranged"): "da0bdc7766b27dbae9bbed90f4532456866de5c2f9400e4b2d622cf711f75958",
+    ("paper", "uniform"): "24718fe087d6a61fc4876739f984cec6563201492ea9fb24be680931f851814e",
+    ("paper", "textorder"): "f351142fbb9da9ad520b30ae1a8f372dc938c5d4660b59f475f485092011a443",
+}
+
+
+@pytest.mark.parametrize("mode,algo", sorted(DIGESTS))
+def test_archive_bytes_are_pinned(mode, algo):
+    raw = ALICE.read_bytes()
+    archive = compress(raw, algo, TokenizerMode(mode))
+    assert hashlib.sha256(archive).hexdigest() == DIGESTS[mode, algo]
+    record, _ = bench_file(ALICE, algo, TokenizerMode(mode))
+    assert record.total_bytes == len(archive)
+    if algo == "textorder":
+        return
+    if mode == "lossless":
+        assert decompress(archive) == raw
+    else:
+        assert decompress(archive) == b"".join(t + b"\n" for t in tokenize(raw, TokenizerMode.PAPER))
