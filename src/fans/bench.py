@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
 from .bitio import BitStack, pack
@@ -30,18 +30,11 @@ from .static_codec import StaticFrequencies
 from .tokenizer import TokenizerMode, tokenize
 
 
-@dataclass
-class BenchRecord:
-    text: str
-    algo: str
-    code_bytes: int
-    dict_bytes: int
-    freq_bytes: int
-    total_bytes: int
-    encode_seconds: float
-    decode_seconds: float
-    token_count: int
-    entropy_bits: float
+BenchRecord = namedtuple(
+    "BenchRecord",
+    "text algo code_bytes dict_bytes freq_bytes total_bytes"
+    " encode_seconds decode_seconds token_count entropy_bits",
+)
 
 
 def compute_entropy(freqs: StaticFrequencies) -> float:
@@ -139,7 +132,7 @@ def bench_dir(
     return records, notes
 
 
-_FIELDS = [f.name for f in fields(BenchRecord)]
+_FIELDS = BenchRecord._fields
 
 
 def _cell(record: BenchRecord, field_name: str) -> str:

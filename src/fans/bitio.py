@@ -12,16 +12,16 @@ from the top down through an integer window that `refill` tops up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BadPadding, EmptyStackError, OverlongVarint, TruncatedError
 
 # EXPANDED_BITS[s][v] is the low s bits of v as 0/1 bytes, LSB first. The
 # encoders emit renormalization bits in batches through these tables instead
-# of one append per bit; EXPANDED_BITS[8] also unpacks whole bytes.
-EXPANDED_BITS = [
-    [bytes((v >> i) & 1 for i in range(s)) for v in range(256)] for s in range(9)
-]
+# of one append per bit; EXPANDED_BITS[8] also unpacks whole bytes. The
+# shorter rows are prefixes of the 8-bit row, so only that row is computed.
+_BYTE_BITS = [bytes((v >> i) & 1 for i in range(8)) for v in range(256)]
+EXPANDED_BITS = [[bits[:s] for bits in _BYTE_BITS] for s in range(8)] + [_BYTE_BITS]
 
 # Bytes 0 and 1 as base-2 digits; every other byte becomes an invalid digit.
 _BIT_DIGITS = b"01" + b"x" * 254
@@ -123,18 +123,17 @@ class BitStack:
         return f"BitStack({shown!r} len={self._len})"
 
 
-@dataclass(frozen=True)
-class ByteImage:
+class ByteImage(namedtuple("ByteImage", "data bit_length")):
     """Packed bits plus their exact bit count."""
 
-    data: bytes
-    bit_length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bit_length < 0:
+    def __new__(cls, data: bytes, bit_length: int):
+        if bit_length < 0:
             raise ValueError("bit_length must be non-negative")
-        if len(self.data) != (self.bit_length + 7) // 8:
+        if len(data) != (bit_length + 7) // 8:
             raise ValueError("data length does not match bit_length")
+        return super().__new__(cls, data, bit_length)
 
 
 def pack(stack: BitStack) -> ByteImage:

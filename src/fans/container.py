@@ -17,9 +17,7 @@ run back through it before parsing.
 
 from __future__ import annotations
 
-import subprocess
-import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .bitio import ByteImage, read_varint, write_varint
@@ -55,33 +53,13 @@ _FLAG_PAPER = 0x01
 _FLAG_FILTERED = 0x02
 
 
-@dataclass
-class SectionSizes:
-    """Byte accounting for one archive; header rides with the dictionary."""
+SectionSizes = namedtuple("SectionSizes", "header final_state dict_region freqs code total")
+SectionSizes.__doc__ = "Byte accounting for one archive; header rides with the dictionary."
 
-    header: int
-    final_state: int
-    dict_region: int
-    freqs: int
-    code: int
-    total: int
-
-
-@dataclass
-class Archive:
-    """Parsed archive. entries is None while the dictionary is filtered."""
-
-    algo: int
-    mode: TokenizerMode
-    filtered: bool
-    n: int
-    d: int
-    entries: list[bytes] | None
-    dict_blob: bytes
-    final_state: int | None
-    freqs: list[int] | None
-    code: ByteImage
-    sizes: SectionSizes
+Archive = namedtuple(
+    "Archive", "algo mode filtered n d entries dict_blob final_state freqs code sizes"
+)
+Archive.__doc__ = "Parsed archive. entries is None while the dictionary is filtered."
 
 
 def encode_dict_entries(entries: list[bytes]) -> bytes:
@@ -275,6 +253,11 @@ def dict_filter(blob: bytes, command_template: str, direction: str) -> bytes:
     """
     if direction not in ("compress", "decompress"):
         raise ValueError(f"bad filter direction: {direction!r}")
+    # Imported here: only --filter-dict needs them, and they would add to
+    # every CLI call's start-up.
+    import subprocess
+    import tempfile
+
     with tempfile.TemporaryDirectory(prefix="fansfilter") as tmp:
         src = Path(tmp) / "blob.in"
         dst = Path(tmp) / "blob.out"

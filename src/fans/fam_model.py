@@ -11,7 +11,7 @@ decoder learn the dictionary order without a transmitted frequency table.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 
 def build_dictionary(tokens: Sequence[bytes]) -> list[bytes]:

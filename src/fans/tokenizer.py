@@ -27,7 +27,7 @@ def tokenize(data: bytes, mode: TokenizerMode = TokenizerMode.LOSSLESS) -> list[
     if mode is TokenizerMode.LOSSLESS:
         return _LOSSLESS_RE.findall(data)
     if mode is TokenizerMode.PAPER:
-        return [run.lower() for run in _PAPER_RE.findall(data)]
+        return _PAPER_RE.findall(data.lower())
     raise ModeError(f"unknown tokenizer mode: {mode!r}")
 
 

@@ -14,6 +14,8 @@ import pytest
 from fans.cli import FILTER_ENV, main
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
+# Child interpreters import fans from this checkout, installed or not.
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 GZIP_TEMPLATE = (
     "if [ {direction} = compress ]; "
@@ -179,20 +181,26 @@ def test_console_script_runs():
         [sys.executable, "-m", "fans.cli", "selftest"],
         capture_output=True,
         text=True,
-        env={**os.environ},
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
 
 
+# Modules no compress or decompress call needs. numpy alone would be about
+# half of a small file's call; dataclasses brings inspect, ast and dis along.
+_OFF_STARTUP_PATH = ("numpy", "dataclasses", "inspect", "subprocess", "tempfile", "typing")
+
+
 def test_cli_import_leaves_numpy_out():
-    # A small file's CLI call is mostly interpreter start and imports, and
-    # importing numpy alone would be about half of it.
+    # A small file's CLI call is mostly interpreter start and imports. -S
+    # keeps site's own preloads from hiding a module the CLI would import.
+    probe = f"import fans.cli, sys; print(*[m for m in {_OFF_STARTUP_PATH!r} if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", "import fans.cli, sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-S", "-c", probe],
         capture_output=True,
         text=True,
-        env={**os.environ},
+        env=SRC_ENV,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == []

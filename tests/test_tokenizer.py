@@ -44,6 +44,7 @@ def test_non_ascii_bytes_are_non_word():
     tokens = tokenize(data, TokenizerMode.LOSSLESS)
     assert b"".join(tokens) == data
     assert tokens == [b"h", b"\xc3\xa9", b"llo"]
+    assert tokenize(b"\xc0Ab\xe9CD", TokenizerMode.PAPER) == [b"ab", b"cd"]
 
 
 @given(st.binary(max_size=65536))
