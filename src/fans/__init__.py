@@ -7,7 +7,6 @@ baselines, along with a single-file archive format, a CLI and a benchmark
 harness. compress and decompress turn bytes into an archive and back.
 """
 
-from .bench import BenchRecord, bench_dir, bench_file, compute_entropy
 from .bitio import BitStack, ByteImage, pack, read_varint, unpack, write_varint
 from .container import (
     Archive,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Archive",
-    "BenchRecord",
     "BitStack",
     "ByteImage",
     "FansError",
@@ -43,12 +41,9 @@ __all__ = [
     "SpreadTable",
     "StaticFrequencies",
     "TokenizerMode",
-    "bench_dir",
-    "bench_file",
     "build_dictionary",
     "build_spread",
     "compress",
-    "compute_entropy",
     "count_frequencies",
     "decompress",
     "detokenize",

@@ -30,6 +30,11 @@ _REVERSED_BYTES = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
 # Bytes moved into a decoder's read window per refill.
 REFILL_BYTES = 16
 
+# WINDOW_MASKS[a] keeps the low a bits of a read window. After any read,
+# 0 <= avail < 8 * REFILL_BYTES: a read of k bits refills first when avail < k,
+# and refill stops as soon as the read fits, so every index is in range.
+WINDOW_MASKS = [(1 << a) - 1 for a in range(8 * REFILL_BYTES)]
+
 
 class BitStack:
     """A LIFO sequence of bits, stored packed LSB-first with its bit count."""

@@ -10,8 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import selftest as selftest_mod
-from .bench import bench_dir, compute_entropy, format_csv, format_markdown
 from .container import ALGO_IDS
 from .errors import FansError
 from .fam_model import build_dictionary
@@ -59,6 +57,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # bench and selftest are imported by their own commands only, so that
+    # compress and decompress calls do not load them.
+    from .bench import bench_dir, format_csv, format_markdown
+
     mode = TokenizerMode(args.mode)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for algo in algos:
@@ -75,6 +77,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    from .bench import compute_entropy
+
     raw = Path(args.input).read_bytes()
     mode = TokenizerMode(args.mode)
     tokens = tokenize(raw, mode)
@@ -86,7 +90,9 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    failures = selftest_mod.run(log=print)
+    from .selftest import run
+
+    failures = run(log=print)
     if failures:
         print(f"selftest: {failures} check(s) failed", file=sys.stderr)
         return 1

@@ -13,8 +13,11 @@ rebuilds the prepared sequence from position 0 upward, and takes a dictionary
 entry (back to front) every time it meets the marker. Next to each rebuilt
 slot it keeps the slot's rank among its symbol's slots, and it keeps the
 per-symbol counts, so each step's state is count + rank without a search. It
-reads each renormalization shift from the packed code bytes at once. Nothing
-but the code bits, the dictionary and the token count crosses the wire.
+reads each renormalization shift from the packed code bytes at once. The
+decode loop runs in segments over which the bound's bit length is fixed, so
+no step tracks it, and a common step reads its slot once. The ids are read
+back from the rebuilt sequence at the end, minus its markers. Nothing but the
+code bits, the dictionary and the token count crosses the wire.
 
 fam_encode_ids/fam_decode_ids code dictionary ids; fam_encode/fam_decode
 wrap them for token streams.
@@ -22,7 +25,7 @@ wrap them for token streams.
 
 from __future__ import annotations
 
-from .bitio import EXPANDED_BITS, BitStack, refill
+from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill
 from .errors import CorruptError, EmptyStackError
 from .fam_model import map_ids
 
@@ -109,44 +112,59 @@ def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
     rank: list[int] = []
     cnt = [0] * (d + 1)
     cursor = d
-    out: list[int] = []
     image = code.drain()
     data = image.data
     pos = len(data)
     win = 0
     avail = image.bit_length - 8 * pos
-    blen = 1  # bound.bit_length(), kept in step with bound = L + 1
-    bnext = 2  # 1 << blen
+    masks = WINDOW_MASKS
     try:
         while L < m:
-            bound = L + 1
-            if bound >= bnext:
-                blen += 1
-                bnext += bnext
-            if x < bound:
-                # Take the bits that bring x up to bound's length at once;
-                # at most one more is then needed to reach bound.
-                k = blen - x.bit_length() or 1
-                if avail < k:
-                    pos, win, avail = refill(data, pos, win, avail, k)
-                avail -= k
-                x = (x << k) | (win >> avail)
-                win &= (1 << avail) - 1
+            # One segment: every bound = L + 1 below stop has blen bits. A
+            # marker step may carry L one past stop; the next segment
+            # starts from there.
+            blen = (L + 1).bit_length()
+            stop = min(m, (1 << blen) - 1)
+            while L < stop:
+                bound = L + 1
                 if x < bound:
-                    if not avail:
-                        pos, win, avail = refill(data, pos, win, avail, 1)
-                    avail -= 1
-                    x = x + x + (win >> avail)
-                    win &= (1 << avail) - 1
-            p = x - bound
-            if p > L:
-                raise CorruptError("slot reference beyond rebuilt region")
-            if p == L or recon[p] == lt:
+                    # Take the bits that bring x up to bound's length at
+                    # once; at most one more is then needed to reach bound.
+                    k = blen - x.bit_length() or 1
+                    if avail < k:
+                        pos, win, avail = refill(data, pos, win, avail, k)
+                    avail -= k
+                    x = (x << k) | (win >> avail)
+                    win &= masks[avail]
+                    if x < bound:
+                        if not avail:
+                            pos, win, avail = refill(data, pos, win, avail, 1)
+                        avail -= 1
+                        x = x + x + (win >> avail)
+                        win &= masks[avail]
+                p = x - bound
+                if p < L:
+                    w = recon[p]
+                    if w != lt:
+                        c = cnt[w]
+                        x = c + rank[p]
+                        cnt[w] = c + 1
+                        recon.append(w)
+                        rank.append(c)
+                        L += 1
+                        continue
+                    c = cnt[lt]
+                    x = c + 1 + rank[p]
+                elif p == L:
+                    # The slot being rebuilt is itself a marker, and it ranks
+                    # last among the markers.
+                    c = cnt[lt]
+                    x = c + 1 + c
+                else:
+                    raise CorruptError("slot reference beyond rebuilt region")
                 # Marker: introduces the next dictionary token (back to
                 # front). The marker's own count includes the slot being
-                # rebuilt, and that slot ranks last among the markers.
-                c = cnt[lt]
-                x = c + 1 + (c if p == L else rank[p])
+                # rebuilt.
                 cnt[lt] = c + 1
                 recon.append(lt)
                 rank.append(c)
@@ -158,17 +176,7 @@ def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
                 recon.append(cursor)
                 rank.append(0)
                 cnt[cursor] = 1
-                out.append(cursor)
                 L += 2
-            else:
-                w = recon[p]
-                c = cnt[w]
-                x = c + rank[p]
-                cnt[w] = c + 1
-                recon.append(w)
-                rank.append(c)
-                out.append(w)
-                L += 1
         if cursor != 0:
             raise CorruptError("dictionary entries left over after stream end")
         if x < m:
@@ -177,7 +185,7 @@ def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
                 pos, win, avail = refill(data, pos, win, avail, k)
             avail -= k
             x = (x << k) | (win >> avail)
-            win &= (1 << avail) - 1
+            win &= masks[avail]
             if x < m:
                 if not avail:
                     pos, win, avail = refill(data, pos, win, avail, 1)
@@ -189,6 +197,8 @@ def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
         raise CorruptError("final state does not match token count")
     if avail or pos:
         raise CorruptError("unconsumed code bits after decode")
+    # recon is the prepared sequence: the ids reversed, with markers.
+    out = [w for w in recon if w != lt]
     out.reverse()
     return out, x
 

@@ -25,7 +25,7 @@ import enum
 import heapq
 from collections import Counter, namedtuple
 
-from .bitio import EXPANDED_BITS, BitStack, read_varint, refill, write_varint
+from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, read_varint, refill, write_varint
 from .errors import (
     CorruptError,
     EmptyInputError,
@@ -217,6 +217,7 @@ def static_decode_ids(
     pos = len(data)
     win = 0
     avail = image.bit_length - 8 * pos
+    masks = WINDOW_MASKS
     try:
         for _ in range(n):
             j = x - total
@@ -230,13 +231,13 @@ def static_decode_ids(
                     pos, win, avail = refill(data, pos, win, avail, k)
                 avail -= k
                 x = (x << k) | (win >> avail)
-                win &= (1 << avail) - 1
+                win &= masks[avail]
                 if x < total:
                     if not avail:
                         pos, win, avail = refill(data, pos, win, avail, 1)
                     avail -= 1
                     x = x + x + (win >> avail)
-                    win &= (1 << avail) - 1
+                    win &= masks[avail]
     except EmptyStackError:
         raise CorruptError("code bits exhausted mid-decode") from None
     if x != total:

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fans.bitio import BitStack, ByteImage, pack, read_varint, unpack, write_varint
+from fans.bitio import (
+    REFILL_BYTES,
+    WINDOW_MASKS,
+    BitStack,
+    ByteImage,
+    pack,
+    read_varint,
+    refill,
+    unpack,
+    write_varint,
+)
 from fans.errors import BadPadding, EmptyStackError, OverlongVarint, TruncatedError
 
 
@@ -78,6 +88,29 @@ def test_byte_image_validates_lengths():
         ByteImage(b"", 3)
     with pytest.raises(ValueError):
         ByteImage(b"", -1)
+
+
+def test_window_masks_keep_the_low_bits():
+    assert len(WINDOW_MASKS) == 8 * REFILL_BYTES
+    for a, mask in enumerate(WINDOW_MASKS):
+        assert mask == (1 << a) - 1
+
+
+def test_refill_leaves_avail_in_mask_range():
+    # A decoder reads `need` bits after refill and then indexes WINDOW_MASKS
+    # with avail - need, so that must land in [0, 8 * REFILL_BYTES).
+    import random
+
+    rng = random.Random(7)
+    data = bytes(rng.getrandbits(8) for _ in range(3 * REFILL_BYTES))
+    for need in range(1, 73):
+        for start in range(need):
+            win = rng.getrandbits(start)
+            pos, new_win, avail = refill(data, len(data), win, start, need)
+            assert 0 <= avail - need < 8 * REFILL_BYTES
+            assert new_win >> (avail - start) == win
+            assert new_win < 1 << avail
+            assert 8 * pos + avail == 8 * len(data) + start
 
 
 def test_varint_known_vectors():

@@ -188,8 +188,18 @@ def test_console_script_runs():
 
 
 # Modules no compress or decompress call needs. numpy alone would be about
-# half of a small file's call; dataclasses brings inspect, ast and dis along.
-_OFF_STARTUP_PATH = ("numpy", "dataclasses", "inspect", "subprocess", "tempfile", "typing")
+# half of a small file's call; dataclasses brings inspect, ast and dis along;
+# the bench harness and the selftest load only for their own commands.
+_OFF_STARTUP_PATH = (
+    "numpy",
+    "dataclasses",
+    "inspect",
+    "subprocess",
+    "tempfile",
+    "typing",
+    "fans.bench",
+    "fans.selftest",
+)
 
 
 def test_cli_import_leaves_numpy_out():

@@ -28,7 +28,7 @@ from fans.static_codec import (
     static_encode,
 )
 
-from fam_oracle import oracle_fam_decode
+from fam_oracle import LT, oracle_fam_decode, prepare
 
 CODERS = ["fam", "ranged", "uniform", "textorder"]
 REFILL_BITS = 8 * REFILL_BYTES
@@ -135,9 +135,35 @@ def streams_at_refill_multiples(coder: str) -> list[Stream]:
     return [found[k] for k in sorted(found)]
 
 
-@pytest.mark.parametrize("coder", CODERS)
-def test_corrupted_code_decodes_as_before(coder):
-    stream = Stream(coder, random_tokens(random.Random(coder), 160))
+def fam_stream_with_marker_at(position: int) -> Stream:
+    """A fam stream whose prepared sequence holds a marker at `position`.
+
+    The decoder's step there takes its rebuilt length L from position to
+    position + 2. At position 2**k - 2 that jumps the end of the segment in
+    which L + 1 has k bits.
+    """
+    rng = random.Random(f"marker-at-{position}")
+    for _ in range(20000):
+        tokens = random_tokens(rng, rng.randrange(max(20, position), position + 160))
+        prepared = prepare(tokens, ())
+        if position < len(prepared) and prepared[position] is LT:
+            stream = Stream("fam", tokens)
+            if len(stream.bits) > 2 * REFILL_BITS:
+                return stream
+    raise AssertionError(f"no stream with a marker at {position}")
+
+
+CORRUPTION_CASES = [pytest.param(coder, None, id=coder) for coder in CODERS] + [
+    pytest.param("fam", (1 << k) - 2, id=f"fam-marker-at-{(1 << k) - 2}") for k in range(2, 9)
+]
+
+
+@pytest.mark.parametrize("coder, marker_at", CORRUPTION_CASES)
+def test_corrupted_code_decodes_as_before(coder, marker_at):
+    if marker_at is None:
+        stream = Stream(coder, random_tokens(random.Random(coder), 160))
+    else:
+        stream = fam_stream_with_marker_at(marker_at)
     assert len(stream.bits) > 2 * REFILL_BITS
     for bits in [stream.bits, *corruptions(stream.bits)]:
         fast, oracle = stream.outcomes(bits)
