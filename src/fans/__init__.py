@@ -8,13 +8,7 @@ harness. compress and decompress turn bytes into an archive and back.
 """
 
 from .bitio import BitStack, ByteImage, pack, read_varint, unpack, write_varint
-from .container import (
-    Archive,
-    dict_filter,
-    pack_archive,
-    parse_dict_entries,
-    unpack_archive,
-)
+from .container import Archive, pack_archive, parse_dict_entries, unpack_archive
 from .errors import FansError
 from .fam_codec import fam_decode, fam_encode
 from .fam_model import build_dictionary
@@ -47,7 +41,6 @@ __all__ = [
     "count_frequencies",
     "decompress",
     "detokenize",
-    "dict_filter",
     "fam_decode",
     "fam_encode",
     "pack",

@@ -13,7 +13,7 @@ from pathlib import Path
 from .container import ALGO_IDS
 from .errors import FansError
 from .fam_model import build_dictionary
-from .pipeline import FILTER_ENV, compress, decompress
+from .pipeline import compress, decompress
 from .static_codec import count_frequencies
 from .tokenizer import TokenizerMode, tokenize
 
@@ -21,7 +21,7 @@ from .tokenizer import TokenizerMode, tokenize
 def _cmd_compress(args) -> int:
     raw = Path(args.input).read_bytes()
     mode = TokenizerMode(args.mode)
-    data = compress(raw, args.algo, mode, args.filter_dict)
+    data = compress(raw, args.algo, mode)
     Path(args.output).write_bytes(data)
     print(f"{args.input}: {len(raw)} -> {len(data)} bytes ({args.algo}, {mode.value})")
     return 0
@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", "--algo", choices=sorted(ALGO_IDS), default="fam")
     p.add_argument("-m", "--mode", choices=[m.value for m in TokenizerMode], default="lossless")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--filter-dict", action="store_true", help=f"pipe the dictionary through {FILTER_ENV}")
     p.add_argument("input")
     p.set_defaults(func=_cmd_compress)
 

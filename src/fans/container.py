@@ -10,22 +10,21 @@ length is fully determined and trailing bytes are an error.
 
 Adaptive archives carry neither frequencies nor a final state: the decoder
 rebuilds both. Flags: bit 0 set means the tokens came from the words-only
-tokenizer (the original bytes are not recoverable); bit 1 set means the
-dictionary blob was passed through the external filter command and must be
-run back through it before parsing.
+tokenizer (the original bytes are not recoverable); bit 1 set means an older
+build passed the dictionary blob through an external filter command. Such
+archives still parse (with no dictionary entries) but do not decode, and no
+writer sets the bit.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from pathlib import Path
 
 from .bitio import ByteImage, read_varint, write_varint
 from .errors import (
     BadMagic,
     BadVersion,
     CorruptError,
-    ExternalToolFailure,
     InconsistentFields,
     TrailingBytes,
     TruncatedError,
@@ -56,10 +55,8 @@ _FLAG_FILTERED = 0x02
 SectionSizes = namedtuple("SectionSizes", "header final_state dict_region freqs code total")
 SectionSizes.__doc__ = "Byte accounting for one archive; header rides with the dictionary."
 
-Archive = namedtuple(
-    "Archive", "algo mode filtered n d entries dict_blob final_state freqs code sizes"
-)
-Archive.__doc__ = "Parsed archive. entries is None while the dictionary is filtered."
+Archive = namedtuple("Archive", "algo mode filtered n d entries final_state freqs code sizes")
+Archive.__doc__ = "Parsed archive. entries is None when an older build filtered the dictionary."
 
 
 def encode_dict_entries(entries: list[bytes]) -> bytes:
@@ -93,7 +90,6 @@ def pack_archive(
     code: ByteImage,
     final_state: int | None = None,
     freqs: StaticFrequencies | None = None,
-    filtered_blob: bytes | None = None,
 ) -> bytes:
     """Assemble archive bytes; raises InconsistentFields on bad combinations."""
     if algo not in ALGO_NAMES:
@@ -120,9 +116,6 @@ def pack_archive(
     if mode is TokenizerMode.PAPER:
         flags |= _FLAG_PAPER
     blob = encode_dict_entries(dictionary)
-    if filtered_blob is not None:
-        flags |= _FLAG_FILTERED
-        blob = filtered_blob
 
     out = bytearray()
     out += MAGIC
@@ -235,51 +228,8 @@ def unpack_archive(data: bytes) -> Archive:
         n=n,
         d=d,
         entries=entries,
-        dict_blob=blob,
         final_state=final_state,
         freqs=freqs,
         code=code,
         sizes=sizes,
     )
-
-
-def dict_filter(blob: bytes, command_template: str, direction: str) -> bytes:
-    """Pipe the dictionary blob through an external command.
-
-    The template is run through the shell with {in} and {out} replaced by
-    temporary file paths; an optional {direction} placeholder receives
-    "compress" or "decompress" so one wrapper can serve both ways. Literal
-    braces are doubled, as in str.format.
-    """
-    if direction not in ("compress", "decompress"):
-        raise ValueError(f"bad filter direction: {direction!r}")
-    # Imported here: only --filter-dict needs them, and they would add to
-    # every CLI call's start-up.
-    import subprocess
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="fansfilter") as tmp:
-        src = Path(tmp) / "blob.in"
-        dst = Path(tmp) / "blob.out"
-        src.write_bytes(blob)
-        try:
-            cmd = command_template.format_map(
-                {"in": str(src), "out": str(dst), "direction": direction}
-            )
-        except (KeyError, IndexError, AttributeError, ValueError) as exc:
-            raise ExternalToolFailure(
-                f"bad placeholder in filter command ({exc}): only {{in}}, {{out}} and "
-                "{direction} are replaced, and literal braces are written {{ }}"
-            ) from None
-        try:
-            proc = subprocess.run(cmd, shell=True, capture_output=True)
-        except OSError as exc:
-            raise ExternalToolFailure(f"filter could not run: {exc}") from exc
-        if proc.returncode != 0:
-            detail = proc.stderr.decode("utf-8", "replace").strip()
-            raise ExternalToolFailure(
-                f"filter exited with {proc.returncode}: {detail or cmd}"
-            )
-        if not dst.exists():
-            raise ExternalToolFailure("filter produced no output file")
-        return dst.read_bytes()

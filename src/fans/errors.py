@@ -53,9 +53,5 @@ class InconsistentFields(FansError):
     """Mutually contradictory fields were passed to the archive writer."""
 
 
-class ExternalToolFailure(FansError):
-    """External dictionary filter command failed or is unavailable."""
-
-
 class NotDecodableError(FansError):
     """Archive type carries too little information to decode on its own."""

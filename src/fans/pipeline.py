@@ -12,8 +12,6 @@ table over the same dictionary gets.
 
 from __future__ import annotations
 
-import os
-
 from .bitio import BitStack, pack, unpack
 from .container import (
     ALGO_FAM,
@@ -21,13 +19,10 @@ from .container import (
     ALGO_NAMES,
     ALGO_TEXT_ORDER,
     Archive,
-    dict_filter,
-    encode_dict_entries,
     pack_archive,
-    parse_dict_entries,
     unpack_archive,
 )
-from .errors import ExternalToolFailure, NotDecodableError
+from .errors import NotDecodableError
 from .fam_codec import fam_decode_ids, fam_encode_ids
 from .fam_model import map_ids
 from .static_codec import (
@@ -39,16 +34,6 @@ from .static_codec import (
     static_encode_ids,
 )
 from .tokenizer import TokenizerMode, detokenize, tokenize
-
-FILTER_ENV = "DICT_FILTER_CMD"
-
-
-def _filter_command() -> str:
-    cmd = os.environ.get(FILTER_ENV)
-    if not cmd:
-        raise ExternalToolFailure(f"{FILTER_ENV} is not set")
-    return cmd
-
 
 def count_ids(ids: list[int], d: int) -> list[int]:
     """Occurrences of each id 0..d-1."""
@@ -105,9 +90,8 @@ def compress(
     raw: bytes,
     algo: str = "fam",
     mode: TokenizerMode = TokenizerMode.LOSSLESS,
-    use_filter: bool = False,
 ) -> bytes:
-    """Archive bytes for raw; use_filter pipes the dictionary through FILTER_ENV."""
+    """Archive bytes for raw."""
     dictionary, ids = map_ids(tokenize(raw, mode))
     n = len(ids)
     bits, final_state, counts = encode_ids(algo, ids, len(dictionary))
@@ -115,9 +99,6 @@ def compress(
     freqs = None
     if counts is not None:
         freqs = StaticFrequencies(dict(zip(dictionary, counts)), n)
-    filtered_blob = None
-    if use_filter:
-        filtered_blob = dict_filter(encode_dict_entries(dictionary), _filter_command(), "compress")
     return pack_archive(
         ALGO_IDS[algo],
         mode,
@@ -126,19 +107,19 @@ def compress(
         pack(BitStack(bits)),
         final_state=final_state,
         freqs=freqs,
-        filtered_blob=filtered_blob,
     )
 
 
 def decompress(data: bytes) -> bytes:
     """The original bytes, or in paper mode the words one per line."""
     archive = unpack_archive(data)
-    entries = archive.entries
     if archive.filtered:
-        blob = dict_filter(archive.dict_blob, _filter_command(), "decompress")
-        entries = parse_dict_entries(blob, archive.d)
+        raise NotDecodableError(
+            "the dictionary was passed through an external filter command, "
+            "which fans no longer runs"
+        )
     ids = decode_ids(archive)
-    tokens = [entries[i] for i in ids]
+    tokens = [archive.entries[i] for i in ids]
     del ids
     if archive.mode is TokenizerMode.LOSSLESS:
         return detokenize(tokens)

@@ -25,13 +25,8 @@ import enum
 import heapq
 from collections import Counter, namedtuple
 
-from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, read_varint, refill, write_varint
-from .errors import (
-    CorruptError,
-    EmptyInputError,
-    EmptyStackError,
-    TrailingBytes,
-)
+from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill, write_varint
+from .errors import CorruptError, EmptyInputError, EmptyStackError
 
 
 class StaticFrequencies(namedtuple("StaticFrequencies", "counts total")):
@@ -279,17 +274,3 @@ def static_decode(
 def serialize_frequencies(freqs: StaticFrequencies, dictionary: list[bytes]) -> bytes:
     """Varint counts in dictionary order."""
     return b"".join(write_varint(freqs.counts[t]) for t in dictionary)
-
-
-def deserialize_frequencies(data: bytes, dictionary: list[bytes]) -> StaticFrequencies:
-    counts = {}
-    pos = 0
-    for tok in dictionary:
-        value, used = read_varint(data, pos)
-        if value == 0:
-            raise CorruptError("zero frequency for a dictionary token")
-        counts[tok] = value
-        pos += used
-    if pos != len(data):
-        raise TrailingBytes("frequency section has extra bytes")
-    return StaticFrequencies(counts, sum(counts.values()))

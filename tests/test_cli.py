@@ -11,16 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from fans.cli import FILTER_ENV, main
+from fans.cli import main
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 # Child interpreters import fans from this checkout, installed or not.
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-
-GZIP_TEMPLATE = (
-    "if [ {direction} = compress ]; "
-    "then gzip -c {in} > {out}; else gzip -dc {in} > {out}; fi"
-)
 
 
 def _compress(tmp_path, payload: bytes, *flags) -> tuple[Path, Path]:
@@ -66,6 +61,18 @@ def test_textorder_archive_is_not_decodable(tmp_path, capsys):
     out = tmp_path / "out.bin"
     assert main(["decompress", "-o", str(out), str(arc)]) == 1
     assert "size comparison" in capsys.readouterr().err
+
+
+def test_filtered_archive_is_not_decodable(tmp_path, capsys):
+    # Flag bit 1: an older build ran the dictionary through an external filter.
+    src, arc = _compress(tmp_path, b"abc def abc abc def")
+    data = bytearray(arc.read_bytes())
+    data[6] = 0x02
+    arc.write_bytes(bytes(data))
+    assert main(["decompress", "-o", str(tmp_path / "out.bin"), str(arc)]) == 1
+    assert "external filter" in capsys.readouterr().err
+    assert main(["verify", str(arc), str(src)]) == 1
+    assert "archive rejected" in capsys.readouterr().err
 
 
 def test_verify_ok_and_mismatch(tmp_path, capsys):
@@ -118,6 +125,9 @@ def test_usage_errors_exit_two(tmp_path):
         main(["compress", "-a", "huffman", "-o", "x", "y"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["compress", "--filter-dict", "-o", "x", "y"])  # no such option
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
     for reps in ("0", "-3"):
@@ -157,23 +167,6 @@ def test_bench_csv_and_markdown(tmp_path, capsys):
 def test_bench_rejects_unknown_algo(tmp_path, capsys):
     assert main(["bench", "--algos", "fam,zstd", str(tmp_path)]) == 1
     assert "unknown algorithm" in capsys.readouterr().err
-
-
-@pytest.mark.skipif(shutil.which("gzip") is None, reason="gzip not installed")
-def test_filter_dict_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv(FILTER_ENV, GZIP_TEMPLATE)
-    payload = b" ".join(bytes([c]) * 25 for c in range(97, 112)) * 3
-    _, arc = _compress(tmp_path, payload, "--filter-dict")
-    assert _decompress(tmp_path, arc) == payload
-
-
-def test_filter_dict_requires_command(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(FILTER_ENV, raising=False)
-    src = tmp_path / "x.txt"
-    src.write_bytes(b"a b a")
-    rc = main(["compress", "--filter-dict", "-o", str(tmp_path / "x.fans"), str(src)])
-    assert rc == 1
-    assert FILTER_ENV in capsys.readouterr().err
 
 
 def test_console_script_runs():

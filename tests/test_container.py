@@ -1,9 +1,8 @@
-"""Archive format tests: frozen byte vectors, validation, the dict filter."""
+"""Archive format tests: frozen byte vectors, validation, the refused filter flag."""
 
 from __future__ import annotations
 
 import random
-import shutil
 
 import pytest
 
@@ -12,7 +11,6 @@ from fans.container import (
     ALGO_FAM,
     ALGO_RANGED,
     ALGO_UNIFORM,
-    dict_filter,
     encode_dict_entries,
     pack_archive,
     parse_dict_entries,
@@ -22,13 +20,14 @@ from fans.errors import (
     BadMagic,
     BadVersion,
     CorruptError,
-    ExternalToolFailure,
     InconsistentFields,
+    NotDecodableError,
     OverlongVarint,
     TrailingBytes,
     TruncatedError,
 )
 from fans.fam_codec import fam_encode
+from fans.pipeline import decompress
 from fans.static_codec import StaticFrequencies
 from fans.tokenizer import TokenizerMode
 
@@ -177,8 +176,13 @@ def test_unpack_rejects_semantic_damage():
         )
     )
     assert data[16] == 2  # frequency of a
+    with pytest.raises(TruncatedError):
+        unpack_archive(bytes(data[:17]))  # frequency section cut short
     data[16] = 3
     with pytest.raises(CorruptError):
+        unpack_archive(bytes(data))
+    data[16] = 0
+    with pytest.raises(CorruptError, match="zero frequency"):
         unpack_archive(bytes(data))
 
 
@@ -196,70 +200,13 @@ def test_dict_entry_parsing():
         parse_dict_entries(b"\x01a\x01a", 2)  # duplicate entries
 
 
-def test_dict_filter_identity():
-    blob = encode_dict_entries([b"hello", b"world"])
-    assert dict_filter(blob, "cp {in} {out}", "compress") == blob
-
-
-def test_dict_filter_failures():
-    with pytest.raises(ExternalToolFailure):
-        dict_filter(b"x", "false", "compress")
-    with pytest.raises(ExternalToolFailure):
-        dict_filter(b"x", "true", "compress")  # ran fine, wrote nothing
-    with pytest.raises(ExternalToolFailure):
-        dict_filter(b"x", "/no/such/binary {in} {out}", "decompress")
-    with pytest.raises(ValueError):
-        dict_filter(b"x", "cp {in} {out}", "sideways")
-
-
-@pytest.mark.parametrize(
-    "template,named",
-    [
-        ('awk "{print}" {in} > {out}', "'print'"),
-        ("cp {in} {out}; echo ${HOME}", "'HOME'"),
-        ("cp {in} {out} {", "Single '{'"),
-    ],
-)
-def test_dict_filter_stray_braces_are_structured_errors(template, named):
-    with pytest.raises(ExternalToolFailure) as exc:
-        dict_filter(b"x", template, "compress")
-    assert named in str(exc.value)
-    assert "{{ }}" in str(exc.value)
-
-
-def test_dict_filter_doubled_braces_are_literal():
-    assert dict_filter(b"x", "cp {in} {out}; echo ${{HOME}} > /dev/null", "compress") == b"x"
-
-
-@pytest.mark.skipif(shutil.which("gzip") is None, reason="gzip not installed")
-def test_dict_filter_direction_template():
-    template = (
-        "if [ {direction} = compress ]; "
-        "then gzip -c {in} > {out}; else gzip -dc {in} > {out}; fi"
-    )
-    blob = encode_dict_entries([bytes([c]) * 40 for c in range(97, 105)])
-    squeezed = dict_filter(blob, template, "compress")
-    assert squeezed != blob
-    assert dict_filter(squeezed, template, "decompress") == blob
-
-
-@pytest.mark.skipif(shutil.which("gzip") is None, reason="gzip not installed")
-def test_filtered_archive_round_trip():
-    tokens = [bytes([c]) * 30 for c in range(97, 103)] * 4
-    code, w0 = fam_encode(tokens)
-    blob = encode_dict_entries(w0)
-    template = (
-        "if [ {direction} = compress ]; "
-        "then gzip -c {in} > {out}; else gzip -dc {in} > {out}; fi"
-    )
-    squeezed = dict_filter(blob, template, "compress")
-    data = pack_archive(
-        ALGO_FAM, TokenizerMode.LOSSLESS, len(tokens), w0, pack(code),
-        filtered_blob=squeezed,
-    )
-    arc = unpack_archive(data)
+def test_filtered_flag_parses_but_is_not_decodable():
+    # Flag bit 1 marks a dictionary an older build ran through an external
+    # filter command; the archive parses, but nothing can read the entries.
+    filtered = FAM_ABA[:6] + b"\x02" + FAM_ABA[7:]
+    arc = unpack_archive(filtered)
     assert arc.filtered
     assert arc.entries is None
-    assert arc.dict_blob == squeezed
-    restored = dict_filter(arc.dict_blob, template, "decompress")
-    assert parse_dict_entries(restored, arc.d) == w0
+    assert arc.sizes == unpack_archive(FAM_ABA).sizes
+    with pytest.raises(NotDecodableError, match="external filter"):
+        decompress(filtered)

@@ -9,19 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fans.bitio import BitStack
-from fans.errors import CorruptError, EmptyInputError, TrailingBytes, TruncatedError
+from fans.bitio import BitStack, ByteImage
+from fans.container import ALGO_RANGED, ALGO_UNIFORM, pack_archive, unpack_archive
+from fans.errors import CorruptError, EmptyInputError
 from fans.static_codec import (
     SpreadStrategy,
     SpreadTable,
     StaticFrequencies,
     build_spread,
     count_frequencies,
-    deserialize_frequencies,
     serialize_frequencies,
     static_decode,
     static_encode,
 )
+from fans.tokenizer import TokenizerMode
 
 ALL_STRATEGIES = [SpreadStrategy.RANGED, SpreadStrategy.UNIFORM, SpreadStrategy.TEXT_ORDER]
 
@@ -226,26 +227,18 @@ def test_serialize_frequencies_vectors():
     assert serialize_frequencies(big, [b"a"]) == b"\xac\x02"
 
 
-def test_deserialize_frequencies():
-    freqs = deserialize_frequencies(b"\x01\x02", [b"b", b"a"])
-    assert freqs.counts == {b"b": 1, b"a": 2}
-    assert freqs.total == 3
-    assert deserialize_frequencies(b"", []).total == 0
-    with pytest.raises(TruncatedError):
-        deserialize_frequencies(b"\x01", [b"b", b"a"])
-    with pytest.raises(CorruptError):
-        deserialize_frequencies(b"\x00\x02", [b"b", b"a"])
-    with pytest.raises(TrailingBytes):
-        deserialize_frequencies(b"\x01\x02\x03", [b"b", b"a"])
-
-
 def test_frequency_round_trip_random():
     rng = random.Random(31)
     for _ in range(40):
         d = rng.randrange(1, 20)
         dictionary = [bytes([65 + i]) for i in range(d)]
         counts = {t: rng.randrange(1, 1000) for t in dictionary}
-        freqs = StaticFrequencies(counts, sum(counts.values()))
-        blob = serialize_frequencies(freqs, dictionary)
-        back = deserialize_frequencies(blob, dictionary)
-        assert back.counts == freqs.counts and back.total == freqs.total
+        n = sum(counts.values())
+        freqs = StaticFrequencies(counts, n)
+        for algo in (ALGO_RANGED, ALGO_UNIFORM):
+            data = pack_archive(
+                algo, TokenizerMode.LOSSLESS, n, dictionary, ByteImage(b"", 0),
+                final_state=0, freqs=freqs,
+            )
+            arc = unpack_archive(data)
+            assert arc.freqs == [counts[t] for t in dictionary]

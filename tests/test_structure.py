@@ -1,4 +1,4 @@
-"""Module boundaries: no private cross-module access, a resolvable public API."""
+"""Module boundaries: no private cross-module access, no process starts, a resolvable public API."""
 
 from __future__ import annotations
 
@@ -61,6 +61,43 @@ def test_guard_flags_private_access(tmp_path):
         "bench.bench_file\n"
     )
     assert len(_violations(sample)) == 4
+
+
+def _process_starts(path: Path) -> list[str]:
+    """Imports of subprocess and calls of os.system/os.popen."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Call):
+            names = [ast.unparse(node.func)]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] == "subprocess" or name in ("os.system", "os.popen"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_library_starts_no_process():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert [v for path in sources for v in _process_starts(path)] == []
+
+
+def test_guard_flags_process_starts(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import subprocess\n"
+        "from subprocess import run\n"
+        "from os import popen\n"
+        "import os\n"
+        "os.system('true')\n"
+        "os.getcwd()\n"
+    )
+    assert len(_process_starts(sample)) == 4
 
 
 def test_public_names_resolve():
