@@ -32,7 +32,10 @@ REFILL_BYTES = 16
 
 # WINDOW_MASKS[a] keeps the low a bits of a read window. After any read,
 # 0 <= avail < 8 * REFILL_BYTES: a read of k bits refills first when avail < k,
-# and refill stops as soon as the read fits, so every index is in range.
+# and refill stops as soon as the read fits, so every index is in range. The
+# encoders index it too, with a renormalization shift: their state stays below
+# twice the table size, so shift < (2 * table_size).bit_length(), far inside
+# the 8 * REFILL_BYTES entries for any table that fits in memory.
 WINDOW_MASKS = [(1 << a) - 1 for a in range(8 * REFILL_BYTES)]
 
 

@@ -8,6 +8,13 @@ is coded as the marker, which is also how the dictionary order reaches the
 decoder. For nonempty input the encoder always finishes in state 1 with no
 slots left.
 
+Each encoder step first shifts out the low bits that bring the state x into
+[fw, 2*fw), where fw is the coded symbol's live frequency. fw counts the
+symbol's slots among the l slots left, and every transition leaves x at l or
+above, so fw <= l <= x. The shift is therefore never negative and comes from
+the bit lengths alone, with no test for whether the step emits anything; a
+shift of 0 appends an empty batch.
+
 The decoder runs the same arithmetic backwards: it starts from state 1,
 rebuilds the prepared sequence from position 0 upward, and takes a dictionary
 entry (back to front) every time it meets the marker. Next to each rebuilt
@@ -59,29 +66,26 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     x = l = n + d
     bits = bytearray()
     expand = EXPANDED_BITS
+    masks = WINDOW_MASKS
     for w in ids:
         fw = f[w]
         if fw == 0:
             w = lt
             l -= 1
             fw = f[lt]
-        threshold = fw + fw
-        if x >= threshold:
-            # Emit the low bits that bring x under 2*fw, LSB first, in one
-            # or two table lookups instead of a per-bit loop.
-            shift = x.bit_length() - fw.bit_length() - 1
-            if shift < 0:
-                shift = 0
-            if (x >> shift) >= threshold:
-                shift += 1
-            low = x & ((1 << shift) - 1)
-            x >>= shift
-            while shift >= 8:
-                bits += expand[8][low & 255]
-                low >>= 8
-                shift -= 8
-            if shift:
-                bits += expand[shift][low]
+        # Emit the low bits that bring x into [fw, 2*fw), LSB first, in one
+        # or two table lookups instead of a per-bit loop. fw <= x, so the
+        # shift is never negative; a shift of 0 appends b"".
+        shift = x.bit_length() - fw.bit_length()
+        if (x >> shift) < fw:
+            shift -= 1
+        low = x & masks[shift]
+        x >>= shift
+        while shift > 8:
+            bits += expand[8][low & 255]
+            low >>= 8
+            shift -= 8
+        bits += expand[shift][low]
         x = l + index_lists[w][x - fw]
         l -= 1
         f[w] = fw - 1

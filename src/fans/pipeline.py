@@ -35,6 +35,7 @@ from .static_codec import (
 )
 from .tokenizer import TokenizerMode, detokenize, tokenize
 
+
 def count_ids(ids: list[int], d: int) -> list[int]:
     """Occurrences of each id 0..d-1."""
     counts = [0] * d

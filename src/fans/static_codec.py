@@ -13,6 +13,12 @@ smaller dictionary index. The text_order spread exists for size and timing
 comparisons: its table is the reversed input, so it cannot be rebuilt from an
 archive alone.
 
+The encoder's state x stays in [total, 2*total) between steps, and a
+symbol's count c is at most total, so c <= x. Each step's renormalization
+shift, the one that brings x into [c, 2*c), is therefore never negative and
+comes from the bit lengths alone, with no test for whether the step emits
+anything.
+
 The decoder turns the spread into the classic tANS decode table: slot j gives
 its symbol and the state before the slot was taken, which is the symbol's
 count plus the slot's rank among that symbol's slots. Each renormalization
@@ -154,25 +160,22 @@ def static_encode_ids(ids, table: SpreadTable, counts) -> tuple[bytearray, int]:
     slots = table.slots
     bits = bytearray()
     expand = EXPANDED_BITS
+    masks = WINDOW_MASKS
     for s in ids:
         c = counts[s]
-        threshold = c + c
-        if x >= threshold:
-            # Emit the low bits that bring x under 2*c, LSB first, batched
-            # through the expansion table instead of a per-bit loop.
-            shift = x.bit_length() - c.bit_length() - 1
-            if shift < 0:
-                shift = 0
-            if (x >> shift) >= threshold:
-                shift += 1
-            low = x & ((1 << shift) - 1)
-            x >>= shift
-            while shift >= 8:
-                bits += expand[8][low & 255]
-                low >>= 8
-                shift -= 8
-            if shift:
-                bits += expand[shift][low]
+        # Emit the low bits that bring x into [c, 2*c), LSB first, batched
+        # through the expansion table instead of a per-bit loop. c <= x, so
+        # the shift is never negative; a shift of 0 appends b"".
+        shift = x.bit_length() - c.bit_length()
+        if (x >> shift) < c:
+            shift -= 1
+        low = x & masks[shift]
+        x >>= shift
+        while shift > 8:
+            bits += expand[8][low & 255]
+            low >>= 8
+            shift -= 8
+        bits += expand[shift][low]
         x = total + slots[s][x - c]
     return bits, x
 

@@ -1,10 +1,15 @@
-"""Decoder cores against the loops they replaced, and against hostile input.
+"""Coding loops against the per-bit loops they replaced, and hostile input.
 
-The oracles are the decode loops as they were before the cores took ranks
-from tables and read packed bytes: one bisect per symbol to recover a rank,
-and one pop per code bit. The fam oracle is the step-level decoder of
+The decode oracles are the decode loops as they were before the cores took
+ranks from tables and read packed bytes: one bisect per symbol to recover a
+rank, and one pop per code bit. The fam oracle is the step-level decoder of
 fam_oracle.py. On valid and corrupted code alike, the fast cores must return
 the same tokens or raise the same CorruptError.
+
+The encode oracles push one bit at a time until the state is under twice the
+symbol's frequency; the fast encoders compute each step's shift at once and
+emit it in batches. They must write the same bits and end in the same state,
+also on streams whose steps shift by nothing or by more than 16 bits.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from hypothesis import strategies as st
 
 from fans.bitio import REFILL_BYTES, BitStack, ByteImage, unpack
 from fans.errors import CorruptError, EmptyStackError, FansError
-from fans.fam_codec import fam_decode, fam_encode
+from fans.fam_codec import fam_decode, fam_encode, fam_encode_ids
+from fans.fam_model import map_ids
 from fans.static_codec import (
     SpreadStrategy,
     StaticFrequencies,
@@ -26,9 +32,10 @@ from fans.static_codec import (
     count_frequencies,
     static_decode,
     static_encode,
+    static_encode_ids,
 )
 
-from fam_oracle import LT, oracle_fam_decode, prepare
+from fam_oracle import LT, EncoderState, encode_step, oracle_fam_decode, prepare, select_symbol
 
 CODERS = ["fam", "ranged", "uniform", "textorder"]
 REFILL_BITS = 8 * REFILL_BYTES
@@ -63,6 +70,43 @@ def oracle_static_decode(code: BitStack, final_state, table, freqs, n) -> list[b
         raise CorruptError("unconsumed code bits after decode")
     out.reverse()
     return out
+
+
+def oracle_static_encode(tokens, table, freqs) -> tuple[BitStack, int, int]:
+    """static_encode_ids as one push per code bit.
+
+    Returns (code, final state, the most bits any one step pushed).
+    """
+    total = len(tokens)
+    x = total
+    code = BitStack()
+    widest = 0
+    for s in tokens:
+        c = freqs.counts[s]
+        pushed = 0
+        while x >= c + c:
+            code.push(x & 1)
+            x >>= 1
+            pushed += 1
+        widest = max(widest, pushed)
+        x = total + table.slots[s][x - c]
+    return code, x, widest
+
+
+def oracle_fam_encode(tokens: list[bytes]) -> tuple[BitStack, int, int, int]:
+    """fam_encode_ids as a loop over encode_step, one push per code bit.
+
+    Returns (code, final state, final slot count, the most bits any one step
+    pushed).
+    """
+    state, index_lists = EncoderState.initial(tokens)
+    widest = 0
+    for tok in tokens:
+        w = select_symbol(state, tok)
+        before = len(state.code)
+        encode_step(state, w, index_lists[w])
+        widest = max(widest, len(state.code) - before)
+    return state.code, state.x, state.l, widest
 
 
 class Stream:
@@ -183,6 +227,41 @@ def test_code_lengths_at_refill_boundaries_decode_as_before(coder):
         for variant in variants:
             fast, oracle = stream.outcomes(variant)
             assert fast == oracle
+
+
+# A rare symbol among 2**17 copies of another: its steps shift by 17 bits,
+# past the encoders' two-byte batches.
+WIDE_SHIFT_TOKENS = [b"s", b"r"] + [b"c"] * (1 << 17) + [b"s"]
+
+ENCODER_EDGE_CASES = [
+    pytest.param([b"t%d" % i for i in range(300)], 0, id="all-distinct"),
+    pytest.param([b"a"] * 300, 0, id="one-token-repeated"),
+    pytest.param([b"a"], 0, id="single-token"),
+    pytest.param(WIDE_SHIFT_TOKENS, 17, id="shift-over-16"),
+] + [pytest.param(random_tokens(random.Random(k), 400), 0, id=f"random-{k}") for k in range(4)]
+
+
+@pytest.mark.parametrize("tokens, min_widest", ENCODER_EDGE_CASES)
+@pytest.mark.parametrize("strategy", list(SpreadStrategy), ids=lambda s: s.value)
+def test_static_encoder_matches_per_bit_oracle(tokens, min_widest, strategy):
+    dictionary = sorted(set(tokens))
+    freqs = count_frequencies(tokens, dictionary)
+    table = build_spread(strategy, freqs, dictionary, tokens)
+    code, state, widest = oracle_static_encode(tokens, table, freqs)
+    bits, fast_state = static_encode_ids(tokens, table, freqs.counts)
+    assert BitStack(bits) == code
+    assert fast_state == state
+    assert widest >= min_widest
+
+
+@pytest.mark.parametrize("tokens, min_widest", ENCODER_EDGE_CASES)
+def test_fam_encoder_matches_per_bit_oracle(tokens, min_widest):
+    code, x, l, widest = oracle_fam_encode(tokens)
+    dictionary, ids = map_ids(tokens)
+    bits, fast_x, fast_l = fam_encode_ids(ids, len(dictionary))
+    assert BitStack(bits) == code
+    assert (fast_x, fast_l) == (x, l) == (1, 0)
+    assert widest >= min_widest
 
 
 def _image(data: bytes, drop: int, clear_padding: bool) -> ByteImage:

@@ -1,6 +1,8 @@
 """Tokenizer modes: lossless alternating runs and words-only."""
 
+import itertools
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -50,6 +52,30 @@ def test_non_ascii_bytes_are_non_word():
 @given(st.binary(max_size=65536))
 def test_lossless_round_trip(data):
     assert detokenize(tokenize(data, TokenizerMode.LOSSLESS)) == data
+
+
+# Lossless tokens as a run-by-run match of the two classes; tokenize splits
+# instead and must give the same list.
+_ORACLE = re.compile(rb"[0-9A-Za-z]+|[^0-9A-Za-z]+")
+_CORPUS = Path(__file__).parent / "data" / "corpus"
+
+
+def test_lossless_matches_oracle_on_short_inputs():
+    cases = [b""] + [bytes([b]) for b in range(256)]
+    cases += [bytes(t) for k in (1, 2, 3) for t in itertools.product(b"a0Z \n\xff", repeat=k)]
+    for data in cases:
+        assert tokenize(data, TokenizerMode.LOSSLESS) == _ORACLE.findall(data), data
+
+
+@pytest.mark.parametrize("name", ["alice29.txt", "asyoulik.txt"])
+def test_lossless_matches_oracle_on_corpus(name):
+    data = (_CORPUS / name).read_bytes()
+    assert tokenize(data, TokenizerMode.LOSSLESS) == _ORACLE.findall(data)
+
+
+@given(st.binary())
+def test_lossless_matches_oracle(data):
+    assert tokenize(data, TokenizerMode.LOSSLESS) == _ORACLE.findall(data)
 
 
 _WORD = re.compile(rb"[0-9A-Za-z]+\Z")
