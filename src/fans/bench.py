@@ -22,11 +22,10 @@ from collections import namedtuple
 from pathlib import Path
 
 from .bitio import BitStack, pack
-from .container import encode_dict_entries, unpack_archive
+from .container import unpack_archive
 from .errors import CorruptError, FansError
 from .fam_model import map_ids
 from .pipeline import compress, count_ids, decode_ids, encode_ids
-from .static_codec import StaticFrequencies
 from .tokenizer import TokenizerMode, tokenize
 
 
@@ -37,12 +36,11 @@ BenchRecord = namedtuple(
 )
 
 
-def compute_entropy(freqs: StaticFrequencies) -> float:
-    """Shannon information of the census in bits: sum c_i * log2(M / c_i)."""
-    return _entropy_from_counts(freqs.counts.values(), freqs.total)
+def compute_entropy(counts, total: int) -> float:
+    """Shannon information in bits of counts summing to total M: sum c_i * log2(M / c_i).
 
-
-def _entropy_from_counts(counts, total) -> float:
+    An archive's freqs and n have this shape.
+    """
     if total == 0:
         return 0.0
     log2_total = math.log2(total)
@@ -64,7 +62,6 @@ def bench_file(
     algo: str,
     mode: TokenizerMode,
     reps: int = 1,
-    lex_dict: bool = False,
 ) -> tuple[BenchRecord, list[str]]:
     """One (file, algorithm) row plus free-form notes for stderr."""
     notes: list[str] = []
@@ -76,7 +73,7 @@ def bench_file(
     if not n:
         notes.append(f"{name}: no tokens in {mode.value} mode")
     counts = count_ids(ids, len(w0))
-    entropy_bits = _entropy_from_counts(counts, n)
+    entropy_bits = compute_entropy(counts, n)
 
     enc_s, (bits, _state, _counts) = timed(encode_ids, algo, ids, len(w0), counts, reps=reps)
     if pack(BitStack(bits)) != archive.code:
@@ -103,9 +100,6 @@ def bench_file(
             f"{name}: adaptive code ({record.code_bytes * 8} bits) beats the "
             f"static entropy bound ({entropy_bits:.1f} bits)"
         )
-    if lex_dict:
-        lex_blob = encode_dict_entries(sorted(w0))
-        notes.append(f"{name}: dictionary blob lexicographic {len(lex_blob)} bytes")
     return record, notes
 
 
@@ -114,7 +108,6 @@ def bench_dir(
     algos: list[str],
     mode: TokenizerMode,
     reps: int = 1,
-    lex_dict: bool = False,
 ) -> tuple[list[BenchRecord], list[str]]:
     """All (file, algo) pairs under a directory; per-file errors are notes."""
     records: list[BenchRecord] = []
@@ -123,7 +116,7 @@ def bench_dir(
     for path in paths:
         for algo in algos:
             try:
-                record, file_notes = bench_file(path, algo, mode, reps, lex_dict)
+                record, file_notes = bench_file(path, algo, mode, reps)
             except FansError as exc:
                 notes.append(f"{path.name}/{algo}: FAILED: {exc}")
                 continue

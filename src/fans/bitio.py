@@ -4,7 +4,8 @@ The coders renormalize by pushing low bits of the state and read them back in
 reverse order, so the natural container is a stack. Bits are stored packed,
 LSB-first: bit i of the push order is bit i % 8 of byte i // 8. That is also
 the archive layout, so pack and unpack only copy bytes. Padding bits in the
-last byte are always zero and are checked on the way back in.
+last byte are always zero; every ByteImage checks that when it is made, so an
+archive with nonzero padding is refused while it is parsed.
 
 Decoders do not pop one bit at a time. They drain the stack's bytes and read
 from the top down through an integer window that `refill` tops up.
@@ -132,7 +133,7 @@ class BitStack:
 
 
 class ByteImage(namedtuple("ByteImage", "data bit_length")):
-    """Packed bits plus their exact bit count."""
+    """Packed bits plus their exact bit count; the padding bits are zero."""
 
     __slots__ = ()
 
@@ -141,6 +142,9 @@ class ByteImage(namedtuple("ByteImage", "data bit_length")):
             raise ValueError("bit_length must be non-negative")
         if len(data) != (bit_length + 7) // 8:
             raise ValueError("data length does not match bit_length")
+        tail = bit_length & 7
+        if tail and data[-1] >> tail:
+            raise BadPadding("nonzero padding bits in final byte")
         return super().__new__(cls, data, bit_length)
 
 
@@ -150,10 +154,7 @@ def pack(stack: BitStack) -> ByteImage:
 
 
 def unpack(image: ByteImage) -> BitStack:
-    """Reverse pack(); rejects nonzero padding bits."""
-    tail = image.bit_length & 7
-    if tail and image.data[-1] >> tail:
-        raise BadPadding("nonzero padding bits in final byte")
+    """Reverse pack(); the image has already checked its padding."""
     stack = BitStack()
     stack._data = bytearray(image.data)
     stack._len = image.bit_length

@@ -12,9 +12,8 @@ from pathlib import Path
 
 from .container import ALGO_IDS
 from .errors import FansError
-from .fam_model import build_dictionary
-from .pipeline import compress, decompress
-from .static_codec import count_frequencies
+from .fam_model import map_ids
+from .pipeline import compress, count_ids, decompress
 from .tokenizer import TokenizerMode, tokenize
 
 
@@ -66,9 +65,7 @@ def _cmd_bench(args) -> int:
     for algo in algos:
         if algo not in ALGO_IDS:
             raise FansError(f"unknown algorithm {algo!r}")
-    records, notes = bench_dir(
-        Path(args.corpus), algos, mode, reps=args.reps, lex_dict=args.lex_dict
-    )
+    records, notes = bench_dir(Path(args.corpus), algos, mode, reps=args.reps)
     formatter = format_markdown if args.format == "markdown" else format_csv
     sys.stdout.write(formatter(records))
     for note in notes:
@@ -81,9 +78,9 @@ def _cmd_entropy(args) -> int:
 
     raw = Path(args.input).read_bytes()
     mode = TokenizerMode(args.mode)
-    tokens = tokenize(raw, mode)
-    bits = compute_entropy(count_frequencies(tokens, build_dictionary(tokens)))
-    print(f"tokens: {len(tokens)}")
+    dictionary, ids = map_ids(tokenize(raw, mode))
+    bits = compute_entropy(count_ids(ids, len(dictionary)), len(ids))
+    print(f"tokens: {len(ids)}")
     print(f"entropy_bits: {bits:.4f}")
     print(f"entropy_bytes: {bits / 8:.1f}")
     return 0
@@ -131,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
     p.add_argument("--reps", type=_positive_int, default=1)
     p.add_argument("--algos", default="fam,ranged,uniform,textorder")
-    p.add_argument("--lex-dict", action="store_true", help="report lexicographic dictionary size")
     p.add_argument("corpus")
     p.set_defaults(func=_cmd_bench)
 

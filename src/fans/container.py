@@ -1,4 +1,4 @@
-"""Single-file archive format.
+"""Single-file archive format; this module owns every byte of it.
 
 Layout, in order: magic "FANS", version byte, algo byte, flags byte, then
 varints n, d, code_bit_len, an optional final-state varint (static algos
@@ -6,7 +6,9 @@ only), the dictionary blob (a varint byte length followed by d entries, each
 a varint length plus the token bytes), an optional frequency section of d
 varints in dictionary order (static algos only), and finally the packed code
 bits. Every section length is implied by the header fields, so the total
-length is fully determined and trailing bytes are an error.
+length is fully determined and trailing bytes are an error. The frequency
+section is written here from the static coder's census, so no coder module
+formats archive bytes.
 
 Adaptive archives carry neither frequencies nor a final state: the decoder
 rebuilds both. Flags: bit 0 set means the tokens came from the words-only
@@ -29,7 +31,6 @@ from .errors import (
     TrailingBytes,
     TruncatedError,
 )
-from .static_codec import StaticFrequencies, serialize_frequencies
 from .tokenizer import TokenizerMode
 
 MAGIC = b"FANS"
@@ -89,9 +90,12 @@ def pack_archive(
     dictionary: list[bytes],
     code: ByteImage,
     final_state: int | None = None,
-    freqs: StaticFrequencies | None = None,
+    freqs=None,
 ) -> bytes:
-    """Assemble archive bytes; raises InconsistentFields on bad combinations."""
+    """Assemble archive bytes; raises InconsistentFields on bad combinations.
+
+    freqs is a static_codec.StaticFrequencies: counts keyed by entry, total.
+    """
     if algo not in ALGO_NAMES:
         raise InconsistentFields(f"unknown algo id {algo}")
     d = len(dictionary)
@@ -130,7 +134,7 @@ def pack_archive(
     out += write_varint(len(blob))
     out += blob
     if algo != ALGO_FAM and freqs is not None:
-        out += serialize_frequencies(freqs, dictionary)
+        out += b"".join(write_varint(freqs.counts[t]) for t in dictionary)
     out += code.data
     return bytes(out)
 

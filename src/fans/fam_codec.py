@@ -27,7 +27,8 @@ back from the rebuilt sequence at the end, minus its markers. Nothing but the
 code bits, the dictionary and the token count crosses the wire.
 
 fam_encode_ids/fam_decode_ids code dictionary ids; fam_encode/fam_decode
-wrap them for token streams.
+wrap them for token streams. Only the tests and perfbench/tracing.py call the
+wrappers, which go once that replay records through the pipeline.
 """
 
 from __future__ import annotations

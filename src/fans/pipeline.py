@@ -8,6 +8,9 @@ table build plus the coding loop, which is what the benchmark times.
 The static coders' spread is built over ids, with the id standing in for the
 dictionary index, so its tie-breaks and its slots are the ones a token-keyed
 table over the same dictionary gets.
+
+This is the only module in the package that imports a coder; the CLI, the
+benchmark harness and the selftest reach the coders through it.
 """
 
 from __future__ import annotations
@@ -122,8 +125,4 @@ def decompress(data: bytes) -> bytes:
     ids = decode_ids(archive)
     tokens = [archive.entries[i] for i in ids]
     del ids
-    if archive.mode is TokenizerMode.LOSSLESS:
-        return detokenize(tokens)
-    # Words-only archives cannot reproduce the original bytes; emit the
-    # token stream, one per line.
-    return b"\n".join(tokens) + (b"\n" if tokens else b"")
+    return detokenize(tokens, archive.mode)

@@ -2,14 +2,18 @@
 
 Covers the frozen hand-trace vectors for the adaptive coder and an
 exhaustive sweep of every sequence over a three-token alphabet up to length
-eight, round-tripped through encode and decode.
+eight. Each sequence runs through the pipeline as paper-mode text, so the
+tokenizer and the container are checked along with the coder.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .fam_codec import fam_decode, fam_encode
+from .bitio import unpack
+from .container import unpack_archive
+from .pipeline import compress, decompress
+from .tokenizer import TokenizerMode
 
 # (tokens, expected code bits in push order, expected dictionary)
 HAND_TRACES = [
@@ -31,16 +35,17 @@ def run(log=None) -> int:
             log(message)
 
     for tokens, want_bits, want_dict in HAND_TRACES:
-        code, w0 = fam_encode(tokens)
-        got_bits = list(code)
-        if got_bits != want_bits or w0 != want_dict:
+        data = compress(b" ".join(tokens), "fam", TokenizerMode.PAPER)
+        archive = unpack_archive(data)
+        got_bits = list(unpack(archive.code))
+        if got_bits != want_bits or archive.entries != want_dict:
             failures += 1
-            note(f"FAIL trace {tokens}: bits {got_bits}, dict {w0}")
+            note(f"FAIL trace {tokens}: bits {got_bits}, dict {archive.entries}")
             continue
-        decoded = fam_decode(code.copy(), w0, len(tokens))
-        if decoded != tokens:
+        decoded = decompress(data)
+        if decoded != b"\n".join(tokens) + b"\n":
             failures += 1
-            note(f"FAIL trace {tokens}: decoded {decoded}")
+            note(f"FAIL trace {tokens}: decoded {decoded!r}")
             continue
         note(f"ok trace {tokens} -> {want_bits}")
 
@@ -48,9 +53,9 @@ def run(log=None) -> int:
     bad = 0
     for length in range(1, EXHAUSTIVE_MAX_LEN + 1):
         for combo in itertools.product(EXHAUSTIVE_ALPHABET, repeat=length):
-            tokens = list(combo)
-            code, w0 = fam_encode(tokens)
-            if fam_decode(code, w0, length) != tokens:
+            text = b" ".join(combo)
+            out = decompress(compress(text, "fam", TokenizerMode.PAPER))
+            if out != text.replace(b" ", b"\n") + b"\n":
                 bad += 1
             checked += 1
     if bad:

@@ -5,7 +5,10 @@ slot population is exactly the frequency census. Three spread strategies are
 offered: contiguous blocks in dictionary order (ranged), a priority-queue
 interleave that spaces each symbol's slots evenly (uniform), and the reversed
 text itself as the table (text_order). All three share the coding loop; they
-differ only in where each symbol's slots sit.
+differ only in where each symbol's slots sit. The library codes ids; the
+token-keyed count_frequencies, static_encode and static_decode (and
+build_spread over tokens) serve only the tests and perfbench/tracing.py, and
+go once that replay records through the pipeline.
 
 Keys in the uniform queue are the exact rationals (2k+1)/(2*count); they are
 compared by cross-multiplication, never as floats, with ties going to the
@@ -31,7 +34,7 @@ import enum
 import heapq
 from collections import Counter, namedtuple
 
-from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill, write_varint
+from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill
 from .errors import CorruptError, EmptyInputError, EmptyStackError
 
 
@@ -272,8 +275,3 @@ def static_decode(
 ) -> list[bytes]:
     """Decode n tokens; consumes (and must empty) the code stack."""
     return static_decode_ids(code, final_state, table, None if freqs is None else freqs.counts, n)
-
-
-def serialize_frequencies(freqs: StaticFrequencies, dictionary: list[bytes]) -> bytes:
-    """Varint counts in dictionary order."""
-    return b"".join(write_varint(freqs.counts[t]) for t in dictionary)

@@ -3,7 +3,8 @@
 Lossless mode alternates maximal runs of ASCII letters/digits with maximal
 runs of everything else, so concatenating the tokens reproduces the input
 exactly. Paper mode keeps only ASCII-alphabetic runs, lowercased; it is meant
-for benchmarking against word-model results and is not reversible.
+for benchmarking against word-model results and is not reversible, so its
+tokens detokenize to one word per line.
 
 Lossless tokens come from one split on the letter/digit runs, with the runs
 kept. The split alternates separator and word runs, and only its first and
@@ -43,9 +44,9 @@ def tokenize(data: bytes, mode: TokenizerMode = TokenizerMode.LOSSLESS) -> list[
 
 
 def detokenize(tokens: list[bytes], mode: TokenizerMode = TokenizerMode.LOSSLESS) -> bytes:
-    """Rebuild the original bytes; only defined for lossless mode."""
+    """The original bytes in lossless mode; in paper mode, one token per line."""
+    if mode is TokenizerMode.LOSSLESS:
+        return b"".join(tokens)
     if mode is TokenizerMode.PAPER:
-        raise ModeError("paper-mode token streams cannot reproduce the input")
-    if mode is not TokenizerMode.LOSSLESS:
-        raise ModeError(f"unknown tokenizer mode: {mode!r}")
-    return b"".join(tokens)
+        return b"\n".join(tokens) + b"\n" if tokens else b""
+    raise ModeError(f"unknown tokenizer mode: {mode!r}")

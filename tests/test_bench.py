@@ -22,7 +22,6 @@ from fans.container import ALGO_FAM, unpack_archive
 from fans.fam_codec import fam_decode_ids, fam_encode_ids
 from fans.fam_model import map_ids
 from fans.pipeline import compress, count_ids, decode_ids, encode_ids
-from fans.static_codec import StaticFrequencies
 from fans.tokenizer import TokenizerMode, tokenize
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
@@ -30,12 +29,10 @@ ALGOS = ["fam", "ranged", "uniform", "textorder"]
 
 
 def test_entropy_known_values():
-    flat = StaticFrequencies({b"a": 1, b"b": 1, b"c": 1, b"d": 1}, 4)
-    assert compute_entropy(flat) == pytest.approx(8.0)
-    single = StaticFrequencies({b"a": 2}, 2)
-    assert compute_entropy(single) == pytest.approx(0.0)
-    skewed = StaticFrequencies({b"a": 3, b"b": 1}, 4)
-    assert compute_entropy(skewed) == pytest.approx(3.2451, abs=1e-3)
+    assert compute_entropy([1, 1, 1, 1], 4) == pytest.approx(8.0)
+    assert compute_entropy([2], 2) == pytest.approx(0.0)
+    assert compute_entropy([3, 1], 4) == pytest.approx(3.2451, abs=1e-3)
+    assert compute_entropy([], 0) == 0.0
 
 
 def test_timed_coders_round_trip_in_id_space():
@@ -91,13 +88,6 @@ def test_bench_file_empty_input(tmp_path):
     assert record.code_bytes == 0
     _check_accounting(record)
     assert any("no tokens" in note for note in notes)
-
-
-def test_bench_file_lex_dict_note(tmp_path):
-    sample = tmp_path / "sample.txt"
-    sample.write_bytes(b"b a b a c")
-    _, notes = bench_file(sample, "fam", TokenizerMode.PAPER, lex_dict=True)
-    assert any("lexicographic" in note for note in notes)
 
 
 def test_bench_dir_over_corpus():

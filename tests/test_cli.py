@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from fans import pipeline, selftest
 from fans.cli import main
+from fans.container import ALGO_FAM
+from fans.pipeline import decode_ids
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 # Child interpreters import fans from this checkout, installed or not.
@@ -148,6 +151,19 @@ def test_entropy_command(tmp_path, capsys):
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_selftest_fails_on_a_broken_decoder(monkeypatch, capsys):
+    # The selftest decodes through the pipeline, so a decoder that returns
+    # the fam ids reversed must fail it.
+    def broken(archive, text=None):
+        ids = decode_ids(archive, text)
+        return ids[::-1] if archive.algo == ALGO_FAM else ids
+
+    monkeypatch.setattr(pipeline, "decode_ids", broken)
+    assert selftest.run() >= 1
+    assert main(["selftest"]) == 1
+    assert "exhaustive sweep" in capsys.readouterr().out
 
 
 def test_bench_csv_and_markdown(tmp_path, capsys):

@@ -18,6 +18,7 @@ from fans.container import (
 )
 from fans.errors import (
     BadMagic,
+    BadPadding,
     BadVersion,
     CorruptError,
     InconsistentFields,
@@ -156,6 +157,12 @@ def test_unpack_rejects_structural_damage():
         unpack_archive(FAM_ABA + b"\x00")
     with pytest.raises(OverlongVarint):
         unpack_archive(FAM_ABA[:7] + b"\x80\x00" + FAM_ABA[8:])  # padded n varint
+
+
+def test_unpack_rejects_nonzero_code_padding():
+    # The code is 5 bits, so bits 5-7 of its byte are padding and must be 0.
+    with pytest.raises(BadPadding):
+        unpack_archive(FAM_ABA[:-1] + bytes([FAM_ABA[-1] | 0x80]))
 
 
 def test_unpack_rejects_semantic_damage():

@@ -1,4 +1,5 @@
-"""Module boundaries: no private cross-module access, no process starts, a resolvable public API."""
+"""Module boundaries: no private cross-module access, no process starts, one module
+that imports the coders, a small resolvable public API."""
 
 from __future__ import annotations
 
@@ -100,7 +101,49 @@ def test_guard_flags_process_starts(tmp_path):
     assert len(_process_starts(sample)) == 4
 
 
+def _coder_imports(path: Path) -> list[str]:
+    """Imports of fam_codec or static_codec anywhere in the file, lazy ones included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if {"fam_codec", "static_codec"} & set(name.split(".")):
+                found.append(f"{path.name}:{node.lineno} {name}")
+                break
+    return found
+
+
+def test_only_pipeline_imports_the_coders():
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != "pipeline.py")
+    assert sources
+    assert [v for path in sources for v in _coder_imports(path)] == []
+    assert _coder_imports(PACKAGE / "pipeline.py")
+
+
+def test_guard_flags_coder_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .fam_codec import fam_encode\n"
+        "from . import static_codec\n"
+        "import fans.fam_codec\n"
+        "from fans.static_codec import build_spread\n"
+        "def lazy():\n"
+        "    from .static_codec import count_frequencies\n"
+        "from .pipeline import encode_ids\n"
+        "from .bitio import pack\n"
+    )
+    assert len(_coder_imports(sample)) == 5
+
+
 def test_public_names_resolve():
+    assert sorted(fans.__all__) == ["FansError", "TokenizerMode", "compress", "decompress"]
     for name in fans.__all__:
         assert getattr(fans, name) is not None, name
 

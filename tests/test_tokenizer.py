@@ -30,9 +30,11 @@ def test_detokenize_concatenates():
     assert detokenize([]) == b""
 
 
-def test_detokenize_paper_mode_is_an_error():
+def test_detokenize_paper_mode_emits_one_token_per_line():
+    assert detokenize([b"the", b"cat"], TokenizerMode.PAPER) == b"the\ncat\n"
+    assert detokenize([], TokenizerMode.PAPER) == b""
     with pytest.raises(ModeError):
-        detokenize([b"hi"], TokenizerMode.PAPER)
+        detokenize([b"hi"], "paper")  # a mode must be a TokenizerMode
 
 
 def test_digits_are_word_bytes():
