@@ -190,18 +190,14 @@ def refill(data: bytes, pos: int, win: int, avail: int, need: int) -> tuple[int,
 _VARINT_MAX_BYTES = 10  # enough for any 64-bit value
 
 
-def write_varint(value: int) -> bytes:
+def put_varint(out: bytearray, value: int) -> None:
+    """Append value's varint to out."""
     if value < 0:
         raise ValueError("varints are unsigned")
-    out = bytearray()
-    while True:
-        group = value & 0x7F
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.append(group | 0x80)
-        else:
-            out.append(group)
-            return bytes(out)
+    out.append(value)
 
 
 def read_varint(data, pos: int = 0) -> tuple[int, int]:

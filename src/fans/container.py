@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .bitio import ByteImage, read_varint, write_varint
+from .bitio import ByteImage, put_varint, read_varint
 from .errors import (
     BadMagic,
     BadVersion,
@@ -61,7 +61,11 @@ Archive.__doc__ = "Parsed archive. entries is None when an older build filtered 
 
 
 def encode_dict_entries(entries: list[bytes]) -> bytes:
-    return b"".join(write_varint(len(t)) + t for t in entries)
+    blob = bytearray()
+    for t in entries:
+        put_varint(blob, len(t))
+        blob += t
+    return bytes(blob)
 
 
 def parse_dict_entries(blob: bytes, d: int) -> list[bytes]:
@@ -126,15 +130,17 @@ def pack_archive(
     out.append(VERSION)
     out.append(algo)
     out.append(flags)
-    out += write_varint(n)
-    out += write_varint(d)
-    out += write_varint(code.bit_length)
+    put_varint(out, n)
+    put_varint(out, d)
+    put_varint(out, code.bit_length)
     if algo != ALGO_FAM:
-        out += write_varint(final_state)
-    out += write_varint(len(blob))
+        put_varint(out, final_state)
+    put_varint(out, len(blob))
     out += blob
     if algo != ALGO_FAM and freqs is not None:
-        out += b"".join(write_varint(freqs.counts[t]) for t in dictionary)
+        counts = freqs.counts
+        for t in dictionary:
+            put_varint(out, counts[t])
     out += code.data
     return bytes(out)
 

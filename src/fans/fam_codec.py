@@ -42,7 +42,8 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     """Encode a stream of dictionary ids (0..d-1); the marker id is d.
 
     Returns (code bits as 0/1 bytes in push order, final state, final slot
-    count). For nonempty input the last two are always 1 and 0.
+    count). For nonempty input the last two are always 1 and 0; anything else
+    means the ids do not use every id below d, and raises ValueError.
     """
     n = len(ids)
     lt = d
@@ -90,6 +91,8 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
         x = l + index_lists[w][x - fw]
         l -= 1
         f[w] = fw - 1
+    if n and (x != 1 or l != 0):
+        raise ValueError(f"encoder did not drain: state {x}, {l} slot(s) left; want 1 and 0")
     return bits, x, l
 
 
@@ -217,9 +220,7 @@ def fam_encode(tokens: list[bytes]) -> tuple[BitStack, list[bytes]]:
     if not tokens:
         return BitStack(), []
     w0, ids = map_ids(tokens)
-    bits, x, l = fam_encode_ids(ids, len(w0))
-    assert x == 1 and l == 0, "encoder did not drain to state 1"
-    return BitStack(bits), w0
+    return BitStack(fam_encode_ids(ids, len(w0))[0]), w0
 
 
 def fam_decode(code: BitStack, dictionary: list[bytes], n: int) -> list[bytes]:

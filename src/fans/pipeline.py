@@ -10,7 +10,9 @@ dictionary index, so its tie-breaks and its slots are the ones a token-keyed
 table over the same dictionary gets.
 
 This is the only module in the package that imports a coder; the CLI, the
-benchmark harness and the selftest reach the coders through it.
+benchmark harness and the selftest reach the coders through it. The static
+coder is imported inside the static branches only, so an adaptive call and
+the CLI's start-up never load it.
 """
 
 from __future__ import annotations
@@ -28,14 +30,6 @@ from .container import (
 from .errors import NotDecodableError
 from .fam_codec import fam_decode_ids, fam_encode_ids
 from .fam_model import map_ids
-from .static_codec import (
-    SpreadStrategy,
-    SpreadTable,
-    StaticFrequencies,
-    build_spread,
-    static_decode_ids,
-    static_encode_ids,
-)
 from .tokenizer import TokenizerMode, detokenize, tokenize
 
 
@@ -47,7 +41,10 @@ def count_ids(ids: list[int], d: int) -> list[int]:
     return counts
 
 
-def _spread(algo: str, counts: list[int], n: int, ids: list[int] | None) -> SpreadTable:
+def _spread(algo: str, counts: list[int], n: int, ids: list[int] | None):
+    """The static coder's SpreadTable for this census."""
+    from .static_codec import SpreadStrategy, StaticFrequencies, build_spread
+
     freqs = StaticFrequencies(dict(enumerate(counts)), n)
     return build_spread(SpreadStrategy(algo), freqs, range(len(counts)), ids)
 
@@ -67,6 +64,8 @@ def encode_ids(
         counts = count_ids(ids, d)
     if not ids:
         return bytearray(), 0, counts
+    from .static_codec import static_encode_ids
+
     bits, final_state = static_encode_ids(ids, _spread(algo, counts, len(ids), ids), counts)
     return bits, final_state, counts
 
@@ -85,6 +84,8 @@ def decode_ids(archive: Archive, text: list[int] | None = None) -> list[int]:
             "text-order archives are for size comparison only: their table is "
             "the reversed text and cannot be rebuilt from the archive"
         )
+    from .static_codec import static_decode_ids
+
     counts, n = archive.freqs, archive.n
     table = _spread(ALGO_NAMES[archive.algo], counts, n, text) if n else None
     return static_decode_ids(code, archive.final_state, table, counts, n)
@@ -102,6 +103,8 @@ def compress(
     del ids
     freqs = None
     if counts is not None:
+        from .static_codec import StaticFrequencies
+
         freqs = StaticFrequencies(dict(zip(dictionary, counts)), n)
     return pack_archive(
         ALGO_IDS[algo],

@@ -10,10 +10,10 @@ from fans.bitio import (
     BitStack,
     ByteImage,
     pack,
+    put_varint,
     read_varint,
     refill,
     unpack,
-    write_varint,
 )
 from fans.errors import BadPadding, EmptyStackError, OverlongVarint, TruncatedError
 
@@ -113,10 +113,19 @@ def test_refill_leaves_avail_in_mask_range():
             assert 8 * pos + avail == 8 * len(data) + start
 
 
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    put_varint(out, value)
+    return bytes(out)
+
+
 def test_varint_known_vectors():
-    assert write_varint(5) == b"\x05"
-    assert write_varint(0) == b"\x00"
-    assert write_varint(300) == b"\xac\x02"
+    assert _varint(5) == b"\x05"
+    assert _varint(0) == b"\x00"
+    assert _varint(300) == b"\xac\x02"
+    out = bytearray(b"x")
+    put_varint(out, 300)
+    assert out == b"x\xac\x02"  # appends
     assert read_varint(b"\x05") == (5, 1)
     assert read_varint(b"\xac\x02") == (300, 2)
 
@@ -142,7 +151,7 @@ def test_varint_rejects_overlong():
 
 def test_varint_rejects_negative():
     with pytest.raises(ValueError):
-        write_varint(-1)
+        _varint(-1)
 
 
 @given(st.lists(st.integers(0, 1), max_size=4096))
@@ -153,7 +162,7 @@ def test_pack_unpack_round_trip(bits):
 
 @given(st.integers(0, 2**64 - 1))
 def test_varint_round_trip(value):
-    encoded = write_varint(value)
+    encoded = _varint(value)
     assert read_varint(encoded) == (value, len(encoded))
 
 

@@ -208,6 +208,7 @@ _OFF_STARTUP_PATH = (
     "typing",
     "fans.bench",
     "fans.selftest",
+    "fans.static_codec",
 )
 
 

@@ -47,6 +47,14 @@ def test_frozen_trace_final_states(tokens, bits, w0):
     assert final == len(tokens) + len(w0)
 
 
+@pytest.mark.parametrize("ids,d", [([0, 0], 2), ([1, 1, 1], 2)])
+def test_encode_rejects_ids_that_leave_slots(ids, d):
+    # An id below d that never occurs leaves its marker slot unconsumed; the
+    # check must not depend on assert, which python -O drops.
+    with pytest.raises(ValueError, match="did not drain"):
+        fam_encode_ids(ids, d)
+
+
 def test_empty_stream():
     code, w0 = fam_encode([])
     assert len(code) == 0 and w0 == []

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from fans.bench import bench_file
+from fans.bitio import unpack
+from fans.container import unpack_archive
+from fans.fam_codec import fam_decode_ids
 from fans.pipeline import compress, decompress
 from fans.tokenizer import TokenizerMode, tokenize
 
-ALICE = Path(__file__).parent / "data" / "corpus" / "alice29.txt"
+CORPUS = Path(__file__).parent / "data" / "corpus"
+ALICE = CORPUS / "alice29.txt"
 
 # SHA-256 of compress(alice29.txt, algo, mode). The archives were recorded
 # before the CLI, the bench and the library shared one pipeline; any change
@@ -41,3 +46,26 @@ def test_archive_bytes_are_pinned(mode, algo):
         assert decompress(archive) == raw
     else:
         assert decompress(archive) == b"".join(t + b"\n" for t in tokenize(raw, TokenizerMode.PAPER))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decompress_peak_is_the_decoders():
+    # Past the decoder, decompress holds the token list and the output; one
+    # bytes.join over 200k tokens used to take 16 MB more than that.
+    raw = b"".join(path.read_bytes() for path in (ALICE, CORPUS / "asyoulik.txt")) * 7
+    assert len(tokenize(raw)) >= 200_000
+    data = compress(raw)
+    out, pipeline_peak = _traced_peak(decompress, data)
+    assert out == raw
+    del out
+    archive = unpack_archive(data)
+    _, decoder_peak = _traced_peak(fam_decode_ids, unpack(archive.code), archive.d, archive.n)
+    assert pipeline_peak <= decoder_peak + 2 * len(raw), (pipeline_peak, decoder_peak)
