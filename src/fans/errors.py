@@ -33,10 +33,6 @@ class CorruptError(FansError):
     """Decoder state or archive semantics are inconsistent."""
 
 
-class EmptyInputError(FansError):
-    """Spread table requested for an empty symbol population."""
-
-
 class BadMagic(FansError):
     """Archive does not start with the expected magic bytes."""
 

@@ -41,27 +41,39 @@ from .fam_model import map_ids
 def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     """Encode a stream of dictionary ids (0..d-1); the marker id is d.
 
-    Returns (code bits as 0/1 bytes in push order, final state, final slot
-    count). For nonempty input the last two are always 1 and 0; anything else
-    means the ids do not use every id below d, and raises ValueError.
+    The ids must number the tokens by last occurrence, as map_ids does, and
+    use every id below d; anything else raises ValueError. Returns (code bits
+    as 0/1 bytes in push order, final state, final slot count); for nonempty
+    input the last two are always 1 and 0.
     """
     n = len(ids)
     lt = d
     # Occurrence positions in the prepared (reversed, marker-bearing)
     # sequence, collected in one reverse walk: the first sighting of a token
     # from the end is its last occurrence, and the marker goes right before
-    # it, so positions simply count up as we go.
-    index_lists: list[list[int]] = [[] for _ in range(d + 1)]
-    marker_positions = index_lists[lt]
-    seen = bytearray(d)
+    # it, so positions simply count up as we go. Numbered by last occurrence,
+    # ids first appear as d-1, d-2, ..., 0, so an unseen id must be the one
+    # `fresh` expects. The marker list joins index_lists after the walk, so an
+    # id of d or more fails the lookup.
+    index_lists: list[list[int]] = [[] for _ in range(d)]
+    marker_positions = []
+    fresh = d - 1
     pos = 0
-    for tok in reversed(ids):
-        if not seen[tok]:
-            seen[tok] = 1
-            marker_positions.append(pos)
+    try:
+        for tok in reversed(ids):
+            if tok <= fresh:
+                if tok != fresh:
+                    raise ValueError(f"ids did not drain in order: {tok} came before {fresh}")
+                fresh -= 1
+                marker_positions.append(pos)
+                pos += 1
+            index_lists[tok].append(pos)
             pos += 1
-        index_lists[tok].append(pos)
-        pos += 1
+    except IndexError:
+        raise ValueError(f"an id is out of range for a dictionary of {d}") from None
+    if fresh != -1:
+        raise ValueError(f"ids did not drain the dictionary: ids 0..{fresh} never occur")
+    index_lists.append(marker_positions)
     f = [len(index_lists[t]) - 1 for t in range(d)]
     f.append(d)
 
@@ -217,8 +229,6 @@ def fam_encode(tokens: list[bytes]) -> tuple[BitStack, list[bytes]]:
     The dictionary is ordered by last occurrence and is everything the
     decoder needs besides the bits and the token count.
     """
-    if not tokens:
-        return BitStack(), []
     w0, ids = map_ids(tokens)
     return BitStack(fam_encode_ids(ids, len(w0))[0]), w0
 

@@ -5,9 +5,11 @@ dictionary, codes the ids and packs the archive; decompress runs the chain
 backwards. encode_ids and decode_ids are the coding stage alone, model or
 table build plus the coding loop, which is what the benchmark times.
 
-The static coders' spread is built over ids, with the id standing in for the
-dictionary index, so its tie-breaks and its slots are the ones a token-keyed
-table over the same dictionary gets.
+The static coders' table is the spread, a list whose entry j is the id that
+owns slot j. It is built over ids, with the id standing in for the dictionary
+index, so its tie-breaks and its slots are the ones a token-keyed spread over
+the same dictionary gets. The encoder derives each id's slot list from it, and
+the decoder its next-state table.
 
 This is the only module in the package that imports a coder; the CLI, the
 benchmark harness and the selftest reach the coders through it. The static
@@ -41,8 +43,8 @@ def count_ids(ids: list[int], d: int) -> list[int]:
     return counts
 
 
-def _spread(algo: str, counts: list[int], n: int, ids: list[int] | None):
-    """The static coder's SpreadTable for this census."""
+def _spread(algo: str, counts: list[int], n: int, ids: list[int] | None) -> list[int]:
+    """The static coder's spread for this census: entry j is the id owning slot j."""
     from .static_codec import SpreadStrategy, StaticFrequencies, build_spread
 
     freqs = StaticFrequencies(dict(enumerate(counts)), n)
@@ -62,8 +64,6 @@ def encode_ids(
         return fam_encode_ids(ids, d)[0], None, None
     if counts is None:
         counts = count_ids(ids, d)
-    if not ids:
-        return bytearray(), 0, counts
     from .static_codec import static_encode_ids
 
     bits, final_state = static_encode_ids(ids, _spread(algo, counts, len(ids), ids), counts)
@@ -87,8 +87,8 @@ def decode_ids(archive: Archive, text: list[int] | None = None) -> list[int]:
     from .static_codec import static_decode_ids
 
     counts, n = archive.freqs, archive.n
-    table = _spread(ALGO_NAMES[archive.algo], counts, n, text) if n else None
-    return static_decode_ids(code, archive.final_state, table, counts, n)
+    spread = _spread(ALGO_NAMES[archive.algo], counts, n, text)
+    return static_decode_ids(code, archive.final_state, spread, counts, n)
 
 
 def compress(

@@ -1,11 +1,12 @@
 """Static tabled-ANS baselines over exact frequencies.
 
 The table size equals the token count (no power-of-two quantization), so the
-slot population is exactly the frequency census. Three spread strategies are
-offered: contiguous blocks in dictionary order (ranged), a priority-queue
-interleave that spaces each symbol's slots evenly (uniform), and the reversed
-text itself as the table (text_order). All three share the coding loop; they
-differ only in where each symbol's slots sit. The library codes ids; the
+slot population is exactly the frequency census. The table is the spread
+itself: a list whose entry j is the symbol that owns slot j. Three spread
+strategies are offered: contiguous blocks in dictionary order (ranged), a
+priority-queue interleave that spaces each symbol's slots evenly (uniform),
+and the reversed text itself (text_order). All three share the coding loops;
+they differ only in where each symbol's slots sit. The library codes ids; the
 token-keyed count_frequencies, static_encode and static_decode (and
 build_spread over tokens) serve only the tests and perfbench/tracing.py, and
 go once that replay records through the pipeline.
@@ -16,26 +17,28 @@ smaller dictionary index. The text_order spread exists for size and timing
 comparisons: its table is the reversed input, so it cannot be rebuilt from an
 archive alone.
 
-The encoder's state x stays in [total, 2*total) between steps, and a
-symbol's count c is at most total, so c <= x. Each step's renormalization
-shift, the one that brings x into [c, 2*c), is therefore never negative and
-comes from the bit lengths alone, with no test for whether the step emits
-anything.
+Each direction derives what it needs from the spread in one pass. The encoder
+collects each symbol's slots in ascending order. Its state x stays in
+[total, 2*total) between steps, and a symbol's count c is at most total, so
+c <= x. Each step's renormalization shift, the one that brings x into
+[c, 2*c), is therefore never negative and comes from the bit lengths alone,
+with no test for whether the step emits anything.
 
 The decoder turns the spread into the classic tANS decode table: slot j gives
 its symbol and the state before the slot was taken, which is the symbol's
-count plus the slot's rank among that symbol's slots. Each renormalization
-shift is read from the packed code bytes at once.
+count plus the slot's rank among that symbol's slots. Walking the spread with
+running counts gives those states directly. Each renormalization shift is
+read from the packed code bytes at once.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 
 from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill
-from .errors import CorruptError, EmptyInputError, EmptyStackError
+from .errors import CorruptError, EmptyStackError
 
 
 class StaticFrequencies(namedtuple("StaticFrequencies", "counts total")):
@@ -64,10 +67,6 @@ class SpreadStrategy(enum.Enum):
     TEXT_ORDER = "textorder"
 
 
-SpreadTable = namedtuple("SpreadTable", "spread slots")
-SpreadTable.__doc__ = "Slot assignment: spread[j] is the symbol owning slot j."
-
-
 class _SlotKey:
     """Heap entry for the uniform spread: the rational num/den plus order."""
 
@@ -88,13 +87,9 @@ class _SlotKey:
 
 def _ranged_spread(pairs):
     spread = []
-    slots = {}
-    start = 0
     for sym, count in pairs:
-        slots[sym] = list(range(start, start + count))
         spread.extend([sym] * count)
-        start += count
-    return SpreadTable(spread, slots)
+    return spread
 
 
 def _uniform_spread(pairs):
@@ -107,27 +102,15 @@ def _uniform_spread(pairs):
     heap = [_SlotKey(1, c + c, i) for i, (_, c) in enumerate(pairs)]
     heapq.heapify(heap)
     spread = [None] * total
-    slots = {sym: [] for sym in symbols}
     for j in range(total):
         key = heap[0]
-        sym = symbols[key.order]
-        spread[j] = sym
-        slots[sym].append(j)
+        spread[j] = symbols[key.order]
         if key.num + 2 < key.den:
             key.num += 2
             heapq.heapreplace(heap, key)
         else:
             heapq.heappop(heap)
-    return SpreadTable(spread, slots)
-
-
-def _text_order_spread(tokens):
-    spread = list(tokens)
-    spread.reverse()
-    slots = {}
-    for j, sym in enumerate(spread):
-        slots.setdefault(sym, []).append(j)
-    return SpreadTable(spread, slots)
+    return spread
 
 
 def build_spread(
@@ -135,14 +118,12 @@ def build_spread(
     freqs: StaticFrequencies,
     dictionary: list[bytes],
     tokens: list[bytes] | None = None,
-) -> SpreadTable:
-    """Assign table slots to symbols; table size is freqs.total."""
-    if freqs.total == 0:
-        raise EmptyInputError("cannot build a spread over zero tokens")
+) -> list:
+    """The spread: entry j is the symbol owning slot j; its length is freqs.total."""
     if strategy is SpreadStrategy.TEXT_ORDER:
         if tokens is None:
             raise ValueError("text_order spread needs the token stream")
-        return _text_order_spread(tokens)
+        return tokens[::-1]
     pairs = [(t, freqs.counts[t]) for t in dictionary]
     if strategy is SpreadStrategy.RANGED:
         return _ranged_spread(pairs)
@@ -151,16 +132,18 @@ def build_spread(
     raise ValueError(f"unknown spread strategy: {strategy!r}")
 
 
-def static_encode_ids(ids, table: SpreadTable, counts) -> tuple[bytearray, int]:
-    """Code a nonempty stream with the table; the table size is len(ids).
+def static_encode_ids(ids, spread: list, counts) -> tuple[bytearray, int]:
+    """Code a stream with the spread; the table size is len(ids).
 
-    Symbols index counts and table.slots, so ids with lists and tokens with
-    dicts both work. Returns (code bits as 0/1 bytes in push order, final
-    state).
+    Symbols index counts, so ids with lists and tokens with dicts both work.
+    Returns (code bits as 0/1 bytes in push order, final state); an empty
+    stream yields no bits and final state 0.
     """
+    slots = defaultdict(list)
+    for j, s in enumerate(spread):
+        slots[s].append(j)
     total = len(ids)
     x = total
-    slots = table.slots
     bits = bytearray()
     expand = EXPANDED_BITS
     masks = WINDOW_MASKS
@@ -184,20 +167,19 @@ def static_encode_ids(ids, table: SpreadTable, counts) -> tuple[bytearray, int]:
 
 
 def static_decode_ids(
-    code: BitStack, final_state: int, table: SpreadTable | None, counts, n: int
+    code: BitStack, final_state: int, spread: list | None, counts, n: int
 ) -> list:
-    """Decode n symbols with the table; consumes (and must empty) the stack.
+    """Decode n symbols with the spread; consumes (and must empty) the stack.
 
     Symbols are keyed as in static_encode_ids. Raises CorruptError whenever
-    the bits, the final state, the table and the count do not add up.
+    the bits, the final state, the spread and the count do not add up.
     """
     if n == 0:
         if final_state != 0 or len(code):
             raise CorruptError("empty stream with leftover state or bits")
         return []
-    if table is None or counts is None:
-        raise ValueError("nonempty stream needs a spread table and frequencies")
-    spread = table.spread
+    if spread is None or counts is None:
+        raise ValueError("nonempty stream needs a spread and frequencies")
     total = len(spread)
     if total != n:
         raise CorruptError("frequency total does not match the token count")
@@ -205,10 +187,12 @@ def static_decode_ids(
         raise CorruptError("final state outside the table range")
     # The tANS decode table: the state before slot j was taken is the slot's
     # symbol count plus its rank among that symbol's slots.
-    nxt = [0] * total
-    for s, lst in table.slots.items():
-        for state, j in enumerate(lst, counts[s]):
-            nxt[j] = state
+    state = counts.copy()
+    nxt = []
+    for s in spread:
+        c = state[s]
+        nxt.append(c)
+        state[s] = c + 1
     tlen = total.bit_length()
     x = final_state
     out = []
@@ -250,7 +234,7 @@ def static_decode_ids(
 
 
 def static_encode(
-    tokens: list[bytes], table: SpreadTable | None, freqs: StaticFrequencies | None
+    tokens: list[bytes], spread: list | None, freqs: StaticFrequencies | None
 ) -> tuple[BitStack, int]:
     """Encode with a fixed table; returns (code bits, final state).
 
@@ -258,20 +242,20 @@ def static_encode(
     """
     if not tokens:
         return BitStack(), 0
-    if table is None or freqs is None:
-        raise ValueError("nonempty input needs a spread table and frequencies")
+    if spread is None or freqs is None:
+        raise ValueError("nonempty input needs a spread and frequencies")
     if freqs.total != len(tokens):
         raise ValueError("frequency total does not match the token count")
-    bits, x = static_encode_ids(tokens, table, freqs.counts)
+    bits, x = static_encode_ids(tokens, spread, freqs.counts)
     return BitStack(bits), x
 
 
 def static_decode(
     code: BitStack,
     final_state: int,
-    table: SpreadTable | None,
+    spread: list | None,
     freqs: StaticFrequencies | None,
     n: int,
 ) -> list[bytes]:
     """Decode n tokens; consumes (and must empty) the code stack."""
-    return static_decode_ids(code, final_state, table, None if freqs is None else freqs.counts, n)
+    return static_decode_ids(code, final_state, spread, None if freqs is None else freqs.counts, n)

@@ -41,7 +41,15 @@ CODERS = ["fam", "ranged", "uniform", "textorder"]
 REFILL_BITS = 8 * REFILL_BYTES
 
 
-def oracle_static_decode(code: BitStack, final_state, table, freqs, n) -> list[bytes]:
+def _slot_lists(spread) -> dict:
+    """Each symbol's slots in ascending order, as the spread assigns them."""
+    slots: dict = {}
+    for j, s in enumerate(spread):
+        slots.setdefault(s, []).append(j)
+    return slots
+
+
+def oracle_static_decode(code: BitStack, final_state, spread, freqs, n) -> list[bytes]:
     if n == 0:
         if final_state != 0 or len(code):
             raise CorruptError("empty stream with leftover state or bits")
@@ -51,15 +59,16 @@ def oracle_static_decode(code: BitStack, final_state, table, freqs, n) -> list[b
     total = n
     if not total <= final_state < 2 * total:
         raise CorruptError("final state outside the table range")
+    slots = _slot_lists(spread)
     x = final_state
     out = []
     pop = code.pop
     try:
         for _ in range(n):
             j = x - total
-            s = table.spread[j]
+            s = spread[j]
             out.append(s)
-            x = freqs.counts[s] + bisect_left(table.slots[s], j)
+            x = freqs.counts[s] + bisect_left(slots[s], j)
             while x < total:
                 x = x + x + pop()
     except EmptyStackError:
@@ -72,11 +81,12 @@ def oracle_static_decode(code: BitStack, final_state, table, freqs, n) -> list[b
     return out
 
 
-def oracle_static_encode(tokens, table, freqs) -> tuple[BitStack, int, int]:
+def oracle_static_encode(tokens, spread, freqs) -> tuple[BitStack, int, int]:
     """static_encode_ids as one push per code bit.
 
     Returns (code, final state, the most bits any one step pushed).
     """
+    slots = _slot_lists(spread)
     total = len(tokens)
     x = total
     code = BitStack()
@@ -89,7 +99,7 @@ def oracle_static_encode(tokens, table, freqs) -> tuple[BitStack, int, int]:
             x >>= 1
             pushed += 1
         widest = max(widest, pushed)
-        x = total + table.slots[s][x - c]
+        x = total + slots[s][x - c]
     return code, x, widest
 
 
@@ -123,11 +133,11 @@ class Stream:
         else:
             dictionary = sorted(set(tokens))
             freqs = count_frequencies(tokens, dictionary)
-            table = build_spread(SpreadStrategy(coder), freqs, dictionary, tokens)
-            code, state = static_encode(tokens, table, freqs)
+            spread = build_spread(SpreadStrategy(coder), freqs, dictionary, tokens)
+            code, state = static_encode(tokens, spread, freqs)
             self.decoders = (
-                lambda c: static_decode(c, state, table, freqs, self.n),
-                lambda c: oracle_static_decode(c, state, table, freqs, self.n),
+                lambda c: static_decode(c, state, spread, freqs, self.n),
+                lambda c: oracle_static_decode(c, state, spread, freqs, self.n),
             )
         self.bits = list(code)
 

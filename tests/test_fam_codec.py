@@ -55,6 +55,21 @@ def test_encode_rejects_ids_that_leave_slots(ids, d):
         fam_encode_ids(ids, d)
 
 
+@pytest.mark.parametrize(
+    "ids,d",
+    [
+        ([1, 0], 2),  # misnumbered: decoded as [0, 1] without an error
+        ([2, 0, 1], 3),  # misnumbered: decoded as [0, 1, 2] without an error
+        ([0], 3),  # ids 1 and 2 never occur
+        ([2], 2),  # out of range
+        ([0, 1], 1),  # the marker's id
+    ],
+)
+def test_encode_rejects_ids_not_numbered_by_last_occurrence(ids, d):
+    with pytest.raises(ValueError):
+        fam_encode_ids(ids, d)
+
+
 def test_empty_stream():
     code, w0 = fam_encode([])
     assert len(code) == 0 and w0 == []

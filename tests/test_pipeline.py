@@ -69,3 +69,16 @@ def test_decompress_peak_is_the_decoders():
     archive = unpack_archive(data)
     _, decoder_peak = _traced_peak(fam_decode_ids, unpack(archive.code), archive.d, archive.n)
     assert pipeline_peak <= decoder_peak + 2 * len(raw), (pipeline_peak, decoder_peak)
+
+
+@pytest.mark.parametrize("algo", ["ranged", "uniform"])
+@pytest.mark.parametrize("name", ["alice29.txt", "asyoulik.txt"])
+def test_static_decompress_peak_is_below_compress(name, algo):
+    # The decoder needs the spread and one next state per slot; the encoder
+    # also holds the token stream and each symbol's slot list. Slot lists on
+    # the decode path took decompress's peak up to compress's.
+    raw = (CORPUS / name).read_bytes()
+    compress(b"warm", algo, TokenizerMode.PAPER)  # import the static coder untraced
+    data, compress_peak = _traced_peak(compress, raw, algo, TokenizerMode.PAPER)
+    _, decompress_peak = _traced_peak(decompress, data)
+    assert 4 * decompress_peak <= 3 * compress_peak, (decompress_peak, compress_peak)

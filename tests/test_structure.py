@@ -1,5 +1,6 @@
 """Module boundaries: no private cross-module access, no process starts, one module
-that imports the coders, a small resolvable public API."""
+that imports the coders, no error class that nothing raises, a small resolvable
+public API."""
 
 from __future__ import annotations
 
@@ -140,6 +141,51 @@ def test_guard_flags_coder_imports(tmp_path):
         "from .bitio import pack\n"
     )
     assert len(_coder_imports(sample)) == 5
+
+
+def _unraised_errors(errors: Path, sources: list[Path]) -> list[str]:
+    """FansError subclasses defined in `errors` that no `raise` in `sources` names."""
+    classes = {"FansError"}
+    for node in ast.parse(errors.read_text(), filename=str(errors)).body:
+        if isinstance(node, ast.ClassDef) and {ast.unparse(b) for b in node.bases} & classes:
+            classes.add(node.name)
+    raised = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).split(".")[-1])
+    return sorted(classes - raised - {"FansError"})
+
+
+def test_every_error_class_is_raised():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert _unraised_errors(PACKAGE / "errors.py", sources) == []
+
+
+def test_guard_flags_unraised_errors(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text(
+        "class FansError(Exception): pass\n"
+        "class Raised(FansError): pass\n"
+        "class RaisedBare(FansError): pass\n"
+        "class Dead(FansError): pass\n"
+        "class DeadChild(Dead): pass\n"
+        "class Unrelated(Exception): pass\n"
+    )
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from . import errors\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise errors.Raised('bad')\n"
+        "    raise RaisedBare\n"
+        "try:\n"
+        "    f(0)\n"
+        "except Dead:\n"
+        "    raise\n"
+    )
+    assert _unraised_errors(errors, [errors, sample]) == ["Dead", "DeadChild"]
 
 
 def test_public_names_resolve():
