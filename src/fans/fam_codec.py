@@ -11,9 +11,11 @@ slots left.
 Each encoder step first shifts out the low bits that bring the state x into
 [fw, 2*fw), where fw is the coded symbol's live frequency. fw counts the
 symbol's slots among the l slots left, and every transition leaves x at l or
-above, so fw <= l <= x. The shift is therefore never negative and comes from
-the bit lengths alone, with no test for whether the step emits anything; a
-shift of 0 appends an empty batch.
+above, so fw <= l <= x. The shift s is the bit length of x // fw, less one
+(x >> s is in [fw, 2*fw) exactly when x // fw is in [2**s, 2**(s+1))), so it
+is never negative and no step tests whether it emits anything. The
+occurrence table is held in array("q")s, 8 bytes a position; array is
+imported inside fam_encode_ids, so decompress never loads it.
 
 The decoder runs the same arithmetic backwards: it starts from state 1,
 rebuilds the prepared sequence from position 0 upward, and takes a dictionary
@@ -46,6 +48,8 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     as 0/1 bytes in push order, final state, final slot count); for nonempty
     input the last two are always 1 and 0.
     """
+    from array import array
+
     n = len(ids)
     lt = d
     # Occurrence positions in the prepared (reversed, marker-bearing)
@@ -55,8 +59,8 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     # ids first appear as d-1, d-2, ..., 0, so an unseen id must be the one
     # `fresh` expects. The marker list joins index_lists after the walk, so an
     # id of d or more fails the lookup.
-    index_lists: list[list[int]] = [[] for _ in range(d)]
-    marker_positions = []
+    index_lists = [array("q") for _ in range(d)]
+    marker_positions = array("q")
     fresh = d - 1
     pos = 0
     try:
@@ -90,9 +94,7 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
         # Emit the low bits that bring x into [fw, 2*fw), LSB first, in one
         # or two table lookups instead of a per-bit loop. fw <= x, so the
         # shift is never negative; a shift of 0 appends b"".
-        shift = x.bit_length() - fw.bit_length()
-        if (x >> shift) < fw:
-            shift -= 1
+        shift = (x // fw).bit_length() - 1
         low = x & masks[shift]
         x >>= shift
         while shift > 8:

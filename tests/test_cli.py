@@ -198,8 +198,10 @@ def test_console_script_runs():
 
 # Modules no compress or decompress call needs. numpy alone would be about
 # half of a small file's call; dataclasses brings inspect, ast and dis along;
-# the bench harness and the selftest load only for their own commands.
+# the bench harness and the selftest load only for their own commands; array
+# holds the adaptive encoder's occurrence table and loads when it runs.
 _OFF_STARTUP_PATH = (
+    "array",
     "numpy",
     "dataclasses",
     "inspect",

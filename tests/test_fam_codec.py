@@ -7,6 +7,8 @@ and match the fast coder bit for bit.
 from __future__ import annotations
 
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from fans.bitio import BitStack
 from fans.errors import CorruptError, FansError
 from fans.fam_codec import fam_decode, fam_decode_ids, fam_encode, fam_encode_ids
 from fans.fam_model import build_dictionary, map_ids
+from fans.tokenizer import tokenize
 
 from fam_oracle import LT, DecoderState, EncoderState, decode_step, encode_step, select_symbol
 
@@ -219,6 +222,37 @@ def test_steps_match_batch_encoder():
 def test_round_trip_property(tokens):
     code, w0 = fam_encode(tokens)
     assert fam_decode(code, w0, len(tokens)) == tokens
+
+
+@given(st.data())
+def test_quotient_shift_brings_the_state_into_range(data):
+    # The encoder's renormalisation shift, taken from the quotient x // fw,
+    # is the one the two bit lengths give after their off-by-one correction.
+    x = data.draw(st.integers(min_value=1, max_value=2**80 - 1))
+    fw = data.draw(st.integers(min_value=1, max_value=x))
+    shift = (x // fw).bit_length() - 1
+    assert fw <= x >> shift < 2 * fw
+    old = x.bit_length() - fw.bit_length()
+    if (x >> old) < fw:
+        old -= 1
+    assert shift == old
+
+
+def test_encoder_peak_memory_per_token():
+    # The occurrence table holds one position per slot in 8-byte array
+    # entries; as lists of int objects it took the peak to 49 B per token.
+    corpus = Path(__file__).parent / "data" / "corpus"
+    raw = b"".join(path.read_bytes() for path in sorted(corpus.glob("*.txt"))) * 8
+    w0, ids = map_ids(tokenize(raw))
+    assert len(ids) >= 200_000
+    tracemalloc.start()
+    try:
+        _, x, l = fam_encode_ids(ids, len(w0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (x, l) == (1, 0)
+    assert peak <= 24 * len(ids), peak / len(ids)
 
 
 def test_dictionary_orders_by_last_occurrence():

@@ -1,11 +1,12 @@
 """Module boundaries: no private cross-module access, no process starts, one module
-that imports the coders, no error class that nothing raises, a small resolvable
-public API."""
+that imports the coders, no import from outside the standard library, no error
+class that nothing raises, a small resolvable public API."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import fans
@@ -141,6 +142,48 @@ def test_guard_flags_coder_imports(tmp_path):
         "from .bitio import pack\n"
     )
     assert len(_coder_imports(sample)) == 5
+
+
+def _third_party_imports(path: Path) -> list[str]:
+    """Imports, lazy ones included, of anything but the standard library and fans."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "fans" and top not in sys.stdlib_module_names:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_library_imports_only_the_standard_library():
+    # fans has no runtime dependency; pyproject.toml declares none.
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    assert [v for path in sources for v in _third_party_imports(path)] == []
+
+
+def test_guard_flags_third_party_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import numpy as np\n"
+        "from numpy.lib import stride_tricks\n"
+        "import os.path, yaml\n"
+        "def lazy():\n"
+        "    import zstandard\n"
+        "from __future__ import annotations\n"
+        "from array import array\n"
+        "from . import bench\n"
+        "from .bitio import pack\n"
+        "import fans.cli\n"
+    )
+    assert len(_third_party_imports(sample)) == 4
 
 
 def _unraised_errors(errors: Path, sources: list[Path]) -> list[str]:

@@ -63,6 +63,21 @@ def test_detokenize_peak_memory_tracks_the_output():
     assert peak <= 2 * len(out) + 1_000_000, peak
 
 
+def test_detokenize_peak_on_a_short_text():
+    # The slice's views are a fixed cost: at 4,096 tokens a slice, alice29's
+    # 38.7 KB of paper-mode output peaked at 381 KB, about ten times over.
+    raw = (_CORPUS / "alice29.txt").read_bytes()
+    tokens = tokenize(raw, TokenizerMode.PAPER)
+    tracemalloc.start()
+    try:
+        out = detokenize(tokens, TokenizerMode.PAPER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == b"".join(t + b"\n" for t in tokens)
+    assert peak <= 4 * len(out), (peak, len(out))
+
+
 def test_digits_are_word_bytes():
     assert tokenize(b"a1 2b", TokenizerMode.LOSSLESS) == [b"a1", b" ", b"2b"]
     # Paper mode keeps alphabetic runs only, so digits split words.
