@@ -39,9 +39,11 @@ def test_detokenize_paper_mode_emits_one_token_per_line():
 
 
 K = _JOIN_SLICE
+# Boundaries of the current slice, and of the earlier 4,096-token slice.
+_COUNTS = sorted({0, 1, K - 1, K, K + 1, 3 * K + 5, 4095, 4096, 4097, 12293})
 
 
-@pytest.mark.parametrize("count", [0, 1, K - 1, K, K + 1, 3 * K + 5])
+@pytest.mark.parametrize("count", _COUNTS)
 def test_detokenize_slices_match_one_join(count):
     tokens = [b"w%d" % i if i % 2 else b" " * (i % 3 + 1) for i in range(count)]
     assert detokenize(tokens) == b"".join(tokens)
