@@ -26,7 +26,7 @@ from .container import unpack_archive
 from .errors import CorruptError, FansError
 from .fam_model import map_ids
 from .pipeline import compress, count_ids, decode_ids, encode_ids
-from .tokenizer import TokenizerMode, tokenize
+from .tokenizer import TokenizerMode, iter_tokens
 
 
 BenchRecord = namedtuple(
@@ -68,7 +68,7 @@ def bench_file(
     raw = Path(path).read_bytes()
     name = Path(path).name
     archive = unpack_archive(compress(raw, algo, mode))
-    w0, ids = map_ids(tokenize(raw, mode))
+    w0, ids = map_ids(iter_tokens(raw, mode))
     n = len(ids)
     if not n:
         notes.append(f"{name}: no tokens in {mode.value} mode")

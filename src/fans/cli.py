@@ -14,7 +14,7 @@ from .container import ALGO_IDS
 from .errors import FansError
 from .fam_model import map_ids
 from .pipeline import compress, count_ids, decompress
-from .tokenizer import TokenizerMode, tokenize
+from .tokenizer import TokenizerMode, iter_tokens
 
 
 def _cmd_compress(args) -> int:
@@ -78,7 +78,7 @@ def _cmd_entropy(args) -> int:
 
     raw = Path(args.input).read_bytes()
     mode = TokenizerMode(args.mode)
-    dictionary, ids = map_ids(tokenize(raw, mode))
+    dictionary, ids = map_ids(iter_tokens(raw, mode))
     bits = compute_entropy(count_ids(ids, len(dictionary)), len(ids))
     print(f"tokens: {len(ids)}")
     print(f"entropy_bits: {bits:.4f}")

@@ -21,12 +21,22 @@ The decoder runs the same arithmetic backwards: it starts from state 1,
 rebuilds the prepared sequence from position 0 upward, and takes a dictionary
 entry (back to front) every time it meets the marker. Next to each rebuilt
 slot it keeps the slot's rank among its symbol's slots, and it keeps the
-per-symbol counts, so each step's state is count + rank without a search. It
-reads each renormalization shift from the packed code bytes at once. The
-decode loop runs in segments over which the bound's bit length is fixed, so
-no step tracks it, and a common step reads its slot once. The ids are read
-back from the rebuilt sequence at the end, minus its markers. Nothing but the
-code bits, the dictionary and the token count crosses the wire.
+per-symbol counts, so each step's state is count + rank without a search.
+The rebuilt slots are a list, whose entries share the id objects; the ranks
+are an array("Q"), 8 bytes a slot, since most exceed the small-int cache and
+a list would hold an int object for each. Ranks are never negative, and an
+unsigned array stores an int at about half the cost of a signed one, which
+parses a format string per item. The decode loop runs in segments
+over which the bound's bit length is fixed, so no step tracks it, and a
+common step reads its slot once. The ids are read back from the rebuilt
+sequence at the end, minus its markers, once the ranks are freed.
+
+Renormalization reads from the packed code bytes in one go: a state x below
+bound takes the bits that give it one bit more than bound, and if x then
+reaches 2 * bound, the last of them goes back. That read may take one bit
+past the last code bit, so the code sits on a zero byte, and a read that
+leaves fewer than 8 bits above the floor has run out of code. Nothing but
+the code bits, the dictionary and the token count crosses the wire.
 
 fam_encode_ids/fam_decode_ids code dictionary ids; fam_encode/fam_decode
 wrap them for token streams. Only the tests and perfbench/tracing.py call the
@@ -122,6 +132,8 @@ def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
         return [], 0
     if d == 0 or d > n:
         raise CorruptError("dictionary size impossible for token count")
+    from array import array
+
     m = n + d
     lt = d
     x = 1
@@ -131,14 +143,16 @@ def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
     # Grown by appends rather than preallocated: n comes off the wire, and a
     # corrupt header must not be able to demand an m-sized allocation.
     recon: list[int] = []
-    rank: list[int] = []
+    rank = array("Q")
     cnt = [0] * (d + 1)
     cursor = d
     image = code.drain()
-    data = image.data
+    # The zero byte below the code bits is the floor that a read's spare bit
+    # may come from; 8 * pos + avail - 8 code bits are left to read.
+    data = bytes(1) + image.data
     pos = len(data)
     win = 0
-    avail = image.bit_length - 8 * pos
+    avail = image.bit_length - 8 * len(image.data)
     masks = WINDOW_MASKS
     try:
         while L < m:
@@ -147,23 +161,24 @@ def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
             # starts from there.
             blen = (L + 1).bit_length()
             stop = min(m, (1 << blen) - 1)
+            top = blen + 1
             while L < stop:
                 bound = L + 1
                 if x < bound:
-                    # Take the bits that bring x up to bound's length at
-                    # once; at most one more is then needed to reach bound.
-                    k = blen - x.bit_length() or 1
+                    # Take the bits that give x one bit more than bound at
+                    # once. If x then reaches 2 * bound (bound + L + 1), the
+                    # last bit was one too many and goes back to the window.
+                    k = top - x.bit_length()
                     if avail < k:
                         pos, win, avail = refill(data, pos, win, avail, k)
                     avail -= k
                     x = (x << k) | (win >> avail)
+                    if x > bound + L:
+                        x >>= 1
+                        avail += 1
                     win &= masks[avail]
-                    if x < bound:
-                        if not avail:
-                            pos, win, avail = refill(data, pos, win, avail, 1)
-                        avail -= 1
-                        x = x + x + (win >> avail)
-                        win &= masks[avail]
+                    if not pos and avail < 8:
+                        raise EmptyStackError("code bits exhausted")
                 p = x - bound
                 if p < L:
                     w = recon[p]
@@ -202,23 +217,23 @@ def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
         if cursor != 0:
             raise CorruptError("dictionary entries left over after stream end")
         if x < m:
-            k = m.bit_length() - x.bit_length() or 1
+            k = m.bit_length() + 1 - x.bit_length()
             if avail < k:
                 pos, win, avail = refill(data, pos, win, avail, k)
             avail -= k
             x = (x << k) | (win >> avail)
-            win &= masks[avail]
-            if x < m:
-                if not avail:
-                    pos, win, avail = refill(data, pos, win, avail, 1)
-                avail -= 1
-                x = x + x + (win >> avail)
+            if x >= m + m:
+                x >>= 1
+                avail += 1
+            if not pos and avail < 8:
+                raise EmptyStackError("code bits exhausted")
     except EmptyStackError:
         raise CorruptError("code bits exhausted mid-decode") from None
     if x != m:
         raise CorruptError("final state does not match token count")
-    if avail or pos:
+    if avail + 8 * pos != 8:
         raise CorruptError("unconsumed code bits after decode")
+    del rank
     # recon is the prepared sequence: the ids reversed, with markers.
     out = [w for w in recon if w != lt]
     out.reverse()

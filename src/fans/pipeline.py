@@ -2,8 +2,10 @@
 
 compress tokenizes, numbers each token by its index in the last-occurrence
 dictionary, codes the ids and packs the archive; decompress runs the chain
-backwards. encode_ids and decode_ids are the coding stage alone, model or
-table build plus the coding loop, which is what the benchmark times.
+backwards. The tokens go from the tokenizer straight into the numbering, so
+compress holds the stream as ids and never as a list of tokens. encode_ids
+and decode_ids are the coding stage alone, model or table build plus the
+coding loop, which is what the benchmark times.
 
 The static coders' table is the spread, a list whose entry j is the id that
 owns slot j. It is built over ids, with the id standing in for the dictionary
@@ -32,7 +34,7 @@ from .container import (
 from .errors import NotDecodableError
 from .fam_codec import fam_decode_ids, fam_encode_ids
 from .fam_model import map_ids
-from .tokenizer import TokenizerMode, detokenize, tokenize
+from .tokenizer import TokenizerMode, detokenize, iter_tokens
 
 
 def count_ids(ids: list[int], d: int) -> list[int]:
@@ -97,7 +99,7 @@ def compress(
     mode: TokenizerMode = TokenizerMode.LOSSLESS,
 ) -> bytes:
     """Archive bytes for raw."""
-    dictionary, ids = map_ids(tokenize(raw, mode))
+    dictionary, ids = map_ids(iter_tokens(raw, mode))
     n = len(ids)
     bits, final_state, counts = encode_ids(algo, ids, len(dictionary))
     del ids

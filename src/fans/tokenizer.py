@@ -6,11 +6,20 @@ exactly. Paper mode keeps only ASCII-alphabetic runs, lowercased; it is meant
 for benchmarking against word-model results and is not reversible, so its
 tokens detokenize to one word per line.
 
-Lossless tokens come from one split on the letter/digit runs, with the runs
-kept. The split alternates separator and word runs, and only its first and
-last item can be empty (when the input starts or ends with a word), so
-dropping those leaves the tokens. That is cheaper than matching a two-branch
-alternation run by run.
+iter_tokens reads the input in chunks of about _CHUNK bytes and yields the
+tokens of one chunk at a time, so a caller that consumes them as they come
+(map_ids does) never holds a bytes object per token of the whole input. Each
+chunk is cut where no token can straddle the cut: in lossless mode at the
+first character-class change at or past _CHUNK bytes, in paper mode just
+after the first non-letter there. A run longer than a chunk just makes that
+chunk longer. So the chunks' tokens, in order, are the tokens of the whole
+input, and tokenize is the list of them.
+
+Lossless tokens come from one split per chunk on the letter/digit runs, with
+the runs kept. The split alternates separator and word runs, and only its
+first and last item can be empty (when the chunk starts or ends with a word),
+so dropping those leaves the tokens. That is cheaper than matching a
+two-branch alternation run by run.
 
 detokenize joins the tokens a slice at a time, then joins the slices.
 bytes.join first takes an 80-byte buffer view of every item, so one join
@@ -24,6 +33,8 @@ from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Iterator
+from itertools import chain
 
 from .errors import ModeError
 
@@ -35,22 +46,54 @@ class TokenizerMode(enum.Enum):
 
 _LOSSLESS_RE = re.compile(rb"([0-9A-Za-z]+)")
 _PAPER_RE = re.compile(rb"[A-Za-z]+")
+# Matched one byte before a chunk's nominal end, these reach the chunk's cut:
+# the end of the run holding that byte (lossless), or just past the first
+# non-letter from there (paper). Either ends at or past the nominal end.
+_LOSSLESS_CUT = re.compile(rb"[0-9A-Za-z]+|[^0-9A-Za-z]+")
+_PAPER_CUT = re.compile(rb"[A-Za-z]*[^A-Za-z]?")
+# Nominal bytes per tokenizer chunk.
+_CHUNK = 1 << 16
 # Tokens per detokenize slice: bounds bytes.join's per-item views at ~80 KB,
 # which small inputs would otherwise pay in full.
 _JOIN_SLICE = 1024
 
 
-def tokenize(data: bytes, mode: TokenizerMode = TokenizerMode.LOSSLESS) -> list[bytes]:
+def _lossless_tokens(chunk: bytes) -> list[bytes]:
+    tokens = _LOSSLESS_RE.split(chunk)
+    if not tokens[-1]:
+        tokens.pop()
+    if not tokens[0]:
+        del tokens[0]
+    return tokens
+
+
+def _paper_tokens(chunk: bytes) -> list[bytes]:
+    return _PAPER_RE.findall(chunk.lower())
+
+
+def _chunks(data: bytes, cut: re.Pattern) -> Iterator[bytes]:
+    size = len(data)
+    start = 0
+    while start < size:
+        end = start + _CHUNK
+        stop = cut.match(data, end - 1).end() if end < size else size
+        yield data[start:stop]
+        start = stop
+
+
+def iter_tokens(data: bytes, mode: TokenizerMode = TokenizerMode.LOSSLESS) -> Iterator[bytes]:
+    """The tokens of data, a chunk at a time; an unknown mode raises here."""
     if mode is TokenizerMode.LOSSLESS:
-        tokens = _LOSSLESS_RE.split(data)
-        if not tokens[-1]:
-            tokens.pop()
-        if tokens and not tokens[0]:
-            del tokens[0]
-        return tokens
-    if mode is TokenizerMode.PAPER:
-        return _PAPER_RE.findall(data.lower())
-    raise ModeError(f"unknown tokenizer mode: {mode!r}")
+        chunks = map(_lossless_tokens, _chunks(data, _LOSSLESS_CUT))
+    elif mode is TokenizerMode.PAPER:
+        chunks = map(_paper_tokens, _chunks(data, _PAPER_CUT))
+    else:
+        raise ModeError(f"unknown tokenizer mode: {mode!r}")
+    return chain.from_iterable(chunks)
+
+
+def tokenize(data: bytes, mode: TokenizerMode = TokenizerMode.LOSSLESS) -> list[bytes]:
+    return list(iter_tokens(data, mode))
 
 
 def detokenize(tokens: list[bytes], mode: TokenizerMode = TokenizerMode.LOSSLESS) -> bytes:

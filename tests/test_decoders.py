@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fans.bitio import REFILL_BYTES, BitStack, ByteImage, unpack
+from fans import fam_codec
+from fans.bitio import REFILL_BYTES, WINDOW_MASKS, BitStack, ByteImage, unpack
 from fans.errors import CorruptError, EmptyStackError, FansError
 from fans.fam_codec import fam_decode, fam_encode, fam_encode_ids
 from fans.fam_model import map_ids
@@ -237,6 +238,66 @@ def test_code_lengths_at_refill_boundaries_decode_as_before(coder):
         for variant in variants:
             fast, oracle = stream.outcomes(variant)
             assert fast == oracle
+
+
+def fam_streams_by_code_length_mod_8() -> list[Stream]:
+    """Short fam streams whose code lengths cover every residue mod 8."""
+    found: dict[int, Stream] = {}
+    rng = random.Random("fam-tails")
+    while len(found) < 8:
+        stream = Stream("fam", random_tokens(rng, rng.randrange(1, 40)))
+        found.setdefault(len(stream.bits) % 8, stream)
+    return [found[r] for r in range(8)]
+
+
+@pytest.mark.parametrize("residue", range(8))
+def test_fam_end_of_stream_errors_match_the_oracle(residue):
+    # The decoder reads the last-pushed bits first, so the end of its stream
+    # is the start of push order; its final read may take one bit from the
+    # zero byte below the code and put it back.
+    stream = fam_streams_by_code_length_mod_8()[residue]
+    bits = stream.bits
+    fast, oracle = stream.outcomes(bits)
+    assert fast == oracle
+    assert not isinstance(fast, str)
+    for variant in [bits[k:] for k in range(1, 17)] + [[0] + bits, [1] + bits]:
+        fast, oracle = stream.outcomes(variant)
+        assert fast == oracle
+        assert isinstance(fast, str) and fast.startswith("CorruptError"), variant
+    # The same cuts at the other end; some of those still parse.
+    for variant in [bits[:-k] for k in range(1, 17)] + [bits + [0], bits + [1]]:
+        fast, oracle = stream.outcomes(variant)
+        assert fast == oracle
+
+
+def fam_stream_filling_the_window() -> Stream:
+    """A fam stream one of whose reads puts a bit back into a full window.
+
+    That happens when a refill from avail = k - 1 brings REFILL_BYTES bytes
+    and the read's last bit goes back: avail then is 8 * REFILL_BYTES, the
+    last index of WINDOW_MASKS, so a decode without that entry fails.
+    """
+    rng = random.Random("fill-window")
+    for _ in range(500):
+        stream = Stream("fam", random_tokens(rng, rng.randrange(100, 400)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fam_codec, "WINDOW_MASKS", WINDOW_MASKS[:-1])
+            try:
+                stream.decoders[0](BitStack(stream.bits))
+            except IndexError:
+                return stream
+    raise AssertionError("no stream puts a bit back into a full window")
+
+
+def test_put_back_into_a_full_window_decodes_as_before():
+    stream = fam_stream_filling_the_window()
+    bits = stream.bits
+    fast, oracle = stream.outcomes(bits)
+    assert fast == oracle
+    assert not isinstance(fast, str)
+    for variant in corruptions(bits):
+        fast, oracle = stream.outcomes(variant)
+        assert fast == oracle
 
 
 # A rare symbol among 2**17 copies of another: its steps shift by 17 bits,

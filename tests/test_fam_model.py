@@ -99,3 +99,12 @@ def test_dictionary_order_matches_last_occurrences():
         w0 = build_dictionary(tokens)
         last = {t: i for i, t in enumerate(tokens)}
         assert w0 == sorted(set(tokens), key=last.get)
+
+
+@given(_token_lists)
+def test_map_ids_takes_an_iterator_as_a_list(tokens):
+    dictionary, ids = map_ids(tokens)
+    assert map_ids(iter(tokens)) == (dictionary, ids)
+    assert map_ids(t for t in tokens) == (dictionary, ids)
+    assert [dictionary[i] for i in ids] == tokens
+    assert build_dictionary(iter(tokens)) == dictionary

@@ -71,6 +71,18 @@ def test_decompress_peak_is_the_decoders():
     assert pipeline_peak <= decoder_peak + 2 * len(raw), (pipeline_peak, decoder_peak)
 
 
+def test_compress_peak_per_token():
+    # compress numbers the tokens as the tokenizer yields them, so it holds
+    # the stream as ids and never one bytes object per token; a token list
+    # took the peak to 39.6 B per token.
+    raw = b"".join(path.read_bytes() for path in sorted(CORPUS.glob("*.txt"))) * 8
+    n = len(tokenize(raw))
+    assert n >= 200_000
+    data, peak = _traced_peak(compress, raw)
+    assert unpack_archive(data).n == n
+    assert peak <= 32 * n, peak / n
+
+
 @pytest.mark.parametrize("algo", ["ranged", "uniform"])
 @pytest.mark.parametrize("name", ["alice29.txt", "asyoulik.txt"])
 def test_static_decompress_peak_is_below_compress(name, algo):

@@ -6,11 +6,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fans import tokenizer
 from fans.errors import ModeError
-from fans.tokenizer import _JOIN_SLICE, TokenizerMode, detokenize, tokenize
+from fans.tokenizer import _JOIN_SLICE, TokenizerMode, detokenize, iter_tokens, tokenize
 
 
 def test_lossless_known_vector():
@@ -138,3 +139,65 @@ def test_lossless_tokens_alternate_classes(data):
 def test_paper_tokens_are_lowercase_alpha(data):
     for tok in tokenize(data, TokenizerMode.PAPER):
         assert re.fullmatch(rb"[a-z]+", tok)
+
+
+# One-shot oracles over the whole input, with no chunks: the lossless split
+# with its empty ends dropped, and the lowered input's letter runs.
+def _one_shot(data: bytes, mode: TokenizerMode) -> list[bytes]:
+    if mode is TokenizerMode.LOSSLESS:
+        return [t for t in re.split(rb"([0-9A-Za-z]+)", data) if t]
+    return re.findall(rb"[a-z]+", data.lower())
+
+
+def _chunked(data: bytes, mode: TokenizerMode, size: int) -> list[bytes]:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tokenizer, "_CHUNK", size)
+        return tokenize(data, mode)
+
+
+_RUNS = st.lists(st.sampled_from([b"a", b"Zq", b"09", b" ", b"\n\n", b"\xff", b"-"]), max_size=40)
+
+
+@given(
+    st.one_of(st.binary(max_size=64), _RUNS.map(b"".join)),
+    st.integers(1, 9),
+    st.sampled_from(list(TokenizerMode)),
+)
+@example(b"", 1, TokenizerMode.LOSSLESS)
+@example(b"", 1, TokenizerMode.PAPER)
+def test_chunked_tokenize_matches_one_shot(data, size, mode):
+    assert _chunked(data, mode, size) == _one_shot(data, mode)
+
+
+# (input, chunk size): runs longer than a chunk, class changes exactly at the
+# chunk size, and inputs that end at or just past it.
+_CHUNK_CASES = [
+    (b"", 4),
+    (b"abcdefghij klm", 4),
+    (b"ab  \n\n\n\n\n\n\ncd", 3),
+    (b"abcd    efgh", 4),
+    (b"ab, cd, ef, gh", 4),
+    (b"abcd", 4),
+    (b"abcde", 4),
+    (b"a", 1),
+    (b"a b1c,,d", 1),
+    (b"Hello, World! 42 times.", 5),
+]
+
+
+@pytest.mark.parametrize("mode", list(TokenizerMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("data, size", _CHUNK_CASES)
+def test_chunk_cuts_split_no_token(data, size, mode):
+    assert _chunked(data, mode, size) == _one_shot(data, mode)
+
+
+def test_corpus_tokens_cross_many_chunks():
+    raw = (_CORPUS / "alice29.txt").read_bytes()
+    for mode in TokenizerMode:
+        assert _chunked(raw, mode, 1000) == _one_shot(raw, mode)
+
+
+def test_iter_tokens_checks_the_mode_at_the_call():
+    with pytest.raises(ModeError):
+        iter_tokens(b"hi", "paper")  # a mode must be a TokenizerMode
+    assert list(iter_tokens(b"Hi, hi!")) == [b"Hi", b", ", b"hi", b"!"]
