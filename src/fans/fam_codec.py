@@ -14,8 +14,10 @@ symbol's slots among the l slots left, and every transition leaves x at l or
 above, so fw <= l <= x. The shift s is the bit length of x // fw, less one
 (x >> s is in [fw, 2*fw) exactly when x // fw is in [2**s, 2**(s+1))), so it
 is never negative and no step tests whether it emits anything. The
-occurrence table is held in array("q")s, 8 bytes a position; array is
-imported inside fam_encode_ids, so decompress never loads it.
+occurrence table is held in array("Q")s, 8 bytes a position: positions are
+never negative, and an unsigned array appends an int at about half the cost
+of a signed one. array is imported inside fam_encode_ids, so the CLI's
+start-up never loads it.
 
 The decoder runs the same arithmetic backwards: it starts from state 1,
 rebuilds the prepared sequence from position 0 upward, and takes a dictionary
@@ -69,8 +71,8 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     # ids first appear as d-1, d-2, ..., 0, so an unseen id must be the one
     # `fresh` expects. The marker list joins index_lists after the walk, so an
     # id of d or more fails the lookup.
-    index_lists = [array("q") for _ in range(d)]
-    marker_positions = array("q")
+    index_lists = [array("Q") for _ in range(d)]
+    marker_positions = array("Q")
     fresh = d - 1
     pos = 0
     try:

@@ -8,10 +8,11 @@ and decode_ids are the coding stage alone, model or table build plus the
 coding loop, which is what the benchmark times.
 
 The static coders' table is the spread, a list whose entry j is the id that
-owns slot j. It is built over ids, with the id standing in for the dictionary
-index, so its tie-breaks and its slots are the ones a token-keyed spread over
-the same dictionary gets. The encoder derives each id's slot list from it, and
-the decoder its next-state table.
+owns slot j. static_codec.build_spread_ids builds it from the census list,
+with the id standing in for the dictionary index, so its tie-breaks and its
+slots are the ones a token-keyed spread over the same dictionary gets. The
+encoder derives each id's slot table from it, and the decoder its next-state
+table.
 
 This is the only module in the package that imports a coder; the CLI, the
 benchmark harness and the selftest reach the coders through it. The static
@@ -45,14 +46,6 @@ def count_ids(ids: list[int], d: int) -> list[int]:
     return counts
 
 
-def _spread(algo: str, counts: list[int], n: int, ids: list[int] | None) -> list[int]:
-    """The static coder's spread for this census: entry j is the id owning slot j."""
-    from .static_codec import SpreadStrategy, StaticFrequencies, build_spread
-
-    freqs = StaticFrequencies(dict(enumerate(counts)), n)
-    return build_spread(SpreadStrategy(algo), freqs, range(len(counts)), ids)
-
-
 def encode_ids(
     algo: str, ids: list[int], d: int, counts: list[int] | None = None
 ) -> tuple[bytearray, int | None, list[int] | None]:
@@ -66,9 +59,10 @@ def encode_ids(
         return fam_encode_ids(ids, d)[0], None, None
     if counts is None:
         counts = count_ids(ids, d)
-    from .static_codec import static_encode_ids
+    from .static_codec import SpreadStrategy, build_spread_ids, static_encode_ids
 
-    bits, final_state = static_encode_ids(ids, _spread(algo, counts, len(ids), ids), counts)
+    spread = build_spread_ids(SpreadStrategy(algo), counts, ids)
+    bits, final_state = static_encode_ids(ids, spread, counts)
     return bits, final_state, counts
 
 
@@ -86,11 +80,11 @@ def decode_ids(archive: Archive, text: list[int] | None = None) -> list[int]:
             "text-order archives are for size comparison only: their table is "
             "the reversed text and cannot be rebuilt from the archive"
         )
-    from .static_codec import static_decode_ids
+    from .static_codec import SpreadStrategy, build_spread_ids, static_decode_ids
 
-    counts, n = archive.freqs, archive.n
-    spread = _spread(ALGO_NAMES[archive.algo], counts, n, text)
-    return static_decode_ids(code, archive.final_state, spread, counts, n)
+    counts = archive.freqs
+    spread = build_spread_ids(SpreadStrategy(ALGO_NAMES[archive.algo]), counts, text)
+    return static_decode_ids(code, archive.final_state, spread, counts, archive.n)
 
 
 def compress(

@@ -6,10 +6,16 @@ itself: a list whose entry j is the symbol that owns slot j. Three spread
 strategies are offered: contiguous blocks in dictionary order (ranged), a
 priority-queue interleave that spaces each symbol's slots evenly (uniform),
 and the reversed text itself (text_order). All three share the coding loops;
-they differ only in where each symbol's slots sit. The library codes ids; the
-token-keyed count_frequencies, static_encode and static_decode (and
-build_spread over tokens) serve only the tests and perfbench/tracing.py, and
-go once that replay records through the pipeline.
+they differ only in where each symbol's slots sit.
+
+The core works on dictionary ids: build_spread_ids takes a census as a list
+of counts indexed by id, whose order is the dictionary order, and
+static_encode_ids/static_decode_ids code ids with that list. The
+token-keyed build_spread, static_encode and static_decode number the tokens
+(build_spread in dictionary order, the coders in the order of freqs.counts),
+call the id functions and map the result back, so each spread and each loop
+has one implementation. They and count_frequencies serve only the tests and
+perfbench/tracing.py, and go once that replay records through the pipeline.
 
 Keys in the uniform queue are the exact rationals (2k+1)/(2*count); they are
 compared by cross-multiplication, never as floats, with ties going to the
@@ -17,12 +23,18 @@ smaller dictionary index. The text_order spread exists for size and timing
 comparisons: its table is the reversed input, so it cannot be rebuilt from an
 archive alone.
 
-Each direction derives what it needs from the spread in one pass. The encoder
-collects each symbol's slots in ascending order. Its state x stays in
-[total, 2*total) between steps, and a symbol's count c is at most total, so
-c <= x. Each step's renormalization shift, the one that brings x into
-[c, 2*c), is therefore never negative and comes from the bit lengths alone,
-with no test for whether the step emits anything.
+Each direction derives its table from the spread in one pass, into
+array("Q")s, 8 bytes a slot, rather than lists of int objects: most entries
+exceed the small-int cache, and a list would hold a 28-byte int for each.
+array is imported inside the coders, so loading this module does not load it.
+
+The encoder collects, for each id, the states its slots lead to, total + j
+for slot j in ascending order, so a step ends with x = slots[s][x - c]. Its
+state x stays in [total, 2*total) between steps, and a symbol's count c is at
+most total, so c <= x. Each step's renormalization shift, the one that brings
+x into [c, 2*c), is the bit length of x // c less one (x >> s is in [c, 2*c)
+exactly when x // c is in [2**s, 2**(s+1))). It is therefore never negative,
+and no step tests whether it emits anything.
 
 The decoder turns the spread into the classic tANS decode table: slot j gives
 its symbol and the state before the slot was taken, which is the symbol's
@@ -35,7 +47,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 
 from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill
 from .errors import CorruptError, EmptyStackError
@@ -113,18 +125,20 @@ def _uniform_spread(pairs):
     return spread
 
 
-def build_spread(
-    strategy: SpreadStrategy,
-    freqs: StaticFrequencies,
-    dictionary: list[bytes],
-    tokens: list[bytes] | None = None,
-) -> list:
-    """The spread: entry j is the symbol owning slot j; its length is freqs.total."""
+def build_spread_ids(
+    strategy: SpreadStrategy, counts: list[int], ids: list[int] | None = None
+) -> list[int]:
+    """The spread over ids 0..d-1: entry j is the id owning slot j.
+
+    Id i occurs counts[i] times, and the ids' order is the dictionary order
+    that breaks the uniform spread's ties. The text-order spread is the
+    reversed id stream itself, so it needs `ids`.
+    """
     if strategy is SpreadStrategy.TEXT_ORDER:
-        if tokens is None:
-            raise ValueError("text_order spread needs the token stream")
-        return tokens[::-1]
-    pairs = [(t, freqs.counts[t]) for t in dictionary]
+        if ids is None:
+            raise ValueError("text_order spread needs the id stream")
+        return ids[::-1]
+    pairs = list(enumerate(counts))
     if strategy is SpreadStrategy.RANGED:
         return _ranged_spread(pairs)
     if strategy is SpreadStrategy.UNIFORM:
@@ -132,17 +146,22 @@ def build_spread(
     raise ValueError(f"unknown spread strategy: {strategy!r}")
 
 
-def static_encode_ids(ids, spread: list, counts) -> tuple[bytearray, int]:
-    """Code a stream with the spread; the table size is len(ids).
+def static_encode_ids(
+    ids: list[int], spread: list[int], counts: list[int]
+) -> tuple[bytearray, int]:
+    """Code an id stream with the spread; the table size is len(ids).
 
-    Symbols index counts, so ids with lists and tokens with dicts both work.
     Returns (code bits as 0/1 bytes in push order, final state); an empty
     stream yields no bits and final state 0.
     """
-    slots = defaultdict(list)
-    for j, s in enumerate(spread):
-        slots[s].append(j)
+    from array import array
+
     total = len(ids)
+    # slots[s] holds the state each of s's slots leads to, total + j, in
+    # ascending order.
+    slots = [array("Q") for _ in counts]
+    for x, s in enumerate(spread, total):
+        slots[s].append(x)
     x = total
     bits = bytearray()
     expand = EXPANDED_BITS
@@ -152,9 +171,7 @@ def static_encode_ids(ids, spread: list, counts) -> tuple[bytearray, int]:
         # Emit the low bits that bring x into [c, 2*c), LSB first, batched
         # through the expansion table instead of a per-bit loop. c <= x, so
         # the shift is never negative; a shift of 0 appends b"".
-        shift = x.bit_length() - c.bit_length()
-        if (x >> shift) < c:
-            shift -= 1
+        shift = (x // c).bit_length() - 1
         low = x & masks[shift]
         x >>= shift
         while shift > 8:
@@ -162,17 +179,21 @@ def static_encode_ids(ids, spread: list, counts) -> tuple[bytearray, int]:
             low >>= 8
             shift -= 8
         bits += expand[shift][low]
-        x = total + slots[s][x - c]
+        x = slots[s][x - c]
     return bits, x
 
 
 def static_decode_ids(
-    code: BitStack, final_state: int, spread: list | None, counts, n: int
-) -> list:
-    """Decode n symbols with the spread; consumes (and must empty) the stack.
+    code: BitStack,
+    final_state: int,
+    spread: list[int] | None,
+    counts: list[int] | None,
+    n: int,
+) -> list[int]:
+    """Decode n ids with the spread; consumes (and must empty) the stack.
 
-    Symbols are keyed as in static_encode_ids. Raises CorruptError whenever
-    the bits, the final state, the spread and the count do not add up.
+    Raises CorruptError whenever the bits, the final state, the spread and
+    the count do not add up.
     """
     if n == 0:
         if final_state != 0 or len(code):
@@ -185,14 +206,17 @@ def static_decode_ids(
         raise CorruptError("frequency total does not match the token count")
     if not total <= final_state < 2 * total:
         raise CorruptError("final state outside the table range")
+    from array import array
+
     # The tANS decode table: the state before slot j was taken is the slot's
     # symbol count plus its rank among that symbol's slots.
-    state = counts.copy()
-    nxt = []
+    state = list(counts)
+    nxt = array("Q")
     for s in spread:
         c = state[s]
         nxt.append(c)
         state[s] = c + 1
+    del state
     tlen = total.bit_length()
     x = final_state
     out = []
@@ -233,10 +257,30 @@ def static_decode_ids(
     return out
 
 
+def _look_up(keys: list, table) -> list:
+    """table[k] for each k in keys: tokens to ids through a dict, or back through a list."""
+    return list(map(table.__getitem__, keys))
+
+
+def build_spread(
+    strategy: SpreadStrategy,
+    freqs: StaticFrequencies,
+    dictionary: list[bytes],
+    tokens: list[bytes] | None = None,
+) -> list[bytes]:
+    """build_spread_ids over tokens, numbered in dictionary order."""
+    ids = None
+    if strategy is SpreadStrategy.TEXT_ORDER and tokens is not None:
+        # Only the text-order spread reads the stream.
+        ids = _look_up(tokens, {t: i for i, t in enumerate(dictionary)})
+    counts = [freqs.counts[t] for t in dictionary]
+    return _look_up(build_spread_ids(strategy, counts, ids), dictionary)
+
+
 def static_encode(
-    tokens: list[bytes], spread: list | None, freqs: StaticFrequencies | None
+    tokens: list[bytes], spread: list[bytes] | None, freqs: StaticFrequencies | None
 ) -> tuple[BitStack, int]:
-    """Encode with a fixed table; returns (code bits, final state).
+    """static_encode_ids over tokens; returns (code bits, final state).
 
     Empty input needs no table and yields final state 0 as a sentinel.
     """
@@ -246,16 +290,24 @@ def static_encode(
         raise ValueError("nonempty input needs a spread and frequencies")
     if freqs.total != len(tokens):
         raise ValueError("frequency total does not match the token count")
-    bits, x = static_encode_ids(tokens, spread, freqs.counts)
+    index = {t: i for i, t in enumerate(freqs.counts)}
+    counts = list(freqs.counts.values())
+    bits, x = static_encode_ids(_look_up(tokens, index), _look_up(spread, index), counts)
     return BitStack(bits), x
 
 
 def static_decode(
     code: BitStack,
     final_state: int,
-    spread: list | None,
+    spread: list[bytes] | None,
     freqs: StaticFrequencies | None,
     n: int,
 ) -> list[bytes]:
-    """Decode n tokens; consumes (and must empty) the code stack."""
-    return static_decode_ids(code, final_state, spread, None if freqs is None else freqs.counts, n)
+    """static_decode_ids over tokens; consumes (and must empty) the code stack."""
+    if spread is None or freqs is None:
+        return static_decode_ids(code, final_state, None, None, n)
+    keys = list(freqs.counts)
+    index = {t: i for i, t in enumerate(keys)}
+    counts = list(freqs.counts.values())
+    ids = static_decode_ids(code, final_state, _look_up(spread, index), counts, n)
+    return _look_up(ids, keys)

@@ -26,10 +26,12 @@ from fans.bitio import REFILL_BYTES, WINDOW_MASKS, BitStack, ByteImage, unpack
 from fans.errors import CorruptError, EmptyStackError, FansError
 from fans.fam_codec import fam_decode, fam_encode, fam_encode_ids
 from fans.fam_model import map_ids
+from fans.pipeline import count_ids
 from fans.static_codec import (
     SpreadStrategy,
     StaticFrequencies,
     build_spread,
+    build_spread_ids,
     count_frequencies,
     static_decode,
     static_encode,
@@ -316,10 +318,13 @@ ENCODER_EDGE_CASES = [
 @pytest.mark.parametrize("strategy", list(SpreadStrategy), ids=lambda s: s.value)
 def test_static_encoder_matches_per_bit_oracle(tokens, min_widest, strategy):
     dictionary = sorted(set(tokens))
-    freqs = count_frequencies(tokens, dictionary)
-    table = build_spread(strategy, freqs, dictionary, tokens)
-    code, state, widest = oracle_static_encode(tokens, table, freqs)
-    bits, fast_state = static_encode_ids(tokens, table, freqs.counts)
+    index = {t: i for i, t in enumerate(dictionary)}
+    ids = [index[t] for t in tokens]
+    counts = count_ids(ids, len(dictionary))
+    table = build_spread_ids(strategy, counts, ids)
+    freqs = StaticFrequencies(dict(enumerate(counts)), len(ids))
+    code, state, widest = oracle_static_encode(ids, table, freqs)
+    bits, fast_state = static_encode_ids(ids, table, counts)
     assert BitStack(bits) == code
     assert fast_state == state
     assert widest >= min_widest

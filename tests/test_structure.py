@@ -144,6 +144,50 @@ def test_guard_flags_coder_imports(tmp_path):
     assert len(_coder_imports(sample)) == 5
 
 
+SIGNED_TYPECODES = set("bhilq")
+
+
+def _signed_arrays(path: Path) -> list[str]:
+    """array() calls with a signed integer typecode.
+
+    A signed array converts every stored int through a format string; "Q"
+    holds the same non-negative values and appends in about half the time.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "array"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value in SIGNED_TYPECODES
+        ):
+            found.append(f"{path.name}:{node.lineno} array({node.args[0].value!r})")
+    return found
+
+
+def test_library_creates_no_signed_array():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    assert [v for path in sources for v in _signed_arrays(path)] == []
+
+
+def test_guard_flags_signed_arrays(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from array import array\n"
+        "import array as arr\n"
+        "a = array('q')\n"
+        "b = arr.array('l', [1])\n"
+        "c = [array('i') for _ in range(3)]\n"
+        "d = array('Q')\n"
+        "e = array('d', [0.5])\n"
+        "f = array(code)\n"
+    )
+    assert len(_signed_arrays(sample)) == 3
+
+
 def _third_party_imports(path: Path) -> list[str]:
     """Imports, lazy ones included, of anything but the standard library and fans."""
     tree = ast.parse(path.read_text(), filename=str(path))
