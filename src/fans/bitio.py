@@ -41,6 +41,17 @@ REFILL_BYTES = 16
 WINDOW_MASKS = [(1 << a) - 1 for a in range(8 * REFILL_BYTES + 1)]
 
 
+def table_typecode(bound: int) -> str:
+    """The array typecode for a table of values below `bound`.
+
+    "I" (4 bytes) when every such value fits in 32 bits, else "Q" (8
+    bytes). A coder's positions, ranks and states stay below twice its table
+    size, so "I" serves any input that fits in memory, and a bound read from
+    a hostile header gets "Q" rather than an append that overflows.
+    """
+    return "I" if bound <= 1 << 32 else "Q"
+
+
 class BitStack:
     """A LIFO sequence of bits, stored packed LSB-first with its bit count."""
 

@@ -14,10 +14,10 @@ symbol's slots among the l slots left, and every transition leaves x at l or
 above, so fw <= l <= x. The shift s is the bit length of x // fw, less one
 (x >> s is in [fw, 2*fw) exactly when x // fw is in [2**s, 2**(s+1))), so it
 is never negative and no step tests whether it emits anything. The
-occurrence table is held in array("Q")s, 8 bytes a position: positions are
-never negative, and an unsigned array appends an int at about half the cost
-of a signed one. array is imported inside fam_encode_ids, so the CLI's
-start-up never loads it.
+occurrence table is held in unsigned arrays, 4 bytes a position ("Q", 8
+bytes, only if n + d passes 2**32; see bitio.table_typecode): a signed array
+appends an int at about twice the cost. array is imported inside
+fam_encode_ids, so the CLI's start-up never loads it.
 
 The decoder runs the same arithmetic backwards: it starts from state 1,
 rebuilds the prepared sequence from position 0 upward, and takes a dictionary
@@ -25,12 +25,11 @@ entry (back to front) every time it meets the marker. Next to each rebuilt
 slot it keeps the slot's rank among its symbol's slots, and it keeps the
 per-symbol counts, so each step's state is count + rank without a search.
 The rebuilt slots are a list, whose entries share the id objects; the ranks
-are an array("Q"), 8 bytes a slot, since most exceed the small-int cache and
-a list would hold an int object for each. Ranks are never negative, and an
-unsigned array stores an int at about half the cost of a signed one, which
-parses a format string per item. The decode loop runs in segments
-over which the bound's bit length is fixed, so no step tracks it, and a
-common step reads its slot once. The ids are read back from the rebuilt
+are an unsigned array sized the same way from the header's n + d, since most
+exceed the small-int cache and a list would hold an int object for each; a
+signed array would parse a format string per item. The decode loop runs in
+segments over which the bound's bit length is fixed, so no step tracks it,
+and a common step reads its slot once. The ids are read back from the rebuilt
 sequence at the end, minus its markers, once the ranks are freed.
 
 Renormalization reads from the packed code bytes in one go: a state x below
@@ -47,7 +46,7 @@ wrappers, which go once that replay records through the pipeline.
 
 from __future__ import annotations
 
-from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill
+from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill, table_typecode
 from .errors import CorruptError, EmptyStackError
 from .fam_model import map_ids
 
@@ -64,6 +63,7 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
 
     n = len(ids)
     lt = d
+    tc = table_typecode(n + d)
     # Occurrence positions in the prepared (reversed, marker-bearing)
     # sequence, collected in one reverse walk: the first sighting of a token
     # from the end is its last occurrence, and the marker goes right before
@@ -71,8 +71,8 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     # ids first appear as d-1, d-2, ..., 0, so an unseen id must be the one
     # `fresh` expects. The marker list joins index_lists after the walk, so an
     # id of d or more fails the lookup.
-    index_lists = [array("Q") for _ in range(d)]
-    marker_positions = array("Q")
+    index_lists = [array(tc) for _ in range(d)]
+    marker_positions = array(tc)
     fresh = d - 1
     pos = 0
     try:
@@ -145,7 +145,7 @@ def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
     # Grown by appends rather than preallocated: n comes off the wire, and a
     # corrupt header must not be able to demand an m-sized allocation.
     recon: list[int] = []
-    rank = array("Q")
+    rank = array(table_typecode(m))
     cnt = [0] * (d + 1)
     cursor = d
     image = code.drain()

@@ -24,9 +24,9 @@ comparisons: its table is the reversed input, so it cannot be rebuilt from an
 archive alone.
 
 Each direction derives its table from the spread in one pass, into
-array("Q")s, 8 bytes a slot, rather than lists of int objects: most entries
-exceed the small-int cache, and a list would hold a 28-byte int for each.
-array is imported inside the coders, so loading this module does not load it.
+arrays of 4 bytes a slot (8 past 2**31 slots; see bitio.table_typecode), not
+lists, which would hold a 28-byte int for most entries. array is imported
+inside the coders, so loading this module does not load it.
 
 The encoder collects, for each id, the states its slots lead to, total + j
 for slot j in ascending order, so a step ends with x = slots[s][x - c]. Its
@@ -49,7 +49,7 @@ import enum
 import heapq
 from collections import Counter, namedtuple
 
-from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill
+from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill, table_typecode
 from .errors import CorruptError, EmptyStackError
 
 
@@ -159,7 +159,8 @@ def static_encode_ids(
     total = len(ids)
     # slots[s] holds the state each of s's slots leads to, total + j, in
     # ascending order.
-    slots = [array("Q") for _ in counts]
+    tc = table_typecode(2 * total)
+    slots = [array(tc) for _ in counts]
     for x, s in enumerate(spread, total):
         slots[s].append(x)
     x = total
@@ -211,7 +212,7 @@ def static_decode_ids(
     # The tANS decode table: the state before slot j was taken is the slot's
     # symbol count plus its rank among that symbol's slots.
     state = list(counts)
-    nxt = array("Q")
+    nxt = array(table_typecode(2 * total))
     for s in spread:
         c = state[s]
         nxt.append(c)

@@ -13,6 +13,7 @@ from fans.bitio import (
     put_varint,
     read_varint,
     refill,
+    table_typecode,
     unpack,
 )
 from fans.errors import BadPadding, EmptyStackError, OverlongVarint, TruncatedError
@@ -96,6 +97,19 @@ def test_window_masks_keep_the_low_bits():
     assert len(WINDOW_MASKS) == 8 * REFILL_BYTES + 1
     for a, mask in enumerate(WINDOW_MASKS):
         assert mask == (1 << a) - 1
+
+
+def test_table_typecode_edges():
+    from array import array
+
+    assert table_typecode(1) == "I"
+    assert table_typecode(1 << 32) == "I"
+    assert table_typecode((1 << 32) + 1) == "Q"
+    # "I" must hold every value below its largest bound.
+    table = array(table_typecode(1 << 32))
+    assert table.itemsize * 8 >= 32
+    table.append((1 << 32) - 1)
+    assert table[0] == (1 << 32) - 1
 
 
 def test_refill_leaves_avail_in_mask_range():

@@ -74,13 +74,14 @@ def test_decompress_peak_is_the_decoders():
 def test_compress_peak_per_token():
     # compress numbers the tokens as the tokenizer yields them, so it holds
     # the stream as ids and never one bytes object per token; a token list
-    # took the peak to 39.6 B per token.
+    # took the peak to 39.6 B per token. The fam encoder's occurrence table
+    # in 8-byte entries rather than 4 took it to 26.6.
     raw = b"".join(path.read_bytes() for path in sorted(CORPUS.glob("*.txt"))) * 8
     n = len(tokenize(raw))
     assert n >= 200_000
     data, peak = _traced_peak(compress, raw)
     assert unpack_archive(data).n == n
-    assert peak <= 32 * n, peak / n
+    assert peak <= 25 * n, peak / n
 
 
 @pytest.mark.parametrize("algo", ["ranged", "uniform"])
@@ -97,14 +98,15 @@ def test_static_decompress_peak_is_below_compress(name, algo):
 
 
 def test_static_peaks_per_token():
-    # The static coders keep their tables in 8-byte arrays and build the
+    # The static coders keep their tables in 4-byte arrays and build the
     # spread over ids. With an int object per slot and a dict census,
-    # compress peaked at 66.1 and decompress at 49.0 B per token here.
+    # compress peaked at 66.1 and decompress at 49.0 B per token here, and
+    # with 8-byte arrays at 38.8 and 29.1.
     raw = b"".join(path.read_bytes() for path in sorted(CORPUS.glob("*.txt"))) * 8
     compress(b"warm", "ranged", TokenizerMode.PAPER)  # import the static coder untraced
     data, compress_peak = _traced_peak(compress, raw, "ranged", TokenizerMode.PAPER)
     n = unpack_archive(data).n
     assert n >= 100_000
     _, decompress_peak = _traced_peak(decompress, data)
-    assert compress_peak <= 48 * n, compress_peak / n
-    assert decompress_peak <= 36 * n, decompress_peak / n
+    assert compress_peak <= 37 * n, compress_peak / n
+    assert decompress_peak <= 28 * n, decompress_peak / n

@@ -144,14 +144,12 @@ def test_guard_flags_coder_imports(tmp_path):
     assert len(_coder_imports(sample)) == 5
 
 
-SIGNED_TYPECODES = set("bhilq")
+def _literal_typecode_arrays(path: Path) -> list[str]:
+    """array() calls whose typecode is a literal.
 
-
-def _signed_arrays(path: Path) -> list[str]:
-    """array() calls with a signed integer typecode.
-
-    A signed array converts every stored int through a format string; "Q"
-    holds the same non-negative values and appends in about half the time.
+    Every coder table takes its typecode from bitio.table_typecode, which
+    gives 4-byte entries wherever the table's bound allows; a literal "Q"
+    spends 8 bytes on each.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
@@ -161,16 +159,18 @@ def _signed_arrays(path: Path) -> list[str]:
             and ast.unparse(node.func).split(".")[-1] == "array"
             and node.args
             and isinstance(node.args[0], ast.Constant)
-            and node.args[0].value in SIGNED_TYPECODES
         ):
             found.append(f"{path.name}:{node.lineno} array({node.args[0].value!r})")
     return found
 
 
 def test_library_creates_no_signed_array():
+    # A literal typecode is flagged whether signed or not: a signed array
+    # converts every stored int through a format string, and an unsigned
+    # one should still be as narrow as its bound allows.
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    assert [v for path in sources for v in _signed_arrays(path)] == []
+    assert [v for path in sources for v in _literal_typecode_arrays(path)] == []
 
 
 def test_guard_flags_signed_arrays(tmp_path):
@@ -182,10 +182,11 @@ def test_guard_flags_signed_arrays(tmp_path):
         "b = arr.array('l', [1])\n"
         "c = [array('i') for _ in range(3)]\n"
         "d = array('Q')\n"
-        "e = array('d', [0.5])\n"
+        "e = array(table_typecode(n))\n"
         "f = array(code)\n"
     )
-    assert len(_signed_arrays(sample)) == 3
+    flagged = sorted(v.split()[-1] for v in _literal_typecode_arrays(sample))
+    assert flagged == ["array('Q')", "array('i')", "array('l')", "array('q')"]
 
 
 def _third_party_imports(path: Path) -> list[str]:
