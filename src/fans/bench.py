@@ -21,7 +21,7 @@ import time
 from collections import namedtuple
 from pathlib import Path
 
-from .bitio import BitStack, pack
+from .bitio import pack_bits
 from .container import unpack_archive
 from .errors import CorruptError, FansError
 from .fam_model import map_ids
@@ -76,7 +76,7 @@ def bench_file(
     entropy_bits = compute_entropy(counts, n)
 
     enc_s, (bits, _state, _counts) = timed(encode_ids, algo, ids, len(w0), counts, reps=reps)
-    if pack(BitStack(bits)) != archive.code:
+    if pack_bits(bits) != archive.code:
         raise CorruptError(f"{name}: timed {algo} code differs from the archive's")
     dec_s, out_ids = timed(decode_ids, archive, ids, reps=reps)
     if out_ids != ids:

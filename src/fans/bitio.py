@@ -3,12 +3,14 @@
 The coders renormalize by pushing low bits of the state and read them back in
 reverse order, so the natural container is a stack. Bits are stored packed,
 LSB-first: bit i of the push order is bit i % 8 of byte i // 8. That is also
-the archive layout, so pack and unpack only copy bytes. Padding bits in the
-last byte are always zero; every ByteImage checks that when it is made, so an
-archive with nonzero padding is refused while it is parsed.
+the archive layout, so pack and unpack only copy bytes, and pack_bits packs
+the encoders' 0/1 bytes straight into it. Padding bits in the last byte are
+always zero; every ByteImage checks that when it is made, so an archive with
+nonzero padding is refused while it is parsed.
 
-Decoders do not pop one bit at a time. They drain the stack's bytes and read
-from the top down through an integer window that `refill` tops up.
+Decoders do not pop one bit at a time. They read a ByteImage, the archive's
+code as it stands, from the top down through an integer window that `refill`
+tops up, and leave it intact.
 """
 
 from __future__ import annotations
@@ -65,21 +67,9 @@ class BitStack:
             self._data = bytearray(bits._data)
             self._len = bits._len
         else:
-            if not isinstance(bits, (bytes, bytearray)):
-                bits = bytes(iter(bits))  # iter: bytes(5) would be five zeros
-            # Spelled as digits, the bits are a base-2 numeral with push-order
-            # bit 0 first, which CPython parses in linear time. Padded with
-            # zeros to whole bytes, its big-endian bytes are the packed bytes
-            # with their bit order reversed.
-            n = len(bits)
-            nbytes = (n + 7) // 8
-            try:
-                value = int(bits.translate(_BIT_DIGITS), 2) if n else 0
-            except ValueError:
-                raise ValueError("bit values must be 0 or 1") from None
-            value <<= 8 * nbytes - n
-            self._data = bytearray(value.to_bytes(nbytes, "big").translate(_REVERSED_BYTES))
-            self._len = n
+            image = pack_bits(bits)
+            self._data = bytearray(image.data)
+            self._len = image.bit_length
 
     def push(self, bit: int) -> None:
         if bit != 0 and bit != 1:
@@ -106,16 +96,6 @@ class BitStack:
         if bit:
             data[-1] = byte ^ (1 << i)
         return bit
-
-    def drain(self) -> "ByteImage":
-        """Hand over the packed bits and leave the stack empty.
-
-        Decoders consume their input stack; this is how they take it whole.
-        """
-        image = ByteImage(bytes(self._data), self._len)
-        self._data = bytearray()
-        self._len = 0
-        return image
 
     def copy(self) -> "BitStack":
         return BitStack(self)
@@ -158,6 +138,24 @@ class ByteImage(namedtuple("ByteImage", "data bit_length")):
         if tail and data[-1] >> tail:
             raise BadPadding("nonzero padding bits in final byte")
         return super().__new__(cls, data, bit_length)
+
+
+def pack_bits(bits) -> ByteImage:
+    """Pack 0/1 values, in push order, as pack() packs a stack of them."""
+    if not isinstance(bits, (bytes, bytearray)):
+        bits = bytes(iter(bits))  # iter: bytes(5) would be five zeros
+    # Spelled as digits, the bits are a base-2 numeral with push-order bit 0
+    # first, which CPython parses in linear time. Padded with zeros to whole
+    # bytes, its big-endian bytes are the packed bytes with their bit order
+    # reversed.
+    n = len(bits)
+    nbytes = (n + 7) // 8
+    try:
+        value = int(bits.translate(_BIT_DIGITS), 2) if n else 0
+    except ValueError:
+        raise ValueError("bit values must be 0 or 1") from None
+    value <<= 8 * nbytes - n
+    return ByteImage(value.to_bytes(nbytes, "big").translate(_REVERSED_BYTES), n)
 
 
 def pack(stack: BitStack) -> ByteImage:

@@ -36,8 +36,9 @@ Renormalization reads from the packed code bytes in one go: a state x below
 bound takes the bits that give it one bit more than bound, and if x then
 reaches 2 * bound, the last of them goes back. That read may take one bit
 past the last code bit, so the code sits on a zero byte, and a read that
-leaves fewer than 8 bits above the floor has run out of code. Nothing but
-the code bits, the dictionary and the token count crosses the wire.
+leaves fewer than 8 bits above the floor has run out of code. The decoder
+reads the code's ByteImage and leaves it intact. Nothing but the code bits,
+the dictionary and the token count crosses the wire.
 
 fam_encode_ids/fam_decode_ids code dictionary ids; fam_encode/fam_decode
 wrap them for token streams. Only the tests and perfbench/tracing.py call the
@@ -46,7 +47,7 @@ wrappers, which go once that replay records through the pipeline.
 
 from __future__ import annotations
 
-from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill, table_typecode
+from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, ByteImage, pack, refill, table_typecode
 from .errors import CorruptError, EmptyStackError
 from .fam_model import map_ids
 
@@ -122,14 +123,14 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     return bits, x, l
 
 
-def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
-    """Decode n dictionary ids from the code bits; consumes the stack.
+def fam_decode_ids(image: ByteImage, d: int, n: int) -> tuple[list[int], int]:
+    """Decode n dictionary ids from the code, which must be used up.
 
     Returns (ids in stream order, final state). Raises CorruptError whenever
     the bits, the dictionary size and the token count do not add up.
     """
     if n == 0:
-        if d or len(code):
+        if d or image.bit_length:
             raise CorruptError("empty stream with leftover dictionary or bits")
         return [], 0
     if d == 0 or d > n:
@@ -148,7 +149,6 @@ def fam_decode_ids(code: BitStack, d: int, n: int) -> tuple[list[int], int]:
     rank = array(table_typecode(m))
     cnt = [0] * (d + 1)
     cursor = d
-    image = code.drain()
     # The zero byte below the code bits is the floor that a read's spare bit
     # may come from; 8 * pos + avail - 8 code bits are left to read.
     data = bytes(1) + image.data
@@ -253,6 +253,6 @@ def fam_encode(tokens: list[bytes]) -> tuple[BitStack, list[bytes]]:
 
 
 def fam_decode(code: BitStack, dictionary: list[bytes], n: int) -> list[bytes]:
-    """Decode n tokens; consumes (and must empty) the code stack."""
-    ids, _ = fam_decode_ids(code, len(dictionary), n)
+    """Decode n tokens; the code must be used up."""
+    ids, _ = fam_decode_ids(pack(code), len(dictionary), n)
     return [dictionary[i] for i in ids]

@@ -22,7 +22,7 @@ the CLI's start-up never load it.
 
 from __future__ import annotations
 
-from .bitio import BitStack, pack, unpack
+from .bitio import pack_bits
 from .container import (
     ALGO_FAM,
     ALGO_IDS,
@@ -72,9 +72,8 @@ def decode_ids(archive: Archive, text: list[int] | None = None) -> list[int]:
     A text-order table is the reversed id stream itself, so only a caller
     that already holds it (`text`) can decode such an archive.
     """
-    code = unpack(archive.code)
     if archive.algo == ALGO_FAM:
-        return fam_decode_ids(code, archive.d, archive.n)[0]
+        return fam_decode_ids(archive.code, archive.d, archive.n)[0]
     if archive.algo == ALGO_TEXT_ORDER and text is None:
         raise NotDecodableError(
             "text-order archives are for size comparison only: their table is "
@@ -84,7 +83,7 @@ def decode_ids(archive: Archive, text: list[int] | None = None) -> list[int]:
 
     counts = archive.freqs
     spread = build_spread_ids(SpreadStrategy(ALGO_NAMES[archive.algo]), counts, text)
-    return static_decode_ids(code, archive.final_state, spread, counts, archive.n)
+    return static_decode_ids(archive.code, archive.final_state, spread, counts, archive.n)
 
 
 def compress(
@@ -107,7 +106,7 @@ def compress(
         mode,
         n,
         dictionary,
-        pack(BitStack(bits)),
+        pack_bits(bits),
         final_state=final_state,
         freqs=freqs,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bitio import unpack
+from .bitio import pack_bits
 from .container import unpack_archive
 from .pipeline import compress, decompress
 from .tokenizer import TokenizerMode
@@ -37,10 +37,9 @@ def run(log=None) -> int:
     for tokens, want_bits, want_dict in HAND_TRACES:
         data = compress(b" ".join(tokens), "fam", TokenizerMode.PAPER)
         archive = unpack_archive(data)
-        got_bits = list(unpack(archive.code))
-        if got_bits != want_bits or archive.entries != want_dict:
+        if archive.code != pack_bits(want_bits) or archive.entries != want_dict:
             failures += 1
-            note(f"FAIL trace {tokens}: bits {got_bits}, dict {archive.entries}")
+            note(f"FAIL trace {tokens}: code {archive.code}, dict {archive.entries}")
             continue
         decoded = decompress(data)
         if decoded != b"\n".join(tokens) + b"\n":

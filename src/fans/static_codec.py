@@ -40,7 +40,7 @@ The decoder turns the spread into the classic tANS decode table: slot j gives
 its symbol and the state before the slot was taken, which is the symbol's
 count plus the slot's rank among that symbol's slots. Walking the spread with
 running counts gives those states directly. Each renormalization shift is
-read from the packed code bytes at once.
+read from the code's ByteImage at once; the image is left intact.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import enum
 import heapq
 from collections import Counter, namedtuple
 
-from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, refill, table_typecode
+from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, ByteImage, pack, refill, table_typecode
 from .errors import CorruptError, EmptyStackError
 
 
@@ -185,19 +185,19 @@ def static_encode_ids(
 
 
 def static_decode_ids(
-    code: BitStack,
+    image: ByteImage,
     final_state: int,
     spread: list[int] | None,
     counts: list[int] | None,
     n: int,
 ) -> list[int]:
-    """Decode n ids with the spread; consumes (and must empty) the stack.
+    """Decode n ids with the spread; the code must be used up.
 
     Raises CorruptError whenever the bits, the final state, the spread and
     the count do not add up.
     """
     if n == 0:
-        if final_state != 0 or len(code):
+        if final_state != 0 or image.bit_length:
             raise CorruptError("empty stream with leftover state or bits")
         return []
     if spread is None or counts is None:
@@ -222,7 +222,6 @@ def static_decode_ids(
     x = final_state
     out = []
     emit = out.append
-    image = code.drain()
     data = image.data
     pos = len(data)
     win = 0
@@ -304,11 +303,11 @@ def static_decode(
     freqs: StaticFrequencies | None,
     n: int,
 ) -> list[bytes]:
-    """static_decode_ids over tokens; consumes (and must empty) the code stack."""
+    """static_decode_ids over tokens; the code must be used up."""
     if spread is None or freqs is None:
-        return static_decode_ids(code, final_state, None, None, n)
+        return static_decode_ids(pack(code), final_state, None, None, n)
     keys = list(freqs.counts)
     index = {t: i for i, t in enumerate(keys)}
     counts = list(freqs.counts.values())
-    ids = static_decode_ids(code, final_state, _look_up(spread, index), counts, n)
+    ids = static_decode_ids(pack(code), final_state, _look_up(spread, index), counts, n)
     return _look_up(ids, keys)

@@ -17,7 +17,7 @@ from fans.bench import (
     format_markdown,
     timed,
 )
-from fans.bitio import BitStack, pack
+from fans.bitio import pack_bits
 from fans.container import ALGO_FAM, unpack_archive
 from fans.fam_codec import fam_decode_ids, fam_encode_ids
 from fans.fam_model import map_ids
@@ -46,14 +46,14 @@ def test_timed_coders_round_trip_in_id_space():
 
     _, (bits, x, l) = timed(fam_encode_ids, ids, d)
     assert (x, l) == (1, 0)
-    _, (out, final) = timed(fam_decode_ids, BitStack(bits), d, n)
+    _, (out, final) = timed(fam_decode_ids, pack_bits(bits), d, n)
     assert out == ids
     assert final == n + d
 
     for name in ("ranged", "uniform", "textorder"):
         _, (bits, state, _counts) = timed(encode_ids, name, ids, d, counts)
         archive = unpack_archive(compress(raw, name, TokenizerMode.PAPER))
-        assert (pack(BitStack(bits)), state) == (archive.code, archive.final_state)
+        assert (pack_bits(bits), state) == (archive.code, archive.final_state)
         _, out = timed(decode_ids, archive, ids)
         assert out == ids
 

@@ -10,6 +10,7 @@ from fans.bitio import (
     BitStack,
     ByteImage,
     pack,
+    pack_bits,
     put_varint,
     read_varint,
     refill,
@@ -66,10 +67,31 @@ def test_pack_known_vectors():
     assert img.bit_length == 9
 
 
-def test_drain_hands_over_packed_bits():
-    s = BitStack([1, 0, 0, 1, 0])
-    assert s.drain() == ByteImage(b"\x09", 5)
-    assert len(s) == 0 and s.drain() == ByteImage(b"", 0)
+def test_pack_bits_known_vectors():
+    # The images pack(BitStack(bits)) gave before pack_bits existed.
+    assert pack_bits([]) == ByteImage(b"", 0)
+    assert pack_bits([1]) == ByteImage(b"\x01", 1)
+    assert pack_bits([0]) == ByteImage(b"\x00", 1)
+    assert pack_bits([1, 0, 1, 1, 0, 0, 1, 0]) == ByteImage(b"\x4d", 8)
+    assert pack_bits([0, 1, 1, 0, 1, 0, 0, 1, 1]) == ByteImage(b"\x96\x01", 9)
+
+
+def test_pack_bits_takes_lists_and_bytes_alike():
+    bits = [1, 0, 0, 1, 0, 1, 1, 1, 0, 1]
+    assert pack_bits(bits) == pack_bits(bytes(bits)) == pack_bits(bytearray(bits))
+    with pytest.raises(ValueError):
+        pack_bits([1, 2, 0])
+    with pytest.raises(ValueError):
+        pack_bits(b"\x02")
+
+
+@given(st.lists(st.integers(0, 1), max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_bitstack_is_the_unpacked_image(bits):
+    pushed = BitStack()
+    for b in bits:
+        pushed.push(b)
+    assert BitStack(bits) == unpack(pack_bits(bits)) == pushed
 
 
 def test_unpack_known_vectors():

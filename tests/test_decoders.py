@@ -340,6 +340,23 @@ def test_fam_encoder_matches_per_bit_oracle(tokens, min_widest):
     assert widest >= min_widest
 
 
+def test_token_decoders_leave_the_callers_stack_intact():
+    tokens = random_tokens(random.Random(7), 500)
+    code, dictionary = fam_encode(tokens)
+    size = len(code)
+    assert fam_decode(code, dictionary, len(tokens)) == tokens
+    assert len(code) == size
+    assert fam_decode(code, dictionary, len(tokens)) == tokens
+
+    freqs = count_frequencies(tokens, dictionary)
+    table = build_spread(SpreadStrategy.UNIFORM, freqs, dictionary)
+    code, state = static_encode(tokens, table, freqs)
+    size = len(code)
+    assert static_decode(code, state, table, freqs, len(tokens)) == tokens
+    assert len(code) == size
+    assert static_decode(code, state, table, freqs, len(tokens)) == tokens
+
+
 def _image(data: bytes, drop: int, clear_padding: bool) -> ByteImage:
     """An image of all of data's bits but the top `drop` of the last byte."""
     if not data:

@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 
 from fans.bench import bench_file
-from fans.bitio import unpack
 from fans.container import unpack_archive
 from fans.fam_codec import fam_decode_ids
-from fans.pipeline import compress, decompress
+from fans.pipeline import compress, decode_ids, decompress
 from fans.tokenizer import TokenizerMode, tokenize
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
@@ -67,8 +66,20 @@ def test_decompress_peak_is_the_decoders():
     assert out == raw
     del out
     archive = unpack_archive(data)
-    _, decoder_peak = _traced_peak(fam_decode_ids, unpack(archive.code), archive.d, archive.n)
+    _, decoder_peak = _traced_peak(fam_decode_ids, archive.code, archive.d, archive.n)
     assert pipeline_peak <= decoder_peak + 2 * len(raw), (pipeline_peak, decoder_peak)
+
+
+@pytest.mark.parametrize("algo", ["fam", "ranged", "uniform"])
+def test_decoding_leaves_the_code_intact(algo):
+    # The decoders read the archive's code in place; a second decode of the
+    # same archive must see the same bits.
+    archive = unpack_archive(compress(ALICE.read_bytes(), algo))
+    code = archive.code
+    first = decode_ids(archive)
+    assert archive.code == code
+    assert len(first) == archive.n
+    assert decode_ids(archive) == first
 
 
 def test_compress_peak_per_token():
@@ -101,7 +112,8 @@ def test_static_peaks_per_token():
     # The static coders keep their tables in 4-byte arrays and build the
     # spread over ids. With an int object per slot and a dict census,
     # compress peaked at 66.1 and decompress at 49.0 B per token here, and
-    # with 8-byte arrays at 38.8 and 29.1.
+    # with 8-byte arrays at 38.8 and 29.1. Decoding a copy of the code
+    # drained from a BitStack took decompress to 24.9.
     raw = b"".join(path.read_bytes() for path in sorted(CORPUS.glob("*.txt"))) * 8
     compress(b"warm", "ranged", TokenizerMode.PAPER)  # import the static coder untraced
     data, compress_peak = _traced_peak(compress, raw, "ranged", TokenizerMode.PAPER)
@@ -109,4 +121,4 @@ def test_static_peaks_per_token():
     assert n >= 100_000
     _, decompress_peak = _traced_peak(decompress, data)
     assert compress_peak <= 37 * n, compress_peak / n
-    assert decompress_peak <= 28 * n, decompress_peak / n
+    assert decompress_peak <= 24.4 * n, decompress_peak / n

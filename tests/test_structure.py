@@ -1,6 +1,7 @@
 """Module boundaries: no private cross-module access, no process starts, one module
-that imports the coders, no import from outside the standard library, no error
-class that nothing raises, a small resolvable public API."""
+that imports the coders, no bit stack on the id-level path, no import from outside
+the standard library, no error class that nothing raises, a small resolvable public
+API."""
 
 from __future__ import annotations
 
@@ -142,6 +143,54 @@ def test_guard_flags_coder_imports(tmp_path):
         "from .bitio import pack\n"
     )
     assert len(_coder_imports(sample)) == 5
+
+
+_BIT_STACK_NAMES = {"BitStack", "pack", "unpack"}
+
+
+def _bit_stack_uses(path: Path) -> tuple[list[str], list[str]]:
+    """(imports of BitStack, pack or unpack; those names inside a *_ids function)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports, in_ids = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in _BIT_STACK_NAMES:
+                    imports.append(f"{path.name}:{node.lineno} imports {alias.name}")
+        elif isinstance(node, ast.FunctionDef) and node.name.endswith("_ids"):
+            for inner in ast.walk(node):
+                name = inner.id if isinstance(inner, ast.Name) else getattr(inner, "attr", None)
+                if name in _BIT_STACK_NAMES:
+                    in_ids.append(f"{path.name}:{inner.lineno} {node.name} names {name}")
+    return imports, in_ids
+
+
+def test_id_level_path_takes_no_bit_stack():
+    # The id-level decoders read the archive's ByteImage as it stands, and
+    # the encoders' 0/1 bytes go through pack_bits. BitStack, pack and unpack
+    # serve only the token wrappers, the tests and the benchmark's replay.
+    front = ["pipeline", "bench", "selftest", "cli", "container"]
+    assert [_bit_stack_uses(PACKAGE / f"{m}.py") for m in front] == [([], [])] * len(front)
+    for coder in ("fam_codec", "static_codec"):
+        assert _bit_stack_uses(PACKAGE / f"{coder}.py")[1] == []
+
+
+def test_guard_flags_bit_stacks(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .bitio import BitStack, pack_bits\n"
+        "from fans.bitio import pack as p, unpack\n"
+        "from .container import unpack_archive\n"
+        "def decode_ids(code: BitStack, n):\n"
+        "    return bitio.unpack(code)\n"
+        "def fam_decode(code):\n"
+        "    return fam_decode_ids(pack(code), 0, 0)\n"
+        "def encode_ids(bits):\n"
+        "    return pack_bits(bits)\n"
+    )
+    imports, in_ids = _bit_stack_uses(sample)
+    assert [v.split()[-1] for v in imports] == ["BitStack", "pack", "unpack"]
+    assert [v.split()[-1] for v in in_ids] == ["BitStack", "unpack"]
 
 
 def _literal_typecode_arrays(path: Path) -> list[str]:
