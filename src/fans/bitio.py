@@ -1,23 +1,20 @@
-"""Bit-level plumbing: LIFO bit stack, byte packing and minimal varints.
+"""Bit-level plumbing: packed bit strings, decoder reads and minimal varints.
 
-The coders renormalize by pushing low bits of the state and read them back in
-reverse order, so the natural container is a stack. Bits are stored packed,
-LSB-first: bit i of the push order is bit i % 8 of byte i // 8. That is also
-the archive layout, so pack and unpack only copy bytes, and pack_bits packs
+The coders renormalize by pushing low bits of the state, and the decoder
+reads them back from the end, so a code is one bit string read from the top
+down. A ByteImage holds it packed, LSB-first: bit i of the push order is bit
+i % 8 of byte i // 8. That is also the archive layout, and pack_bits packs
 the encoders' 0/1 bytes straight into it. Padding bits in the last byte are
 always zero; every ByteImage checks that when it is made, so an archive with
 nonzero padding is refused while it is parsed.
 
-Decoders do not pop one bit at a time. They read a ByteImage, the archive's
-code as it stands, from the top down through an integer window that `refill`
-tops up, and leave it intact.
+Decoders read a ByteImage, the archive's code as it stands, from the top
+down through an integer window that `refill` tops up, and leave it intact.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .errors import BadPadding, EmptyStackError, OverlongVarint, TruncatedError
+from .errors import BadPadding, CorruptError, OverlongVarint, TruncatedError
 
 # EXPANDED_BITS[s][v] is the low s bits of v as 0/1 bytes, LSB first. The
 # encoders emit renormalization bits in batches through these tables instead
@@ -54,82 +51,15 @@ def table_typecode(bound: int) -> str:
     return "I" if bound <= 1 << 32 else "Q"
 
 
-class BitStack:
-    """A LIFO sequence of bits, stored packed LSB-first with its bit count."""
+class ByteImage:
+    """Packed bits plus their exact bit count; the padding bits are zero.
 
-    __slots__ = ("_data", "_len")
+    len() is the bit count, and iteration yields the bits in push order.
+    """
 
-    def __init__(self, bits=None):
-        if bits is None:
-            self._data = bytearray()
-            self._len = 0
-        elif isinstance(bits, BitStack):
-            self._data = bytearray(bits._data)
-            self._len = bits._len
-        else:
-            image = pack_bits(bits)
-            self._data = bytearray(image.data)
-            self._len = image.bit_length
+    __slots__ = ("data", "bit_length")
 
-    def push(self, bit: int) -> None:
-        if bit != 0 and bit != 1:
-            raise ValueError("bit values must be 0 or 1")
-        n = self._len
-        if not n & 7:
-            self._data.append(bit)
-        elif bit:
-            self._data[-1] |= 1 << (n & 7)
-        self._len = n + 1
-
-    def pop(self) -> int:
-        n = self._len
-        if not n:
-            raise EmptyStackError("pop from empty bit stack")
-        n -= 1
-        self._len = n
-        data = self._data
-        i = n & 7
-        if not i:
-            return data.pop()
-        byte = data[-1]
-        bit = (byte >> i) & 1
-        if bit:
-            data[-1] = byte ^ (1 << i)
-        return bit
-
-    def copy(self) -> "BitStack":
-        return BitStack(self)
-
-    def _bits01(self, limit: int) -> bytes:
-        """The first `limit` bits in push order, as 0/1 bytes."""
-        limit = min(limit, self._len)
-        expand = EXPANDED_BITS[8]
-        return b"".join([expand[b] for b in self._data[: (limit + 7) // 8]])[:limit]
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        return iter(self._bits01(self._len))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BitStack):
-            return self._len == other._len and self._data == other._data
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        shown = "".join(str(b) for b in self._bits01(64))
-        if self._len > 64:
-            shown += "..."
-        return f"BitStack({shown!r} len={self._len})"
-
-
-class ByteImage(namedtuple("ByteImage", "data bit_length")):
-    """Packed bits plus their exact bit count; the padding bits are zero."""
-
-    __slots__ = ()
-
-    def __new__(cls, data: bytes, bit_length: int):
+    def __init__(self, data: bytes, bit_length: int):
         if bit_length < 0:
             raise ValueError("bit_length must be non-negative")
         if len(data) != (bit_length + 7) // 8:
@@ -137,11 +67,28 @@ class ByteImage(namedtuple("ByteImage", "data bit_length")):
         tail = bit_length & 7
         if tail and data[-1] >> tail:
             raise BadPadding("nonzero padding bits in final byte")
-        return super().__new__(cls, data, bit_length)
+        self.data = data
+        self.bit_length = bit_length
+
+    def __len__(self) -> int:
+        return self.bit_length
+
+    def __iter__(self):
+        expand = EXPANDED_BITS[8]
+        return iter(b"".join([expand[b] for b in self.data])[: self.bit_length])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ByteImage):
+            return self.bit_length == other.bit_length and self.data == other.data
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = repr(self.data[:8]) + ("..." if len(self.data) > 8 else "")
+        return f"ByteImage({shown}, {self.bit_length})"
 
 
 def pack_bits(bits) -> ByteImage:
-    """Pack 0/1 values, in push order, as pack() packs a stack of them."""
+    """Pack 0/1 values, in push order, LSB-first into zero-padded bytes."""
     if not isinstance(bits, (bytes, bytearray)):
         bits = bytes(iter(bits))  # iter: bytes(5) would be five zeros
     # Spelled as digits, the bits are a base-2 numeral with push-order bit 0
@@ -158,34 +105,31 @@ def pack_bits(bits) -> ByteImage:
     return ByteImage(value.to_bytes(nbytes, "big").translate(_REVERSED_BYTES), n)
 
 
-def pack(stack: BitStack) -> ByteImage:
-    """Pack a bit stack into bytes, LSB-first, zero-padding the final byte."""
-    return ByteImage(bytes(stack._data), stack._len)
+def pack(image: ByteImage) -> ByteImage:
+    """The image itself, kept only for perfbench/tracing.py; it goes with the token wrappers."""
+    return image
 
 
-def unpack(image: ByteImage) -> BitStack:
-    """Reverse pack(); the image has already checked its padding."""
-    stack = BitStack()
-    stack._data = bytearray(image.data)
-    stack._len = image.bit_length
-    return stack
+def unpack(image: ByteImage) -> ByteImage:
+    """The image itself, kept only for perfbench/tracing.py; it goes with the token wrappers."""
+    return image
 
 
 def refill(data: bytes, pos: int, win: int, avail: int, need: int) -> tuple[int, int, int]:
     """Top up a decoder's read window until it holds at least `need` bits.
 
-    A decoder reads the packed bits of `data` from the top of the stack down.
+    A decoder reads the packed bits of `data` from the top down.
     `win` holds the next `avail` bits, the next one to read as its highest
     bit, and data[:pos] holds the rest. Each step moves up to REFILL_BYTES
     more bytes from below into the window. A read starts with pos =
     len(data), win = 0 and avail = bit_length - 8 * len(data), which skips
     the zero padding. Returns the new (pos, win, avail).
 
-    Raises EmptyStackError when the bits run out first.
+    Raises CorruptError when the bits run out first.
     """
     while avail < need:
         if not pos:
-            raise EmptyStackError("code bits exhausted")
+            raise CorruptError("code bits exhausted mid-decode")
         lo = pos - REFILL_BYTES if pos > REFILL_BYTES else 0
         win = (win << ((pos - lo) << 3)) | int.from_bytes(data[lo:pos], "little")
         avail += (pos - lo) << 3

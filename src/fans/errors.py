@@ -9,10 +9,6 @@ class FansError(Exception):
     """Base class for all toolkit errors."""
 
 
-class EmptyStackError(FansError):
-    """A pop or a read ran past the bottom of a bit stack."""
-
-
 class BadPadding(FansError):
     """Padding bits past the declared bit length are not zero."""
 

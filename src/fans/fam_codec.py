@@ -41,14 +41,15 @@ reads the code's ByteImage and leaves it intact. Nothing but the code bits,
 the dictionary and the token count crosses the wire.
 
 fam_encode_ids/fam_decode_ids code dictionary ids; fam_encode/fam_decode
-wrap them for token streams. Only the tests and perfbench/tracing.py call the
-wrappers, which go once that replay records through the pipeline.
+wrap them for token streams and trade the code as a ByteImage. Only the
+tests and perfbench/tracing.py call the wrappers, which go once that replay
+records through the pipeline.
 """
 
 from __future__ import annotations
 
-from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, ByteImage, pack, refill, table_typecode
-from .errors import CorruptError, EmptyStackError
+from .bitio import EXPANDED_BITS, WINDOW_MASKS, ByteImage, pack_bits, refill, table_typecode
+from .errors import CorruptError
 from .fam_model import map_ids
 
 
@@ -156,81 +157,78 @@ def fam_decode_ids(image: ByteImage, d: int, n: int) -> tuple[list[int], int]:
     win = 0
     avail = image.bit_length - 8 * len(image.data)
     masks = WINDOW_MASKS
-    try:
-        while L < m:
-            # One segment: every bound = L + 1 below stop has blen bits. A
-            # marker step may carry L one past stop; the next segment
-            # starts from there.
-            blen = (L + 1).bit_length()
-            stop = min(m, (1 << blen) - 1)
-            top = blen + 1
-            while L < stop:
-                bound = L + 1
-                if x < bound:
-                    # Take the bits that give x one bit more than bound at
-                    # once. If x then reaches 2 * bound (bound + L + 1), the
-                    # last bit was one too many and goes back to the window.
-                    k = top - x.bit_length()
-                    if avail < k:
-                        pos, win, avail = refill(data, pos, win, avail, k)
-                    avail -= k
-                    x = (x << k) | (win >> avail)
-                    if x > bound + L:
-                        x >>= 1
-                        avail += 1
-                    win &= masks[avail]
-                    if not pos and avail < 8:
-                        raise EmptyStackError("code bits exhausted")
-                p = x - bound
-                if p < L:
-                    w = recon[p]
-                    if w != lt:
-                        c = cnt[w]
-                        x = c + rank[p]
-                        cnt[w] = c + 1
-                        recon.append(w)
-                        rank.append(c)
-                        L += 1
-                        continue
-                    c = cnt[lt]
-                    x = c + 1 + rank[p]
-                elif p == L:
-                    # The slot being rebuilt is itself a marker, and it ranks
-                    # last among the markers.
-                    c = cnt[lt]
-                    x = c + 1 + c
-                else:
-                    raise CorruptError("slot reference beyond rebuilt region")
-                # Marker: introduces the next dictionary token (back to
-                # front). The marker's own count includes the slot being
-                # rebuilt.
-                cnt[lt] = c + 1
-                recon.append(lt)
-                rank.append(c)
-                if cursor == 0:
-                    raise CorruptError("dictionary exhausted before stream end")
-                if L + 2 > m:
-                    raise CorruptError("prepared sequence overrun")
-                cursor -= 1
-                recon.append(cursor)
-                rank.append(0)
-                cnt[cursor] = 1
-                L += 2
-        if cursor != 0:
-            raise CorruptError("dictionary entries left over after stream end")
-        if x < m:
-            k = m.bit_length() + 1 - x.bit_length()
-            if avail < k:
-                pos, win, avail = refill(data, pos, win, avail, k)
-            avail -= k
-            x = (x << k) | (win >> avail)
-            if x >= m + m:
-                x >>= 1
-                avail += 1
-            if not pos and avail < 8:
-                raise EmptyStackError("code bits exhausted")
-    except EmptyStackError:
-        raise CorruptError("code bits exhausted mid-decode") from None
+    while L < m:
+        # One segment: every bound = L + 1 below stop has blen bits. A
+        # marker step may carry L one past stop; the next segment
+        # starts from there.
+        blen = (L + 1).bit_length()
+        stop = min(m, (1 << blen) - 1)
+        top = blen + 1
+        while L < stop:
+            bound = L + 1
+            if x < bound:
+                # Take the bits that give x one bit more than bound at
+                # once. If x then reaches 2 * bound (bound + L + 1), the
+                # last bit was one too many and goes back to the window.
+                k = top - x.bit_length()
+                if avail < k:
+                    pos, win, avail = refill(data, pos, win, avail, k)
+                avail -= k
+                x = (x << k) | (win >> avail)
+                if x > bound + L:
+                    x >>= 1
+                    avail += 1
+                win &= masks[avail]
+                if not pos and avail < 8:
+                    raise CorruptError("code bits exhausted mid-decode")
+            p = x - bound
+            if p < L:
+                w = recon[p]
+                if w != lt:
+                    c = cnt[w]
+                    x = c + rank[p]
+                    cnt[w] = c + 1
+                    recon.append(w)
+                    rank.append(c)
+                    L += 1
+                    continue
+                c = cnt[lt]
+                x = c + 1 + rank[p]
+            elif p == L:
+                # The slot being rebuilt is itself a marker, and it ranks
+                # last among the markers.
+                c = cnt[lt]
+                x = c + 1 + c
+            else:
+                raise CorruptError("slot reference beyond rebuilt region")
+            # Marker: introduces the next dictionary token (back to
+            # front). The marker's own count includes the slot being
+            # rebuilt.
+            cnt[lt] = c + 1
+            recon.append(lt)
+            rank.append(c)
+            if cursor == 0:
+                raise CorruptError("dictionary exhausted before stream end")
+            if L + 2 > m:
+                raise CorruptError("prepared sequence overrun")
+            cursor -= 1
+            recon.append(cursor)
+            rank.append(0)
+            cnt[cursor] = 1
+            L += 2
+    if cursor != 0:
+        raise CorruptError("dictionary entries left over after stream end")
+    if x < m:
+        k = m.bit_length() + 1 - x.bit_length()
+        if avail < k:
+            pos, win, avail = refill(data, pos, win, avail, k)
+        avail -= k
+        x = (x << k) | (win >> avail)
+        if x >= m + m:
+            x >>= 1
+            avail += 1
+        if not pos and avail < 8:
+            raise CorruptError("code bits exhausted mid-decode")
     if x != m:
         raise CorruptError("final state does not match token count")
     if avail + 8 * pos != 8:
@@ -242,17 +240,17 @@ def fam_decode_ids(image: ByteImage, d: int, n: int) -> tuple[list[int], int]:
     return out, x
 
 
-def fam_encode(tokens: list[bytes]) -> tuple[BitStack, list[bytes]]:
+def fam_encode(tokens: list[bytes]) -> tuple[ByteImage, list[bytes]]:
     """Encode a token stream; returns (code bits, dictionary).
 
     The dictionary is ordered by last occurrence and is everything the
     decoder needs besides the bits and the token count.
     """
     w0, ids = map_ids(tokens)
-    return BitStack(fam_encode_ids(ids, len(w0))[0]), w0
+    return pack_bits(fam_encode_ids(ids, len(w0))[0]), w0
 
 
-def fam_decode(code: BitStack, dictionary: list[bytes], n: int) -> list[bytes]:
+def fam_decode(code: ByteImage, dictionary: list[bytes], n: int) -> list[bytes]:
     """Decode n tokens; the code must be used up."""
-    ids, _ = fam_decode_ids(pack(code), len(dictionary), n)
+    ids, _ = fam_decode_ids(code, len(dictionary), n)
     return [dictionary[i] for i in ids]

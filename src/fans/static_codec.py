@@ -14,8 +14,9 @@ static_encode_ids/static_decode_ids code ids with that list. The
 token-keyed build_spread, static_encode and static_decode number the tokens
 (build_spread in dictionary order, the coders in the order of freqs.counts),
 call the id functions and map the result back, so each spread and each loop
-has one implementation. They and count_frequencies serve only the tests and
-perfbench/tracing.py, and go once that replay records through the pipeline.
+has one implementation; the coders trade the code as a ByteImage. They and
+count_frequencies serve only the tests and perfbench/tracing.py, and go once
+that replay records through the pipeline.
 
 Keys in the uniform queue are the exact rationals (2k+1)/(2*count); they are
 compared by cross-multiplication, never as floats, with ties going to the
@@ -49,8 +50,8 @@ import enum
 import heapq
 from collections import Counter, namedtuple
 
-from .bitio import EXPANDED_BITS, WINDOW_MASKS, BitStack, ByteImage, pack, refill, table_typecode
-from .errors import CorruptError, EmptyStackError
+from .bitio import EXPANDED_BITS, WINDOW_MASKS, ByteImage, pack_bits, refill, table_typecode
+from .errors import CorruptError
 
 
 class StaticFrequencies(namedtuple("StaticFrequencies", "counts total")):
@@ -227,28 +228,25 @@ def static_decode_ids(
     win = 0
     avail = image.bit_length - 8 * pos
     masks = WINDOW_MASKS
-    try:
-        for _ in range(n):
-            j = x - total
-            emit(spread[j])
-            x = nxt[j]
+    for _ in range(n):
+        j = x - total
+        emit(spread[j])
+        x = nxt[j]
+        if x < total:
+            # Take the bits that bring x up to total's length at once; at
+            # most one more is then needed to reach total.
+            k = tlen - x.bit_length() or 1
+            if avail < k:
+                pos, win, avail = refill(data, pos, win, avail, k)
+            avail -= k
+            x = (x << k) | (win >> avail)
+            win &= masks[avail]
             if x < total:
-                # Take the bits that bring x up to total's length at once; at
-                # most one more is then needed to reach total.
-                k = tlen - x.bit_length() or 1
-                if avail < k:
-                    pos, win, avail = refill(data, pos, win, avail, k)
-                avail -= k
-                x = (x << k) | (win >> avail)
+                if not avail:
+                    pos, win, avail = refill(data, pos, win, avail, 1)
+                avail -= 1
+                x = x + x + (win >> avail)
                 win &= masks[avail]
-                if x < total:
-                    if not avail:
-                        pos, win, avail = refill(data, pos, win, avail, 1)
-                    avail -= 1
-                    x = x + x + (win >> avail)
-                    win &= masks[avail]
-    except EmptyStackError:
-        raise CorruptError("code bits exhausted mid-decode") from None
     if x != total:
         raise CorruptError("state did not drain to the table size")
     if avail or pos:
@@ -279,13 +277,13 @@ def build_spread(
 
 def static_encode(
     tokens: list[bytes], spread: list[bytes] | None, freqs: StaticFrequencies | None
-) -> tuple[BitStack, int]:
+) -> tuple[ByteImage, int]:
     """static_encode_ids over tokens; returns (code bits, final state).
 
     Empty input needs no table and yields final state 0 as a sentinel.
     """
     if not tokens:
-        return BitStack(), 0
+        return pack_bits(b""), 0
     if spread is None or freqs is None:
         raise ValueError("nonempty input needs a spread and frequencies")
     if freqs.total != len(tokens):
@@ -293,11 +291,11 @@ def static_encode(
     index = {t: i for i, t in enumerate(freqs.counts)}
     counts = list(freqs.counts.values())
     bits, x = static_encode_ids(_look_up(tokens, index), _look_up(spread, index), counts)
-    return BitStack(bits), x
+    return pack_bits(bits), x
 
 
 def static_decode(
-    code: BitStack,
+    code: ByteImage,
     final_state: int,
     spread: list[bytes] | None,
     freqs: StaticFrequencies | None,
@@ -305,9 +303,9 @@ def static_decode(
 ) -> list[bytes]:
     """static_decode_ids over tokens; the code must be used up."""
     if spread is None or freqs is None:
-        return static_decode_ids(pack(code), final_state, None, None, n)
+        return static_decode_ids(code, final_state, None, None, n)
     keys = list(freqs.counts)
     index = {t: i for i, t in enumerate(keys)}
     counts = list(freqs.counts.values())
-    ids = static_decode_ids(pack(code), final_state, _look_up(spread, index), counts, n)
+    ids = static_decode_ids(code, final_state, _look_up(spread, index), counts, n)
     return _look_up(ids, keys)

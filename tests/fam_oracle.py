@@ -7,6 +7,9 @@ encode_step/decode_step run one loop iteration at a time so tests can check
 per-step invariants. oracle_fam_decode is the whole decode as a loop over
 decode_step: one bisect per symbol for a rank and one pop per code bit, the
 loop the fast core replaced. It raises the core's CorruptError messages.
+
+The oracles keep their code bits in a plain list in push order: encoders
+append, and decoders pop() from the end.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
-from fans.bitio import BitStack
-from fans.errors import CorruptError, EmptyStackError
+from fans.errors import CorruptError
 from fans.fam_model import build_dictionary
 
 
@@ -71,7 +73,7 @@ class EncoderState:
     x: int
     l: int
     f: dict[Symbol, int]
-    code: BitStack = field(default_factory=BitStack)
+    code: list[int] = field(default_factory=list)
 
     @classmethod
     def initial(cls, tokens: list[bytes]) -> tuple["EncoderState", dict[Symbol, list[int]]]:
@@ -99,7 +101,7 @@ def encode_step(state: EncoderState, w: Symbol, positions: list[int]) -> Encoder
     x = state.x
     threshold = fw + fw
     while x >= threshold:
-        state.code.push(x & 1)
+        state.code.append(x & 1)
         x >>= 1
     state.x = state.l + positions[x - fw]
     state.l -= 1
@@ -121,11 +123,11 @@ class DecoderState:
     inc: dict[Symbol, list[int]]
     dictionary: list[bytes]
     cursor: int
-    code: BitStack
+    code: list[int]
     output: list[bytes]
 
     @classmethod
-    def initial(cls, code: BitStack, dictionary: list[bytes], n: int) -> "DecoderState":
+    def initial(cls, code: list[int], dictionary: list[bytes], n: int) -> "DecoderState":
         inc: dict[Symbol, list[int]] = {t: [] for t in dictionary}
         inc[LT] = []
         return cls(
@@ -148,7 +150,7 @@ def decode_step(state: DecoderState) -> tuple[DecoderState, Symbol]:
     try:
         while x < bound:
             x = x + x + state.code.pop()
-    except EmptyStackError:
+    except IndexError:
         raise CorruptError("code bits exhausted mid-decode") from None
     p = x - bound
     if p > state.L:
@@ -185,8 +187,8 @@ def decode_step(state: DecoderState) -> tuple[DecoderState, Symbol]:
     return state, symbol
 
 
-def oracle_fam_decode(code: BitStack, dictionary: list[bytes], n: int) -> list[bytes]:
-    """fam_decode as a loop over decode_step; consumes the stack."""
+def oracle_fam_decode(code: list[int], dictionary: list[bytes], n: int) -> list[bytes]:
+    """fam_decode as a loop over decode_step; pops the bits off `code`."""
     d = len(dictionary)
     if n == 0:
         if d or len(code):
@@ -204,7 +206,7 @@ def oracle_fam_decode(code: BitStack, dictionary: list[bytes], n: int) -> list[b
     try:
         while x < m:
             x = x + x + code.pop()
-    except EmptyStackError:
+    except IndexError:
         raise CorruptError("code bits exhausted mid-decode") from None
     if x != m:
         raise CorruptError("final state does not match token count")

@@ -55,7 +55,7 @@ def _check_sequence(tokens: list[bytes]) -> tuple[list[str], list[str]]:
     n = len(tokens)
 
     code, w0 = fam_encode(tokens)
-    if fam_decode(code.copy(), w0, n) != tokens:
+    if fam_decode(code, w0, n) != tokens:
         trips.append("fam")
     d = len(w0)
     bits, x, l = fam_encode_ids(map_ids(tokens)[1], d)

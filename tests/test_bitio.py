@@ -1,4 +1,4 @@
-"""Bit stack, byte packing, and varint round trips."""
+"""Byte images, bit packing, decoder reads, and varint round trips."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,68 +7,32 @@ from hypothesis import strategies as st
 from fans.bitio import (
     REFILL_BYTES,
     WINDOW_MASKS,
-    BitStack,
     ByteImage,
-    pack,
     pack_bits,
     put_varint,
     read_varint,
     refill,
     table_typecode,
-    unpack,
 )
-from fans.errors import BadPadding, EmptyStackError, OverlongVarint, TruncatedError
-
-
-def test_push_appends_at_tail():
-    s = BitStack()
-    s.push(1)
-    assert list(s) == [1]
-    s = BitStack([1, 0])
-    s.push(0)
-    assert list(s) == [1, 0, 0]
-
-
-def test_pop_is_lifo():
-    s = BitStack([1, 0, 0, 1, 0])
-    assert s.pop() == 0
-    assert list(s) == [1, 0, 0, 1]
-    s = BitStack([1])
-    assert s.pop() == 1
-    assert len(s) == 0
-
-
-def test_pop_empty_raises():
-    with pytest.raises(EmptyStackError):
-        BitStack().pop()
-
-
-def test_push_rejects_non_bits():
-    s = BitStack()
-    with pytest.raises(ValueError):
-        s.push(2)
-    # ASCII digits, separators and spaces must not pass as bits either.
-    for bad in (b"\x02", b"01", b"\x00_\x01", b" \x01"):
-        with pytest.raises(ValueError):
-            BitStack(bad)
+from fans.errors import BadPadding, CorruptError, OverlongVarint, TruncatedError
 
 
 def test_pack_known_vectors():
-    img = pack(BitStack([1, 0, 0, 1, 0]))
+    img = pack_bits([1, 0, 0, 1, 0])
     assert img.data == b"\x09"
     assert img.bit_length == 5
 
-    img = pack(BitStack())
+    img = pack_bits([])
     assert img.data == b""
     assert img.bit_length == 0
 
-    img = pack(BitStack([1] * 9))
+    img = pack_bits([1] * 9)
     assert img.data == b"\xff\x01"
     assert img.bit_length == 9
 
 
 def test_pack_bits_known_vectors():
-    # The images pack(BitStack(bits)) gave before pack_bits existed.
+    # The images the per-bit stack packed to before pack_bits existed.
     assert pack_bits([]) == ByteImage(b"", 0)
     assert pack_bits([1]) == ByteImage(b"\x01", 1)
     assert pack_bits([0]) == ByteImage(b"\x00", 1)
@@ -81,27 +45,21 @@ def test_pack_bits_takes_lists_and_bytes_alike():
     assert pack_bits(bits) == pack_bits(bytes(bits)) == pack_bits(bytearray(bits))
     with pytest.raises(ValueError):
         pack_bits([1, 2, 0])
-    with pytest.raises(ValueError):
-        pack_bits(b"\x02")
-
-
-@given(st.lists(st.integers(0, 1), max_size=300))
-@settings(max_examples=100, deadline=None)
-def test_bitstack_is_the_unpacked_image(bits):
-    pushed = BitStack()
-    for b in bits:
-        pushed.push(b)
-    assert BitStack(bits) == unpack(pack_bits(bits)) == pushed
+    # ASCII digits, separators and spaces must not pass as bits either.
+    for bad in (b"\x02", b"01", b"\x00_\x01", b" \x01"):
+        with pytest.raises(ValueError):
+            pack_bits(bad)
 
 
 def test_unpack_known_vectors():
-    assert list(unpack(ByteImage(b"\x09", 5))) == [1, 0, 0, 1, 0]
-    assert list(unpack(ByteImage(b"", 0))) == []
+    assert list(ByteImage(b"\x09", 5)) == [1, 0, 0, 1, 0]
+    assert list(ByteImage(b"", 0)) == []
+    assert len(ByteImage(b"\xff\x01", 9)) == 9
 
 
 def test_unpack_rejects_nonzero_padding():
     with pytest.raises(BadPadding):
-        unpack(ByteImage(b"\x89", 5))
+        ByteImage(b"\x89", 5)
 
 
 def test_byte_image_validates_lengths():
@@ -151,6 +109,15 @@ def test_refill_leaves_avail_in_mask_range():
             assert 8 * pos + avail == 8 * len(data) + start
 
 
+def test_refill_past_the_end_raises():
+    data = bytes(3)
+    assert refill(data, len(data), 0, 0, 24) == (0, 0, 24)
+    with pytest.raises(CorruptError, match="code bits exhausted mid-decode"):
+        refill(data, len(data), 0, 0, 25)
+    with pytest.raises(CorruptError):
+        refill(data, 0, 0b101, 3, 4)
+
+
 def _varint(value: int) -> bytes:
     out = bytearray()
     put_varint(out, value)
@@ -194,8 +161,10 @@ def test_varint_rejects_negative():
 
 @given(st.lists(st.integers(0, 1), max_size=4096))
 def test_pack_unpack_round_trip(bits):
-    stack = BitStack(bits)
-    assert list(unpack(pack(stack))) == bits
+    image = pack_bits(bits)
+    assert list(image) == bits
+    assert len(image) == len(bits)
+    assert pack_bits(image) == image
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -204,40 +173,15 @@ def test_varint_round_trip(value):
     assert read_varint(encoded) == (value, len(encoded))
 
 
-@given(st.lists(st.integers(0, 1), max_size=256))
-def test_lifo_order(bits):
-    s = BitStack()
-    for b in bits:
-        s.push(b)
-    popped = [s.pop() for _ in range(len(bits))]
-    assert popped == bits[::-1]
-
-
-@given(st.lists(st.one_of(st.integers(0, 1), st.none()), max_size=300))
-def test_interleaved_push_pop_matches_a_list(ops):
-    # None is a pop. The packed bytes, padding included, must match a stack
-    # built from the surviving bits.
-    s, model = BitStack(), []
-    for op in ops:
-        if op is None:
-            if model:
-                assert s.pop() == model.pop()
-        else:
-            s.push(op)
-            model.append(op)
-    assert list(s) == model
-    assert s == BitStack(model)
-    assert list(unpack(pack(s))) == model
-
-
 @settings(max_examples=20)
 @given(st.binary(max_size=2048))
 def test_pack_output_padding_is_zero(data):
-    # Any stack built from 0/1 bytes packs to an image whose padding bits
-    # are zero, so unpack never rejects our own output.
+    # Any 0/1 list packs to an image whose padding bits are zero, so
+    # ByteImage never rejects our own output.
     bits = [b & 1 for b in data]
-    img = pack(BitStack(bits))
-    assert list(unpack(img)) == bits
+    img = pack_bits(bits)
+    assert ByteImage(img.data, img.bit_length) == img
+    assert list(img) == bits
 
 
 def test_million_bit_round_trip():
@@ -245,5 +189,6 @@ def test_million_bit_round_trip():
 
     rng = random.Random(1)
     bits = bytes(rng.getrandbits(1) for _ in range(10**6))
-    stack = BitStack(bits)
-    assert unpack(pack(stack)) == stack
+    image = pack_bits(bits)
+    assert bytes(image) == bits
+    assert pack_bits(image) == image

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fans.bitio import ByteImage, pack
+from fans.bitio import ByteImage
 from fans.container import (
     ALGO_FAM,
     ALGO_RANGED,
@@ -37,7 +37,7 @@ FAM_ABA = bytes.fromhex("46414e5301000003020504016201610 9".replace(" ", ""))
 
 def test_frozen_adaptive_archive_bytes():
     code, w0 = fam_encode([b"a", b"b", b"a"])
-    data = pack_archive(ALGO_FAM, TokenizerMode.LOSSLESS, 3, w0, pack(code))
+    data = pack_archive(ALGO_FAM, TokenizerMode.LOSSLESS, 3, w0, code)
     assert data == FAM_ABA
     assert len(data) == 16
 
@@ -99,7 +99,7 @@ def test_pack_unpack_identity_random():
         tokens = [bytes([97 + rng.randrange(9)]) for _ in range(n)]
         code, w0 = fam_encode(tokens)
         mode = rng.choice([TokenizerMode.LOSSLESS, TokenizerMode.PAPER])
-        data = pack_archive(ALGO_FAM, mode, n, w0, pack(code))
+        data = pack_archive(ALGO_FAM, mode, n, w0, code)
         arc = unpack_archive(data)
         assert arc.mode is mode
         assert (arc.n, arc.d) == (n, len(w0))

@@ -2,11 +2,11 @@
 
 The decode oracles are the decode loops as they were before the cores took
 ranks from tables and read packed bytes: one bisect per symbol to recover a
-rank, and one pop per code bit. The fam oracle is the step-level decoder of
-fam_oracle.py. On valid and corrupted code alike, the fast cores must return
-the same tokens or raise the same CorruptError.
+rank, and one pop per code bit from a plain list. The fam oracle is the
+step-level decoder of fam_oracle.py. On valid and corrupted code alike, the
+fast cores must return the same tokens or raise the same CorruptError.
 
-The encode oracles push one bit at a time until the state is under twice the
+The encode oracles append one bit at a time until the state is under twice the
 symbol's frequency; the fast encoders compute each step's shift at once and
 emit it in batches. They must write the same bits and end in the same state,
 also on streams whose steps shift by nothing or by more than 16 bits.
@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fans import fam_codec
-from fans.bitio import REFILL_BYTES, WINDOW_MASKS, BitStack, ByteImage, unpack
-from fans.errors import CorruptError, EmptyStackError, FansError
+from fans.bitio import REFILL_BYTES, WINDOW_MASKS, ByteImage, pack_bits
+from fans.errors import CorruptError, FansError
 from fans.fam_codec import fam_decode, fam_encode, fam_encode_ids
 from fans.fam_model import map_ids
 from fans.pipeline import count_ids
@@ -52,7 +52,7 @@ def _slot_lists(spread) -> dict:
     return slots
 
 
-def oracle_static_decode(code: BitStack, final_state, spread, freqs, n) -> list[bytes]:
+def oracle_static_decode(code: list[int], final_state, spread, freqs, n) -> list[bytes]:
     if n == 0:
         if final_state != 0 or len(code):
             raise CorruptError("empty stream with leftover state or bits")
@@ -74,7 +74,7 @@ def oracle_static_decode(code: BitStack, final_state, spread, freqs, n) -> list[
             x = freqs.counts[s] + bisect_left(slots[s], j)
             while x < total:
                 x = x + x + pop()
-    except EmptyStackError:
+    except IndexError:
         raise CorruptError("code bits exhausted mid-decode") from None
     if x != total:
         raise CorruptError("state did not drain to the table size")
@@ -84,21 +84,21 @@ def oracle_static_decode(code: BitStack, final_state, spread, freqs, n) -> list[
     return out
 
 
-def oracle_static_encode(tokens, spread, freqs) -> tuple[BitStack, int, int]:
-    """static_encode_ids as one push per code bit.
+def oracle_static_encode(tokens, spread, freqs) -> tuple[list[int], int, int]:
+    """static_encode_ids as one append per code bit.
 
     Returns (code, final state, the most bits any one step pushed).
     """
     slots = _slot_lists(spread)
     total = len(tokens)
     x = total
-    code = BitStack()
+    code = []
     widest = 0
     for s in tokens:
         c = freqs.counts[s]
         pushed = 0
         while x >= c + c:
-            code.push(x & 1)
+            code.append(x & 1)
             x >>= 1
             pushed += 1
         widest = max(widest, pushed)
@@ -106,8 +106,8 @@ def oracle_static_encode(tokens, spread, freqs) -> tuple[BitStack, int, int]:
     return code, x, widest
 
 
-def oracle_fam_encode(tokens: list[bytes]) -> tuple[BitStack, int, int, int]:
-    """fam_encode_ids as a loop over encode_step, one push per code bit.
+def oracle_fam_encode(tokens: list[bytes]) -> tuple[list[int], int, int, int]:
+    """fam_encode_ids as a loop over encode_step, one append per code bit.
 
     Returns (code, final state, final slot count, the most bits any one step
     pushed).
@@ -123,15 +123,15 @@ def oracle_fam_encode(tokens: list[bytes]) -> tuple[BitStack, int, int, int]:
 
 
 class Stream:
-    """One coded token stream and both decoders for it."""
+    """One coded token stream and both decoders for it, each taking a bit list."""
 
     def __init__(self, coder: str, tokens: list[bytes]):
         self.n = len(tokens)
         if coder == "fam":
             code, self.dictionary = fam_encode(tokens)
             self.decoders = (
-                lambda c: fam_decode(c, self.dictionary, self.n),
-                lambda c: oracle_fam_decode(c, self.dictionary, self.n),
+                lambda bits: fam_decode(pack_bits(bits), self.dictionary, self.n),
+                lambda bits: oracle_fam_decode(list(bits), self.dictionary, self.n),
             )
         else:
             dictionary = sorted(set(tokens))
@@ -139,8 +139,8 @@ class Stream:
             spread = build_spread(SpreadStrategy(coder), freqs, dictionary, tokens)
             code, state = static_encode(tokens, spread, freqs)
             self.decoders = (
-                lambda c: static_decode(c, state, spread, freqs, self.n),
-                lambda c: oracle_static_decode(c, state, spread, freqs, self.n),
+                lambda bits: static_decode(pack_bits(bits), state, spread, freqs, self.n),
+                lambda bits: oracle_static_decode(list(bits), state, spread, freqs, self.n),
             )
         self.bits = list(code)
 
@@ -149,7 +149,7 @@ class Stream:
         results = []
         for decode in self.decoders:
             try:
-                results.append(decode(BitStack(bits)))
+                results.append(decode(bits))
             except CorruptError as exc:
                 results.append(f"CorruptError: {exc}")
         return results
@@ -285,7 +285,7 @@ def fam_stream_filling_the_window() -> Stream:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fam_codec, "WINDOW_MASKS", WINDOW_MASKS[:-1])
             try:
-                stream.decoders[0](BitStack(stream.bits))
+                stream.decoders[0](stream.bits)
             except IndexError:
                 return stream
     raise AssertionError("no stream puts a bit back into a full window")
@@ -325,7 +325,7 @@ def test_static_encoder_matches_per_bit_oracle(tokens, min_widest, strategy):
     freqs = StaticFrequencies(dict(enumerate(counts)), len(ids))
     code, state, widest = oracle_static_encode(ids, table, freqs)
     bits, fast_state = static_encode_ids(ids, table, counts)
-    assert BitStack(bits) == code
+    assert list(bits) == code
     assert fast_state == state
     assert widest >= min_widest
 
@@ -335,7 +335,7 @@ def test_fam_encoder_matches_per_bit_oracle(tokens, min_widest):
     code, x, l, widest = oracle_fam_encode(tokens)
     dictionary, ids = map_ids(tokens)
     bits, fast_x, fast_l = fam_encode_ids(ids, len(dictionary))
-    assert BitStack(bits) == code
+    assert list(bits) == code
     assert (fast_x, fast_l) == (x, l) == (1, 0)
     assert widest >= min_widest
 
@@ -377,7 +377,7 @@ def _image(data: bytes, drop: int, clear_padding: bool) -> ByteImage:
 def test_fam_decode_raises_only_fans_errors(data, drop, clear_padding, d, n):
     dictionary = [b"t%d" % i for i in range(d)]
     try:
-        fam_decode(unpack(_image(data, drop, clear_padding)), dictionary, n)
+        fam_decode(_image(data, drop, clear_padding), dictionary, n)
     except FansError:
         pass
 
@@ -404,6 +404,6 @@ def test_static_decode_raises_only_fans_errors(
     if n is None:
         n = freqs.total
     try:
-        static_decode(unpack(_image(data, drop, clear_padding)), final_state, table, freqs, n)
+        static_decode(_image(data, drop, clear_padding), final_state, table, freqs, n)
     except FansError:
         pass

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fans.bitio import BitStack, pack_bits
+from fans.bitio import pack_bits
 from fans.errors import CorruptError, FansError
 from fans.fam_codec import fam_decode, fam_decode_ids, fam_encode, fam_encode_ids
 from fans.fam_model import build_dictionary, map_ids
@@ -39,7 +39,7 @@ def test_frozen_trace_encode(tokens, bits, w0):
 
 @pytest.mark.parametrize("tokens,bits,w0", TRACES)
 def test_frozen_trace_decode(tokens, bits, w0):
-    assert fam_decode(BitStack(bits), w0, len(tokens)) == tokens
+    assert fam_decode(pack_bits(bits), w0, len(tokens)) == tokens
 
 
 @pytest.mark.parametrize("tokens,bits,w0", TRACES)
@@ -76,7 +76,7 @@ def test_encode_rejects_ids_not_numbered_by_last_occurrence(ids, d):
 def test_empty_stream():
     code, w0 = fam_encode([])
     assert len(code) == 0 and w0 == []
-    assert fam_decode(BitStack(), [], 0) == []
+    assert fam_decode(pack_bits([]), [], 0) == []
 
 
 def test_encode_step_known_transition():
@@ -109,7 +109,7 @@ def test_decode_step_known_transition():
         inc={LT: [0], b"a": [1], b"b": []},
         dictionary=[b"b", b"a"],
         cursor=1,
-        code=BitStack(),
+        code=[],
         output=[b"a"],
     )
     state, symbol = decode_step(state)
@@ -149,13 +149,13 @@ def _run_paired(tokens: list[bytes]) -> None:
     assert enc.x == 1 and enc.l == 0
     assert all(v == 0 for v in enc.f.values())
 
-    dec = DecoderState.initial(enc.code.copy(), w0, n)
+    dec = DecoderState.initial(list(enc.code), w0, n)
     dec_symbols = []
     dec_fcurs = []
     marker_steps = 0
     while dec.L < m:
         pre_L = dec.L
-        sim, probe = dec.x, dec.code.copy()
+        sim, probe = dec.x, list(dec.code)
         while sim < pre_L + 1:
             sim = sim + sim + probe.pop()
         p = sim - (pre_L + 1)
@@ -208,7 +208,7 @@ def test_steps_match_batch_encoder():
         for tok in tokens:
             w = select_symbol(enc, tok)
             encode_step(enc, w, index_lists[w])
-        assert enc.code == batch_code
+        assert enc.code == list(batch_code)
         assert fam_decode(batch_code, w0, n) == tokens
 
 
@@ -291,31 +291,28 @@ def test_corrupt_last_bit_flip():
     bits = list(code)
     bits[-1] ^= 1
     with pytest.raises(CorruptError):
-        fam_decode(BitStack(bits), w0, 3)
+        fam_decode(pack_bits(bits), w0, 3)
 
 
 def test_corrupt_truncated_and_padded_codes():
     code, w0 = fam_encode([b"a", b"b", b"a", b"c", b"b", b"a"])
-    short = code.copy()
-    short.pop()
+    bits = list(code)
     with pytest.raises(CorruptError):
-        fam_decode(short, w0, 6)
-    extra = code.copy()
-    extra.push(1)
+        fam_decode(pack_bits(bits[:-1]), w0, 6)
     with pytest.raises(CorruptError):
-        fam_decode(extra, w0, 6)
+        fam_decode(pack_bits(bits + [1]), w0, 6)
 
 
 def test_corrupt_header_shapes():
     code, w0 = fam_encode([b"a", b"b", b"a"])
     with pytest.raises(CorruptError):
-        fam_decode(code.copy(), w0, 0)  # leftover dictionary for empty stream
+        fam_decode(code, w0, 0)  # leftover dictionary for empty stream
     with pytest.raises(CorruptError):
-        fam_decode(BitStack([1]), [], 0)  # leftover bits for empty stream
+        fam_decode(pack_bits([1]), [], 0)  # leftover bits for empty stream
     with pytest.raises(CorruptError):
-        fam_decode(code.copy(), [], 3)  # no dictionary for a nonempty stream
+        fam_decode(code, [], 3)  # no dictionary for a nonempty stream
     with pytest.raises(CorruptError):
-        fam_decode(code.copy(), w0, 1)  # more dictionary entries than tokens
+        fam_decode(code, w0, 1)  # more dictionary entries than tokens
 
 
 def test_every_single_bit_flip_is_caught_or_changes_output():
@@ -326,7 +323,7 @@ def test_every_single_bit_flip_is_caught_or_changes_output():
         bits = list(code)
         bits[i] ^= 1
         try:
-            decoded = fam_decode(BitStack(bits), w0, n)
+            decoded = fam_decode(pack_bits(bits), w0, n)
         except FansError:
             continue
         assert decoded != tokens  # a silent identical decode would be a bug
