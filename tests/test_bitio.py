@@ -43,6 +43,9 @@ def test_pack_bits_known_vectors():
 def test_pack_bits_takes_lists_and_bytes_alike():
     bits = [1, 0, 0, 1, 0, 1, 1, 1, 0, 1]
     assert pack_bits(bits) == pack_bits(bytes(bits)) == pack_bits(bytearray(bits))
+
+
+def test_push_rejects_non_bits():
     with pytest.raises(ValueError):
         pack_bits([1, 2, 0])
     # ASCII digits, separators and spaces must not pass as bits either.
@@ -165,6 +168,19 @@ def test_pack_unpack_round_trip(bits):
     assert list(image) == bits
     assert len(image) == len(bits)
     assert pack_bits(image) == image
+
+
+@given(st.lists(st.integers(0, 1), max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_bitstack_is_the_unpacked_image(bits):
+    # The bits, pushed one at a time into an integer LSB-first, give the
+    # image's bytes; the image unpacks back to the same bit list.
+    value = 0
+    for i, b in enumerate(bits):
+        value |= b << i
+    pushed = ByteImage(value.to_bytes((len(bits) + 7) // 8, "little"), len(bits))
+    assert pushed == pack_bits(bits)
+    assert list(pushed) == bits
 
 
 @given(st.integers(0, 2**64 - 1))
