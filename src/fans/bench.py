@@ -5,13 +5,14 @@ straight from the archive parser: dict_bytes includes the fixed header, so
 code + dict (+ freqs + final-state varint for static rows) always equals the
 file size exactly.
 
-Tokenizing, id mapping and frequency counting happen outside the clock; the
+Tokenizing, numbering and frequency counting happen outside the clock; the
 timed encode region is `encode_ids`, model/table construction plus the coding
 loop (for the adaptive coder that means building the prepared-sequence
 indices, for the static coders building the spread table). The timed decode
 region is `decode_ids` on the row's archive: the static decoders rebuild their
 table the way a standalone decoder would, the adaptive decoder regrows its
-model in-loop. Times are the minimum over the requested repetitions.
+model in-loop, and the ids are read off the decoder's sequence. Times are the
+minimum over the requested repetitions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from .bitio import pack_bits
 from .container import unpack_archive
 from .errors import CorruptError, FansError
-from .fam_model import map_ids
+from .fam_model import number_ids, renumber
 from .pipeline import compress, count_ids, decode_ids, encode_ids
 from .tokenizer import TokenizerMode, iter_tokens
 
@@ -68,16 +69,21 @@ def bench_file(
     raw = Path(path).read_bytes()
     name = Path(path).name
     archive = unpack_archive(compress(raw, algo, mode))
-    w0, ids = map_ids(iter_tokens(raw, mode))
-    n = len(ids)
+    seen, ids = number_ids(iter_tokens(raw, mode))
+    n, d = len(ids), len(seen)
     if not n:
         notes.append(f"{name}: no tokens in {mode.value} mode")
-    counts = count_ids(ids, len(w0))
+    counts = count_ids(ids, d)
     entropy_bits = compute_entropy(counts, n)
 
-    enc_s, (bits, _state, _counts) = timed(encode_ids, algo, ids, len(w0), counts, reps=reps)
+    enc_s, (bits, _state, _counts, order) = timed(encode_ids, algo, ids, d, counts, reps=reps)
     if pack_bits(bits) != archive.code:
         raise CorruptError(f"{name}: timed {algo} code differs from the archive's")
+    if [seen[i] for i in order] != archive.entries:
+        raise CorruptError(f"{name}: timed {algo} dictionary differs from the archive's")
+    # decode_ids gives dictionary ids, and the textorder table is built from
+    # the stream in them.
+    ids = renumber(ids, order)
     dec_s, out_ids = timed(decode_ids, archive, ids, reps=reps)
     if out_ids != ids:
         raise CorruptError(f"{name}: {algo} round trip mismatch")

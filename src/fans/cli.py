@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .container import ALGO_IDS
 from .errors import FansError
-from .fam_model import map_ids
+from .fam_model import number_ids
 from .pipeline import compress, count_ids, decompress
 from .tokenizer import TokenizerMode, iter_tokens
 
@@ -78,8 +78,9 @@ def _cmd_entropy(args) -> int:
 
     raw = Path(args.input).read_bytes()
     mode = TokenizerMode(args.mode)
-    dictionary, ids = map_ids(iter_tokens(raw, mode))
-    bits = compute_entropy(count_ids(ids, len(dictionary)), len(ids))
+    # The entropy does not depend on the numbering.
+    seen, ids = number_ids(iter_tokens(raw, mode))
+    bits = compute_entropy(count_ids(ids, len(seen)), len(ids))
     print(f"tokens: {len(ids)}")
     print(f"entropy_bits: {bits:.4f}")
     print(f"entropy_bytes: {bits / 8:.1f}")

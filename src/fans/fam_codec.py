@@ -5,8 +5,9 @@ not-yet-consumed prefix of the prepared (reversed, marker-bearing) sequence,
 so the table shrinks by one slot per coded symbol and the per-symbol
 frequencies count down as occurrences are used up. A token's last occurrence
 is coded as the marker, which is also how the dictionary order reaches the
-decoder. For nonempty input the encoder always finishes in state 1 with no
-slots left.
+decoder. The encoder takes ids in any numbering and returns that order with
+the code. For nonempty input it always finishes in state 1 with no slots
+left.
 
 Each encoder step first shifts out the low bits that bring the state x into
 [fw, 2*fw), where fw is the coded symbol's live frequency. fw counts the
@@ -29,8 +30,8 @@ are an unsigned array sized the same way from the header's n + d, since most
 exceed the small-int cache and a list would hold an int object for each; a
 signed array would parse a format string per item. The decode loop runs in
 segments over which the bound's bit length is fixed, so no step tracks it,
-and a common step reads its slot once. The ids are read back from the rebuilt
-sequence at the end, minus its markers, once the ranks are freed.
+and a common step reads its slot once. It returns the rebuilt sequence,
+which read back to front without its markers is the id stream.
 
 Renormalization reads from the packed code bytes in one go: a state x below
 bound takes the bits that give it one bit more than bound, and if x then
@@ -40,7 +41,7 @@ leaves fewer than 8 bits above the floor has run out of code. The decoder
 reads the code's ByteImage and leaves it intact. Nothing but the code bits,
 the dictionary and the token count crosses the wire.
 
-fam_encode_ids/fam_decode_ids code dictionary ids; fam_encode/fam_decode
+fam_encode_ids/fam_decode_ids code ids; fam_encode/fam_decode
 wrap them for token streams and trade the code as a ByteImage. Only the
 tests and perfbench/tracing.py call the wrappers, which go once that replay
 records through the pipeline.
@@ -50,16 +51,17 @@ from __future__ import annotations
 
 from .bitio import EXPANDED_BITS, WINDOW_MASKS, ByteImage, pack_bits, refill, table_typecode
 from .errors import CorruptError
-from .fam_model import map_ids
+from .fam_model import number_ids
 
 
-def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
-    """Encode a stream of dictionary ids (0..d-1); the marker id is d.
+def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, list[int], int, int]:
+    """Encode a stream of ids 0..d-1, numbered in any order; the marker id is d.
 
-    The ids must number the tokens by last occurrence, as map_ids does, and
-    use every id below d; anything else raises ValueError. Returns (code bits
-    as 0/1 bytes in push order, final state, final slot count); for nonempty
-    input the last two are always 1 and 0.
+    An id of d or more, or one below d that never occurs, raises ValueError;
+    a negative id is not checked for (number_ids makes none).
+    Returns (code bits as 0/1 bytes in push order, the ids in dictionary
+    order, final state, final slot count); for nonempty input the last two
+    are always 1 and 0.
     """
     from array import array
 
@@ -68,29 +70,28 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
     tc = table_typecode(n + d)
     # Occurrence positions in the prepared (reversed, marker-bearing)
     # sequence, collected in one reverse walk: the first sighting of a token
-    # from the end is its last occurrence, and the marker goes right before
-    # it, so positions simply count up as we go. Numbered by last occurrence,
-    # ids first appear as d-1, d-2, ..., 0, so an unseen id must be the one
-    # `fresh` expects. The marker list joins index_lists after the walk, so an
-    # id of d or more fails the lookup.
+    # from the end is its last occurrence, so the marker goes right before
+    # it and the token joins the dictionary order, and positions simply
+    # count up as we go. The marker list joins index_lists after the walk,
+    # so an id of d or more fails the lookup.
     index_lists = [array(tc) for _ in range(d)]
     marker_positions = array(tc)
-    fresh = d - 1
+    order = []
     pos = 0
     try:
         for tok in reversed(ids):
-            if tok <= fresh:
-                if tok != fresh:
-                    raise ValueError(f"ids did not drain in order: {tok} came before {fresh}")
-                fresh -= 1
+            positions = index_lists[tok]
+            if not positions:
+                order.append(tok)
                 marker_positions.append(pos)
                 pos += 1
-            index_lists[tok].append(pos)
+            positions.append(pos)
             pos += 1
     except IndexError:
         raise ValueError(f"an id is out of range for a dictionary of {d}") from None
-    if fresh != -1:
-        raise ValueError(f"ids did not drain the dictionary: ids 0..{fresh} never occur")
+    if len(order) != d:
+        raise ValueError(f"ids did not drain the dictionary: {d - len(order)} id(s) never occur")
+    order.reverse()
     index_lists.append(marker_positions)
     f = [len(index_lists[t]) - 1 for t in range(d)]
     f.append(d)
@@ -121,14 +122,15 @@ def fam_encode_ids(ids: list[int], d: int) -> tuple[bytearray, int, int]:
         f[w] = fw - 1
     if n and (x != 1 or l != 0):
         raise ValueError(f"encoder did not drain: state {x}, {l} slot(s) left; want 1 and 0")
-    return bits, x, l
+    return bits, order, x, l
 
 
 def fam_decode_ids(image: ByteImage, d: int, n: int) -> tuple[list[int], int]:
     """Decode n dictionary ids from the code, which must be used up.
 
-    Returns (ids in stream order, final state). Raises CorruptError whenever
-    the bits, the dictionary size and the token count do not add up.
+    Returns (the prepared sequence: the ids back to front, each marker d
+    before its token's last occurrence; final state). Raises CorruptError
+    whenever the bits, the dictionary size and the token count do not add up.
     """
     if n == 0:
         if d or image.bit_length:
@@ -233,11 +235,7 @@ def fam_decode_ids(image: ByteImage, d: int, n: int) -> tuple[list[int], int]:
         raise CorruptError("final state does not match token count")
     if avail + 8 * pos != 8:
         raise CorruptError("unconsumed code bits after decode")
-    del rank
-    # recon is the prepared sequence: the ids reversed, with markers.
-    out = [w for w in recon if w != lt]
-    out.reverse()
-    return out, x
+    return recon, x
 
 
 def fam_encode(tokens: list[bytes]) -> tuple[ByteImage, list[bytes]]:
@@ -246,11 +244,13 @@ def fam_encode(tokens: list[bytes]) -> tuple[ByteImage, list[bytes]]:
     The dictionary is ordered by last occurrence and is everything the
     decoder needs besides the bits and the token count.
     """
-    w0, ids = map_ids(tokens)
-    return pack_bits(fam_encode_ids(ids, len(w0))[0]), w0
+    seen, ids = number_ids(tokens)
+    bits, order, _, _ = fam_encode_ids(ids, len(seen))
+    return pack_bits(bits), [seen[i] for i in order]
 
 
 def fam_decode(code: ByteImage, dictionary: list[bytes], n: int) -> list[bytes]:
     """Decode n tokens; the code must be used up."""
-    ids, _ = fam_decode_ids(code, len(dictionary), n)
-    return [dictionary[i] for i in ids]
+    recon, _ = fam_decode_ids(code, len(dictionary), n)
+    d = len(dictionary)
+    return [dictionary[i] for i in reversed(recon) if i != d]

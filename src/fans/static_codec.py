@@ -8,15 +8,17 @@ priority-queue interleave that spaces each symbol's slots evenly (uniform),
 and the reversed text itself (text_order). All three share the coding loops;
 they differ only in where each symbol's slots sit.
 
-The core works on dictionary ids: build_spread_ids takes a census as a list
-of counts indexed by id, whose order is the dictionary order, and
-static_encode_ids/static_decode_ids code ids with that list. The
-token-keyed build_spread, static_encode and static_decode number the tokens
-(build_spread in dictionary order, the coders in the order of freqs.counts),
-call the id functions and map the result back, so each spread and each loop
-has one implementation; the coders trade the code as a ByteImage. They and
-count_frequencies serve only the tests and perfbench/tracing.py, and go once
-that replay records through the pipeline.
+The core works on ids in any numbering: build_spread_ids takes a census as
+a list of counts indexed by id, plus the ids in dictionary order, so each
+slot gets the owner it has under dictionary numbering. static_encode_ids and
+static_decode_ids code ids with that census; the decoder returns them back
+to front, as it finds them. The token-keyed build_spread, static_encode and
+static_decode number the tokens (build_spread in dictionary order, the
+coders in the order of freqs.counts), call the id functions and map the
+result back, so each spread and each loop has one implementation; the coders
+trade the code as a ByteImage. They and count_frequencies serve only the
+tests and perfbench/tracing.py, and go once that replay records through the
+pipeline.
 
 Keys in the uniform queue are the exact rationals (2k+1)/(2*count); they are
 compared by cross-multiplication, never as floats, with ties going to the
@@ -127,19 +129,22 @@ def _uniform_spread(pairs):
 
 
 def build_spread_ids(
-    strategy: SpreadStrategy, counts: list[int], ids: list[int] | None = None
+    strategy: SpreadStrategy,
+    counts: list[int],
+    order: list[int] | range,
+    ids: list[int] | None = None,
 ) -> list[int]:
     """The spread over ids 0..d-1: entry j is the id owning slot j.
 
-    Id i occurs counts[i] times, and the ids' order is the dictionary order
-    that breaks the uniform spread's ties. The text-order spread is the
-    reversed id stream itself, so it needs `ids`.
+    Id i occurs counts[i] times, and order lists the ids in dictionary order,
+    which places the ranged blocks and breaks the uniform spread's ties. The
+    text-order spread is the reversed id stream itself, so it needs `ids`.
     """
     if strategy is SpreadStrategy.TEXT_ORDER:
         if ids is None:
             raise ValueError("text_order spread needs the id stream")
         return ids[::-1]
-    pairs = list(enumerate(counts))
+    pairs = [(i, counts[i]) for i in order]
     if strategy is SpreadStrategy.RANGED:
         return _ranged_spread(pairs)
     if strategy is SpreadStrategy.UNIFORM:
@@ -194,6 +199,7 @@ def static_decode_ids(
 ) -> list[int]:
     """Decode n ids with the spread; the code must be used up.
 
+    Returns the ids back to front, in the order the decoder finds them.
     Raises CorruptError whenever the bits, the final state, the spread and
     the count do not add up.
     """
@@ -221,16 +227,17 @@ def static_decode_ids(
     del state
     tlen = total.bit_length()
     x = final_state
-    out = []
-    emit = out.append
+    # Sized up front, as the spread already is: a list grown by appends
+    # would end with up to an eighth of its slots spare.
+    out = [0] * n
     data = image.data
     pos = len(data)
     win = 0
     avail = image.bit_length - 8 * pos
     masks = WINDOW_MASKS
-    for _ in range(n):
+    for i in range(n):
         j = x - total
-        emit(spread[j])
+        out[i] = spread[j]
         x = nxt[j]
         if x < total:
             # Take the bits that bring x up to total's length at once; at
@@ -251,7 +258,6 @@ def static_decode_ids(
         raise CorruptError("state did not drain to the table size")
     if avail or pos:
         raise CorruptError("unconsumed code bits after decode")
-    out.reverse()
     return out
 
 
@@ -272,7 +278,8 @@ def build_spread(
         # Only the text-order spread reads the stream.
         ids = _look_up(tokens, {t: i for i, t in enumerate(dictionary)})
     counts = [freqs.counts[t] for t in dictionary]
-    return _look_up(build_spread_ids(strategy, counts, ids), dictionary)
+    spread = build_spread_ids(strategy, counts, range(len(counts)), ids)
+    return _look_up(spread, dictionary)
 
 
 def static_encode(
@@ -308,4 +315,4 @@ def static_decode(
     index = {t: i for i, t in enumerate(keys)}
     counts = list(freqs.counts.values())
     ids = static_decode_ids(code, final_state, _look_up(spread, index), counts, n)
-    return _look_up(ids, keys)
+    return _look_up(reversed(ids), keys)

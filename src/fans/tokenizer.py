@@ -8,7 +8,7 @@ tokens detokenize to one word per line.
 
 iter_tokens reads the input in chunks of about _CHUNK bytes and yields the
 tokens of one chunk at a time, so a caller that consumes them as they come
-(map_ids does) never holds a bytes object per token of the whole input. Each
+(number_ids does) never holds a bytes object per token of the whole input. Each
 chunk is cut where no token can straddle the cut: in lossless mode at the
 first character-class change at or past _CHUNK bytes, in paper mode just
 after the first non-letter there. A run longer than a chunk just makes that
@@ -26,7 +26,7 @@ bytes.join first takes an 80-byte buffer view of every item, so one join
 over a book's worth of short tokens allocates far more than the bytes it
 returns; over slices that overhead is bounded by the slice length, and the
 peak stays near twice the output on a book and within four times it on a
-short text.
+short text. join_back_to_front does the same for a decoder's sequence.
 """
 
 from __future__ import annotations
@@ -106,3 +106,12 @@ def detokenize(tokens: list[bytes], mode: TokenizerMode = TokenizerMode.LOSSLESS
         raise ModeError(f"unknown tokenizer mode: {mode!r}")
     k = _JOIN_SLICE
     return b"".join([sep.join(tokens[i : i + k]) + end for i in range(0, len(tokens), k)])
+
+
+def join_back_to_front(seq: list[int], table: list[bytes]) -> bytes:
+    """The bytes table[i] for each i of seq, read back to front, joined."""
+    get = table.__getitem__
+    k = _JOIN_SLICE
+    return b"".join(
+        [b"".join(map(get, reversed(seq[max(i - k, 0) : i]))) for i in range(len(seq), 0, -k)]
+    )

@@ -22,7 +22,7 @@ from fans.bitio import pack_bits
 from fans.container import unpack_archive
 from fans.errors import CorruptError, FansError
 from fans.fam_codec import fam_decode, fam_decode_ids, fam_encode, fam_encode_ids
-from fans.fam_model import map_ids
+from fans.fam_model import number_ids
 from fans.pipeline import compress, count_ids, decompress, encode_ids
 from fans.static_codec import (
     SpreadStrategy,
@@ -58,18 +58,18 @@ def _check_sequence(tokens: list[bytes]) -> tuple[list[str], list[str]]:
     if fam_decode(code, w0, n) != tokens:
         trips.append("fam")
     d = len(w0)
-    bits, x, l = fam_encode_ids(map_ids(tokens)[1], d)
+    bits, _, x, l = fam_encode_ids(number_ids(tokens)[1], d)
     if (x, l) != (1, 0):
         finals.append(f"encoder x={x} l={l}")
     # A decoder that leaves code bits unread raises CorruptError.
     try:
-        out_ids, final = fam_decode_ids(pack_bits(bits), d, n)
+        recon, final = fam_decode_ids(pack_bits(bits), d, n)
     except CorruptError as exc:
         finals.append(f"decoder: {exc}")
     else:
         if final != n + d:
             finals.append(f"decoder x={final}")
-        if [w0[i] for i in out_ids] != tokens:
+        if [w0[i] for i in reversed(recon) if i != d] != tokens:
             trips.append("fam core")
 
     freqs = count_frequencies(tokens, w0)
@@ -150,7 +150,7 @@ def test_2_hand_trace_vectors(capsys):
     problems = []
     for tokens, want_bits, want_w0 in expected:
         code, w0 = fam_encode(tokens)
-        _, x, _ = fam_encode_ids(map_ids(tokens)[1], len(w0))
+        _, _, x, _ = fam_encode_ids(number_ids(tokens)[1], len(w0))
         if list(code) != want_bits or w0 != want_w0 or x != 1:
             problems.append(f"{tokens}: bits {list(code)}, dict {w0}, final {x}")
     _verdict(
@@ -223,12 +223,12 @@ def test_6_timing_asymmetry(capsys):
     for k in range(copies):
         tag = b"~%d" % (k % 24)
         stream.extend(tok + tag if tok in rare else tok for tok in base)
-    w0, ids = map_ids(stream)
+    w0, ids = number_ids(stream)
     counts = count_ids(ids, len(w0))
 
     # Minimum over repetitions for both coders, the harness's own
     # noise-robustness strategy.
-    fam_seconds, (_bits, x, l) = timed(fam_encode_ids, ids, len(w0), reps=3)
+    fam_seconds, (_bits, _order, x, l) = timed(fam_encode_ids, ids, len(w0), reps=3)
     uniform_seconds, _ = timed(encode_ids, "uniform", ids, len(w0), counts, reps=3)
     ratio = uniform_seconds / fam_seconds
     ok = len(stream) >= 2_000_000 and (x, l) == (1, 0) and ratio >= 3.0

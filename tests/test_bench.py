@@ -20,7 +20,7 @@ from fans.bench import (
 from fans.bitio import pack_bits
 from fans.container import ALGO_FAM, unpack_archive
 from fans.fam_codec import fam_decode_ids, fam_encode_ids
-from fans.fam_model import map_ids
+from fans.fam_model import number_ids, renumber
 from fans.pipeline import compress, count_ids, decode_ids, encode_ids
 from fans.tokenizer import TokenizerMode, tokenize
 
@@ -36,26 +36,28 @@ def test_entropy_known_values():
 
 
 def test_timed_coders_round_trip_in_id_space():
-    # Ids must be numbered by the last-occurrence dictionary, so derive them
-    # from a token stream the same way the harness does.
+    # The encoders take first-sighting ids, as the harness numbers them, and
+    # the decoders give back the stream in dictionary ids.
     rng = random.Random(55)
     raw = b" ".join(bytes([97 + rng.randrange(5)]) for _ in range(300))
-    w0, ids = map_ids(tokenize(raw, TokenizerMode.PAPER))
-    counts = count_ids(ids, len(w0))
+    seen, ids = number_ids(tokenize(raw, TokenizerMode.PAPER))
+    counts = count_ids(ids, len(seen))
     n, d = len(ids), len(counts)
 
-    _, (bits, x, l) = timed(fam_encode_ids, ids, d)
+    _, (bits, order, x, l) = timed(fam_encode_ids, ids, d)
     assert (x, l) == (1, 0)
-    _, (out, final) = timed(fam_decode_ids, pack_bits(bits), d, n)
-    assert out == ids
+    _, (recon, final) = timed(fam_decode_ids, pack_bits(bits), d, n)
+    assert [w for w in reversed(recon) if w != d] == renumber(ids, order)
     assert final == n + d
 
     for name in ("ranged", "uniform", "textorder"):
-        _, (bits, state, _counts) = timed(encode_ids, name, ids, d, counts)
+        _, (bits, state, _counts, order) = timed(encode_ids, name, ids, d, counts)
         archive = unpack_archive(compress(raw, name, TokenizerMode.PAPER))
         assert (pack_bits(bits), state) == (archive.code, archive.final_state)
-        _, out = timed(decode_ids, archive, ids)
-        assert out == ids
+        assert [seen[i] for i in order] == archive.entries
+        text = renumber(ids, order)
+        _, out = timed(decode_ids, archive, text)
+        assert out == text
 
 
 def _check_accounting(record: BenchRecord) -> None:

@@ -14,7 +14,7 @@ import pytest
 from fans import pipeline, selftest
 from fans.cli import main
 from fans.container import ALGO_FAM
-from fans.pipeline import decode_ids
+from fans.pipeline import decode_sequence
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 # Child interpreters import fans from this checkout, installed or not.
@@ -155,12 +155,12 @@ def test_selftest_command(capsys):
 
 def test_selftest_fails_on_a_broken_decoder(monkeypatch, capsys):
     # The selftest decodes through the pipeline, so a decoder that returns
-    # the fam ids reversed must fail it.
+    # the fam sequence reversed must fail it.
     def broken(archive, text=None):
-        ids = decode_ids(archive, text)
-        return ids[::-1] if archive.algo == ALGO_FAM else ids
+        seq = decode_sequence(archive, text)
+        return seq[::-1] if archive.algo == ALGO_FAM else seq
 
-    monkeypatch.setattr(pipeline, "decode_ids", broken)
+    monkeypatch.setattr(pipeline, "decode_sequence", broken)
     assert selftest.run() >= 1
     assert main(["selftest"]) == 1
     assert "exhaustive sweep" in capsys.readouterr().out

@@ -25,7 +25,7 @@ from fans import fam_codec
 from fans.bitio import REFILL_BYTES, WINDOW_MASKS, ByteImage, pack_bits
 from fans.errors import CorruptError, FansError
 from fans.fam_codec import fam_decode, fam_encode, fam_encode_ids
-from fans.fam_model import map_ids
+from fans.fam_model import number_ids
 from fans.pipeline import count_ids
 from fans.static_codec import (
     SpreadStrategy,
@@ -321,7 +321,7 @@ def test_static_encoder_matches_per_bit_oracle(tokens, min_widest, strategy):
     index = {t: i for i, t in enumerate(dictionary)}
     ids = [index[t] for t in tokens]
     counts = count_ids(ids, len(dictionary))
-    table = build_spread_ids(strategy, counts, ids)
+    table = build_spread_ids(strategy, counts, range(len(counts)), ids)
     freqs = StaticFrequencies(dict(enumerate(counts)), len(ids))
     code, state, widest = oracle_static_encode(ids, table, freqs)
     bits, fast_state = static_encode_ids(ids, table, counts)
@@ -333,8 +333,8 @@ def test_static_encoder_matches_per_bit_oracle(tokens, min_widest, strategy):
 @pytest.mark.parametrize("tokens, min_widest", ENCODER_EDGE_CASES)
 def test_fam_encoder_matches_per_bit_oracle(tokens, min_widest):
     code, x, l, widest = oracle_fam_encode(tokens)
-    dictionary, ids = map_ids(tokens)
-    bits, fast_x, fast_l = fam_encode_ids(ids, len(dictionary))
+    seen, ids = number_ids(tokens)
+    bits, _, fast_x, fast_l = fam_encode_ids(ids, len(seen))
     assert list(bits) == code
     assert (fast_x, fast_l) == (x, l) == (1, 0)
     assert widest >= min_widest

@@ -5,7 +5,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fans.fam_model import build_dictionary, map_ids
+from fans.fam_model import build_dictionary, last_occurrence_order, number_ids, renumber
 
 from fam_oracle import LT, build_indices, prepare
 
@@ -18,9 +18,23 @@ def test_build_dictionary_last_occurrence_order():
     assert build_dictionary([]) == []
 
 
-def test_map_ids_numbers_tokens_by_dictionary_index():
-    assert map_ids([A, B, A]) == ([B, A], [1, 0, 1])
-    assert map_ids([]) == ([], [])
+def test_number_ids_numbers_tokens_by_first_sighting():
+    assert number_ids([A, B, A]) == ([A, B], [0, 1, 0])
+    assert number_ids([B, A, A, b"c", B]) == ([B, A, b"c"], [0, 1, 1, 2, 0])
+    assert number_ids([]) == ([], [])
+
+
+def test_last_occurrence_order_known_vectors():
+    assert last_occurrence_order([0, 1, 0]) == [1, 0]
+    assert last_occurrence_order([0, 1, 1, 2, 0]) == [1, 2, 0]
+    assert last_occurrence_order([2, 0, 1]) == [2, 0, 1]
+    assert last_occurrence_order([]) == []
+
+
+def test_renumber_gives_dictionary_ids():
+    assert renumber([0, 1, 0], [1, 0]) == [1, 0, 1]
+    assert renumber([0, 1, 1, 2, 0], [1, 2, 0]) == [2, 0, 0, 1, 2]
+    assert renumber([], []) == []
 
 
 def test_prepare_known_vectors():
@@ -102,9 +116,12 @@ def test_dictionary_order_matches_last_occurrences():
 
 
 @given(_token_lists)
-def test_map_ids_takes_an_iterator_as_a_list(tokens):
-    dictionary, ids = map_ids(tokens)
-    assert map_ids(iter(tokens)) == (dictionary, ids)
-    assert map_ids(t for t in tokens) == (dictionary, ids)
-    assert [dictionary[i] for i in ids] == tokens
+def test_number_ids_takes_an_iterator_as_a_list(tokens):
+    seen, ids = number_ids(tokens)
+    assert number_ids(iter(tokens)) == (seen, ids)
+    assert number_ids(t for t in tokens) == (seen, ids)
+    assert [seen[i] for i in ids] == tokens
+    order = last_occurrence_order(ids)
+    dictionary = [seen[i] for i in order]
+    assert [dictionary[i] for i in renumber(ids, order)] == tokens
     assert build_dictionary(iter(tokens)) == dictionary

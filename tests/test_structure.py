@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import fans
-from fans import pipeline
+from fans import fam_model, pipeline
 from fans.container import unpack_archive
 from fans.tokenizer import TokenizerMode
 
@@ -287,6 +287,46 @@ def test_guard_flags_third_party_imports(tmp_path):
         "import fans.cli\n"
     )
     assert len(_third_party_imports(sample)) == 4
+
+
+def _renumber_uses(path: Path) -> list[str]:
+    """Imports and calls of fam_model.renumber, under its own name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call):
+            names = [ast.unparse(node.func).split(".")[-1]]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names if name == "renumber"]
+    return found
+
+
+def test_compress_and_the_cli_number_once():
+    # Both coders take first-sighting ids, so compress and `fans entropy`
+    # number each stream once; renumbering into dictionary ids is for the
+    # benchmark and the tests, whose decoded ids come back in them.
+    assert _renumber_uses(PACKAGE / "pipeline.py") == []
+    assert _renumber_uses(PACKAGE / "cli.py") == []
+    assert _renumber_uses(PACKAGE / "bench.py")
+    assert not hasattr(fam_model, "map_ids")
+
+
+def test_guard_flags_renumbering(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .fam_model import number_ids, renumber\n"
+        "from fans.fam_model import renumber as dictionary_ids\n"
+        "import fans.fam_model as fm\n"
+        "ids = fm.renumber(first, order)\n"
+        "ids = renumber(first, order)\n"
+        "renumbered = number_ids(tokens)\n"
+        "renumber_later = True\n"
+    )
+    flagged = sorted(v.split(":")[1] for v in _renumber_uses(sample))
+    assert flagged == ["1 renumber", "2 renumber", "4 renumber", "5 renumber"]
 
 
 def _unraised_errors(errors: Path, sources: list[Path]) -> list[str]:
