@@ -13,8 +13,10 @@ import pytest
 
 from fans import pipeline, selftest
 from fans.cli import main
-from fans.container import ALGO_FAM
+from fans.container import ALGO_FAM, unpack_archive
 from fans.pipeline import decode_sequence
+
+from archive_v1 import v1_bytes
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 # Child interpreters import fans from this checkout, installed or not.
@@ -67,11 +69,11 @@ def test_textorder_archive_is_not_decodable(tmp_path, capsys):
 
 
 def test_filtered_archive_is_not_decodable(tmp_path, capsys):
-    # Flag bit 1: an older build ran the dictionary through an external filter.
+    # Flag bit 1: an older build ran the dictionary through an external
+    # filter. Only version 1 has the flag, so the archive is rewritten in
+    # that layout.
     src, arc = _compress(tmp_path, b"abc def abc abc def")
-    data = bytearray(arc.read_bytes())
-    data[6] = 0x02
-    arc.write_bytes(bytes(data))
+    arc.write_bytes(v1_bytes(unpack_archive(arc.read_bytes()), flags=0x02))
     assert main(["decompress", "-o", str(tmp_path / "out.bin"), str(arc)]) == 1
     assert "external filter" in capsys.readouterr().err
     assert main(["verify", str(arc), str(src)]) == 1

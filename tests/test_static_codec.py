@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fans.bitio import ByteImage, pack_bits
+from fans.bitio import ByteImage, pack_bits, read_varint
 from fans.container import ALGO_RANGED, ALGO_UNIFORM, pack_archive, unpack_archive
 from fans.errors import CorruptError
 from fans.static_codec import (
@@ -208,11 +209,19 @@ def _frequency_section(freqs: StaticFrequencies, dictionary: list[bytes]) -> byt
         final_state=0, freqs=freqs,
     )
     sizes = unpack_archive(data).sizes
-    return data[sizes.total - sizes.code - sizes.freqs : sizes.total - sizes.code]
+    # The section ends where the code and the 4 CRC bytes begin; it holds the
+    # raw length, the deflated length, then the raw deflate stream.
+    start = sizes.total - 4 - sizes.code - sizes.freqs
+    raw_len, used = read_varint(data, start)
+    size, more = read_varint(data, start + used)
+    assert used + more + size == sizes.freqs
+    raw = zlib.decompress(data[start + used + more : start + sizes.freqs], wbits=-15)
+    assert len(raw) == raw_len
+    return raw
 
 
 def test_serialize_frequencies_vectors():
-    # The frequency section holds varint counts in dictionary order.
+    # The frequency section inflates to varint counts in dictionary order.
     freqs = StaticFrequencies({b"a": 2, b"b": 1}, 3)
     assert _frequency_section(freqs, [b"b", b"a"]) == b"\x01\x02"
     assert _frequency_section(freqs, [b"a", b"b"]) == b"\x02\x01"

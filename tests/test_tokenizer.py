@@ -191,6 +191,17 @@ def test_chunk_cuts_split_no_token(data, size, mode):
     assert _chunked(data, mode, size) == _one_shot(data, mode)
 
 
+# Paper tokens as the letter runs of the lowered input, the regex the
+# translate-and-split tokenizer replaced; it must give the same list.
+_PAPER_ORACLE = re.compile(rb"[A-Za-z]+")
+
+
+@given(st.binary(max_size=512), st.integers(1, 16))
+@example(bytes(range(256)), 7)
+def test_paper_matches_the_regex_oracle(data, size):
+    assert _chunked(data, TokenizerMode.PAPER, size) == _PAPER_ORACLE.findall(data.lower())
+
+
 def test_corpus_tokens_cross_many_chunks():
     raw = (_CORPUS / "alice29.txt").read_bytes()
     for mode in TokenizerMode:
