@@ -1,18 +1,25 @@
 """Benchmark harness: per-file, per-algorithm size and timing rows.
 
-Each row's archive is the one `compress` writes, and its byte accounting comes
-straight from the archive parser: dict_bytes includes the fixed header, so
-code + dict (+ freqs + final-state varint for static rows) always equals the
-file size exactly.
+Each row tokenizes and numbers its file once. The timed encode region is
+`encode_ids`, model/table construction plus the coding loop (for the adaptive
+coder that means building the prepared-sequence indices, for the static
+coders building the spread table); the row's archive is packed from that same
+result by `pipeline.pack_coded`, compress's own pack step, so it is the
+archive `compress` writes. Its byte accounting comes straight from the
+archive parser: dict_bytes includes the fixed header, so code + dict
+(+ freqs + final-state varint for static rows) always equals the file size
+exactly.
 
-Tokenizing, numbering and frequency counting happen outside the clock; the
-timed encode region is `encode_ids`, model/table construction plus the coding
-loop (for the adaptive coder that means building the prepared-sequence
-indices, for the static coders building the spread table). The timed decode
-region is `decode_ids` on the row's archive: the static decoders rebuild their
-table the way a standalone decoder would, the adaptive decoder regrows its
-model in-loop, and the ids are read off the decoder's sequence. Times are the
-minimum over the requested repetitions.
+The textorder row is the paper's size yardstick for the static coders: its
+slots follow the reversed token stream, so no archive can carry its table.
+It is packed with the uniform layout, since a static archive's layout does
+not depend on its spread, and decoded with the stream in hand.
+
+The timed decode region is `decode_ids` on the row's archive: the static
+decoders rebuild their table the way a standalone decoder would, the
+adaptive decoder regrows its model in-loop, and the ids are read off the
+decoder's sequence. Tokenizing, numbering, counting and packing happen
+outside the clock. Times are the minimum over the requested repetitions.
 """
 
 from __future__ import annotations
@@ -22,12 +29,13 @@ import time
 from collections import namedtuple
 from pathlib import Path
 
-from .bitio import pack_bits
 from .container import unpack_archive
 from .errors import CorruptError, FansError
 from .fam_model import number_ids, renumber
-from .pipeline import compress, count_ids, decode_ids, encode_ids
+from .pipeline import count_ids, decode_ids, encode_ids, pack_coded
 from .tokenizer import TokenizerMode, iter_tokens
+
+ALGOS = ("fam", "ranged", "uniform", "textorder")
 
 
 BenchRecord = namedtuple(
@@ -68,7 +76,6 @@ def bench_file(
     notes: list[str] = []
     raw = Path(path).read_bytes()
     name = Path(path).name
-    archive = unpack_archive(compress(raw, algo, mode))
     seen, ids = number_ids(iter_tokens(raw, mode))
     n, d = len(ids), len(seen)
     if not n:
@@ -76,15 +83,16 @@ def bench_file(
     counts = count_ids(ids, d)
     entropy_bits = compute_entropy(counts, n)
 
-    enc_s, (bits, _state, _counts, order) = timed(encode_ids, algo, ids, d, counts, reps=reps)
-    if pack_bits(bits) != archive.code:
-        raise CorruptError(f"{name}: timed {algo} code differs from the archive's")
-    if [seen[i] for i in order] != archive.entries:
-        raise CorruptError(f"{name}: timed {algo} dictionary differs from the archive's")
+    enc_s, coded = timed(encode_ids, algo, ids, d, counts, reps=reps)
+    # No archive carries a text-order table, and a static archive's layout
+    # does not depend on its spread.
+    layout = "uniform" if algo == "textorder" else algo
+    archive = unpack_archive(pack_coded(layout, mode, seen, n, coded))
     # decode_ids gives dictionary ids, and the textorder table is built from
     # the stream in them.
-    ids = renumber(ids, order)
-    dec_s, out_ids = timed(decode_ids, archive, ids, reps=reps)
+    ids = renumber(ids, coded[3])
+    text = ids if algo == "textorder" else None
+    dec_s, out_ids = timed(decode_ids, archive, text, reps=reps)
     if out_ids != ids:
         raise CorruptError(f"{name}: {algo} round trip mismatch")
 

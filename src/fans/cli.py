@@ -58,12 +58,12 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     # bench and selftest are imported by their own commands only, so that
     # compress and decompress calls do not load them.
-    from .bench import bench_dir, format_csv, format_markdown
+    from .bench import ALGOS, bench_dir, format_csv, format_markdown
 
     mode = TokenizerMode(args.mode)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for algo in algos:
-        if algo not in ALGO_IDS:
+        if algo not in ALGOS:
             raise FansError(f"unknown algorithm {algo!r}")
     records, notes = bench_dir(Path(args.corpus), algos, mode, reps=args.reps)
     formatter = format_markdown if args.format == "markdown" else format_csv
@@ -152,10 +152,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FansError as exc:
-        print(f"fans: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FansError, OSError) as exc:
         print(f"fans: {exc}", file=sys.stderr)
         return 1
 

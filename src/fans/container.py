@@ -25,6 +25,11 @@ Flag bit 1 exists in version 1 only: it means an older build passed the
 dictionary blob through an external filter command. Such archives still
 parse (with no dictionary entries) but do not decode.
 
+Algo byte 3 was a text-order archive, which older builds wrote for size
+comparison. Its table is the reversed text, which the archive does not hold,
+so the reader refuses that byte with NotDecodableError and the writer no
+longer takes it.
+
 Adaptive archives carry neither frequencies nor a final state: the decoder
 rebuilds both. Flag bit 0 set means the tokens came from the words-only
 tokenizer (the original bytes are not recoverable).
@@ -42,6 +47,7 @@ from .errors import (
     BadVersion,
     CorruptError,
     InconsistentFields,
+    NotDecodableError,
     TrailingBytes,
     TruncatedError,
 )
@@ -55,14 +61,9 @@ _CRC_BYTES = 4
 ALGO_FAM = 0
 ALGO_RANGED = 1
 ALGO_UNIFORM = 2
-ALGO_TEXT_ORDER = 3
+ALGO_TEXT_ORDER = 3  # read only to be refused
 
-ALGO_NAMES = {
-    ALGO_FAM: "fam",
-    ALGO_RANGED: "ranged",
-    ALGO_UNIFORM: "uniform",
-    ALGO_TEXT_ORDER: "textorder",
-}
+ALGO_NAMES = {ALGO_FAM: "fam", ALGO_RANGED: "ranged", ALGO_UNIFORM: "uniform"}
 ALGO_IDS = {name: algo for algo, name in ALGO_NAMES.items()}
 
 _FLAG_PAPER = 0x01
@@ -235,6 +236,11 @@ def unpack_archive(data: bytes) -> Archive:
     else:
         raise BadVersion(f"unsupported version {version}")
     algo = data[5]
+    if algo == ALGO_TEXT_ORDER:
+        raise NotDecodableError(
+            "text-order archives, which older builds wrote for size comparison, "
+            "cannot be decoded: their table is the reversed text"
+        )
     if algo not in ALGO_NAMES:
         raise CorruptError(f"unknown algo id {algo}")
     flags = data[6]

@@ -1,15 +1,22 @@
 """Library entry points: bytes to archive and back, through ids.
 
 compress numbers the tokens once, by first sighting, as the tokenizer yields
-them, so it holds the stream as ids and never as tokens; the coders return
-the dictionary order with the code. decompress joins the output straight
-from the sequence the decoder rebuilt, back to front. encode_ids and
-decode_ids are the coding stage alone, model or table build plus the coding
-loop, which is what the benchmark times.
+them, so it holds the stream as ids and never as tokens; encode_ids codes
+them, and pack_coded turns the coder's result into the archive: the
+dictionary in the coder's order, the counts, the packed code bits and the
+container. decompress joins the output straight from the sequence the
+decoder rebuilt, back to front. encode_ids and decode_ids are the coding
+stage alone, model or table build plus the coding loop, which is what the
+benchmark times; it packs each row's archive with pack_coded from the same
+result.
 
 The static coders' table is the spread, a list whose entry j is the id that
 owns slot j, laid out in dictionary order. The encoder derives each id's
-slot table from it, and the decoder its next-state table.
+slot table from it, and the decoder its next-state table. encode_ids also
+takes "textorder", the spread that follows the reversed id stream: the
+benchmark's size yardstick, which no archive can carry, since its table is
+the text. decode_ids reads a static archive with that table when given the
+text.
 
 This is the only module in the package that imports a coder; the CLI, the
 benchmark harness and the selftest reach the coders through it. The static
@@ -24,7 +31,6 @@ from .container import (
     ALGO_FAM,
     ALGO_IDS,
     ALGO_NAMES,
-    ALGO_TEXT_ORDER,
     Archive,
     pack_archive,
     unpack_archive,
@@ -69,22 +75,17 @@ def encode_ids(
 def decode_sequence(archive: Archive, text: list[int] | None = None) -> list[int]:
     """Decode an archive's code section to dictionary ids, back to front.
 
-    The adaptive decoder's sequence also holds its markers, id d. A
-    text-order table is the reversed id stream itself, so only a caller that
-    already holds it (`text`) can decode such an archive.
+    The adaptive decoder's sequence also holds its markers, id d. Given the
+    id stream in dictionary ids (`text`), a static archive is read with the
+    text-order table, the reversed stream.
     """
     if archive.algo == ALGO_FAM:
         return fam_decode_ids(archive.code, archive.d, archive.n)[0]
-    if archive.algo == ALGO_TEXT_ORDER and text is None:
-        raise NotDecodableError(
-            "text-order archives are for size comparison only: their table is "
-            "the reversed text and cannot be rebuilt from the archive"
-        )
     from .static_codec import SpreadStrategy, build_spread_ids, static_decode_ids
 
     counts = archive.freqs
-    strategy = SpreadStrategy(ALGO_NAMES[archive.algo])
-    spread = build_spread_ids(strategy, counts, range(archive.d), text)
+    name = ALGO_NAMES[archive.algo] if text is None else "textorder"
+    spread = build_spread_ids(SpreadStrategy(name), counts, range(archive.d), text)
     return static_decode_ids(archive.code, archive.final_state, spread, counts, archive.n)
 
 
@@ -95,16 +96,13 @@ def decode_ids(archive: Archive, text: list[int] | None = None) -> list[int]:
     return ids
 
 
-def compress(
-    raw: bytes,
-    algo: str = "fam",
-    mode: TokenizerMode = TokenizerMode.LOSSLESS,
-) -> bytes:
-    """Archive bytes for raw."""
-    seen, ids = number_ids(iter_tokens(raw, mode))
-    n = len(ids)
-    bits, final_state, counts, order = encode_ids(algo, ids, len(seen))
-    del ids
+def pack_coded(algo: str, mode: TokenizerMode, seen: list[bytes], n: int, coded) -> bytes:
+    """Archive bytes from encode_ids's result: compress's pack step.
+
+    seen lists the distinct tokens by first sighting, as number_ids returns
+    them, and n counts the tokens coded.
+    """
+    bits, final_state, counts, order = coded
     dictionary = [seen[i] for i in order]
     freqs = None
     if counts is not None:
@@ -120,6 +118,21 @@ def compress(
         final_state=final_state,
         freqs=freqs,
     )
+
+
+def compress(
+    raw: bytes,
+    algo: str = "fam",
+    mode: TokenizerMode = TokenizerMode.LOSSLESS,
+) -> bytes:
+    """Archive bytes for raw; algo is one of ALGO_IDS."""
+    if algo not in ALGO_IDS:
+        raise ValueError(f"unknown algorithm {algo!r}: choose {', '.join(ALGO_IDS)}")
+    seen, ids = number_ids(iter_tokens(raw, mode))
+    n = len(ids)
+    coded = encode_ids(algo, ids, len(seen))
+    del ids
+    return pack_coded(algo, mode, seen, n, coded)
 
 
 def decompress(data: bytes) -> bytes:

@@ -23,8 +23,8 @@ pipeline.
 Keys in the uniform queue are the exact rationals (2k+1)/(2*count); they are
 compared by cross-multiplication, never as floats, with ties going to the
 smaller dictionary index. The text_order spread exists for size and timing
-comparisons: its table is the reversed input, so it cannot be rebuilt from an
-archive alone.
+comparisons: its table is the reversed input, which no archive holds, so the
+benchmark codes with it but no archive is written with it.
 
 Each direction derives its table from the spread in one pass, into
 arrays of 4 bytes a slot (8 past 2**31 slots; see bitio.table_typecode), not

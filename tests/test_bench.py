@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from fans.bitio import pack_bits
 from fans.container import ALGO_FAM, unpack_archive
 from fans.fam_codec import fam_decode_ids, fam_encode_ids
 from fans.fam_model import number_ids, renumber
-from fans.pipeline import compress, count_ids, decode_ids, encode_ids
-from fans.tokenizer import TokenizerMode, tokenize
+from fans.pipeline import compress, count_ids, decode_ids, encode_ids, pack_coded
+from fans.tokenizer import TokenizerMode, iter_tokens, tokenize
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 ALGOS = ["fam", "ranged", "uniform", "textorder"]
@@ -50,14 +51,62 @@ def test_timed_coders_round_trip_in_id_space():
     assert [w for w in reversed(recon) if w != d] == renumber(ids, order)
     assert final == n + d
 
-    for name in ("ranged", "uniform", "textorder"):
+    for name in ("ranged", "uniform"):
         _, (bits, state, _counts, order) = timed(encode_ids, name, ids, d, counts)
         archive = unpack_archive(compress(raw, name, TokenizerMode.PAPER))
         assert (pack_bits(bits), state) == (archive.code, archive.final_state)
         assert [seen[i] for i in order] == archive.entries
-        text = renumber(ids, order)
-        _, out = timed(decode_ids, archive, text)
-        assert out == text
+        _, out = timed(decode_ids, archive)
+        assert out == renumber(ids, order)
+
+    # The text-order table is the stream itself: its code goes in a uniform
+    # layout, and only a decoder given the stream can read it.
+    _, coded = timed(encode_ids, "textorder", ids, d, counts)
+    archive = unpack_archive(pack_coded("uniform", TokenizerMode.PAPER, seen, n, coded))
+    text = renumber(ids, coded[3])
+    _, out = timed(decode_ids, archive, text)
+    assert out == text
+
+
+def _model_bits(ids: list[int], d: int) -> float:
+    """Sum of log2(l / fw) over the adaptive encoder's steps.
+
+    l is the table size at the step and fw the coded symbol's live frequency;
+    a token's last occurrence is coded as the marker, id d, with its fw.
+    """
+    f = [c - 1 for c in count_ids(ids, d)]
+    f.append(d)
+    l = len(ids) + d
+    bits = 0.0
+    for w in ids:
+        if f[w] == 0:
+            w = d
+            l -= 1
+        bits += math.log2(l / f[w])
+        l -= 1
+        f[w] -= 1
+    return bits
+
+
+@pytest.mark.parametrize("mode", ["lossless", "paper"])
+@pytest.mark.parametrize("name", ["alice29.txt", "asyoulik.txt"])
+def test_code_sizes_track_the_model_and_the_entropy(name, mode):
+    # The paper's claim: forward modelling codes below the static entropy H.
+    # The adaptive code stays within 1% of its model's information (+0.44%
+    # to +0.72% on these inputs), the model is below H, and the uniform
+    # static code is within 1% of H (+0.001% to +0.067%). A change that still
+    # round-trips but codes worse fails here.
+    raw = (CORPUS / name).read_bytes()
+    mode = TokenizerMode(mode)
+    seen, ids = number_ids(iter_tokens(raw, mode))
+    n, d = len(ids), len(seen)
+    entropy = compute_entropy(count_ids(ids, d), n)
+    model = _model_bits(ids, d)
+    fam = unpack_archive(compress(raw, "fam", mode)).code.bit_length
+    uniform = unpack_archive(compress(raw, "uniform", mode)).code.bit_length
+    assert fam <= 1.01 * model, (fam, model)
+    assert model < entropy, (model, entropy)
+    assert uniform <= 1.01 * entropy, (uniform, entropy)
 
 
 def _check_accounting(record: BenchRecord) -> None:

@@ -15,8 +15,9 @@ from fans import pipeline, selftest
 from fans.cli import main
 from fans.container import ALGO_FAM, unpack_archive
 from fans.pipeline import decode_sequence
+from fans.tokenizer import TokenizerMode
 
-from archive_v1 import v1_bytes
+from archive_v1 import text_order_archives, v1_bytes
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 # Child interpreters import fans from this checkout, installed or not.
@@ -62,10 +63,27 @@ def test_paper_mode_emits_tokens(tmp_path, capsys):
 
 
 def test_textorder_archive_is_not_decodable(tmp_path, capsys):
-    _, arc = _compress(tmp_path, b"some words here some", "-a", "textorder")
-    out = tmp_path / "out.bin"
-    assert main(["decompress", "-o", str(out), str(arc)]) == 1
-    assert "size comparison" in capsys.readouterr().err
+    # Older builds wrote text-order archives; fans refuses them in both
+    # versions, and no longer writes them.
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"some words here some")
+    for data in text_order_archives(src.read_bytes(), TokenizerMode.LOSSLESS):
+        arc = tmp_path / "input.fans"
+        arc.write_bytes(data)
+        assert main(["decompress", "-o", str(tmp_path / "out.bin"), str(arc)]) == 1
+        assert "text-order" in capsys.readouterr().err
+        assert main(["verify", str(arc), str(src)]) == 1
+        assert "archive rejected" in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()
+
+
+def test_compress_refuses_textorder(tmp_path):
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"some words here some")
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", "-a", "textorder", "-o", str(tmp_path / "x"), str(src)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_filtered_archive_is_not_decodable(tmp_path, capsys):

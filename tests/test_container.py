@@ -1,4 +1,5 @@
-"""Archive format tests: frozen byte vectors, validation, the refused filter flag.
+"""Archive format tests: frozen byte vectors, validation, the refused filter flag
+and the refused text-order algo byte.
 
 fans writes version 2. The version-1 vectors stay as decode fixtures, with
 their damage tests: version-1 archives are still read.
@@ -16,6 +17,7 @@ from fans.bitio import ByteImage, put_varint
 from fans.container import (
     ALGO_FAM,
     ALGO_RANGED,
+    ALGO_TEXT_ORDER,
     ALGO_UNIFORM,
     encode_dict_entries,
     pack_archive,
@@ -39,7 +41,7 @@ from fans.pipeline import decompress
 from fans.static_codec import StaticFrequencies
 from fans.tokenizer import TokenizerMode
 
-from archive_v1 import v1_bytes
+from archive_v1 import sealed, v1_bytes
 
 # fam archives of a b a: version 1 (read only), and version 2 as written:
 # header, deflated dictionary section (raw length 4, deflated length 6), the
@@ -248,11 +250,27 @@ def test_filtered_flag_parses_but_is_not_decodable():
         decompress(filtered)
 
 
+def test_text_order_archives_are_refused():
+    # Algo 3 marked text-order archives, whose table is the reversed text.
+    # Nothing writes one, and the reader refuses the byte in both versions.
+    code = ByteImage(b"\x04", 3)
+    freqs = StaticFrequencies({b"a": 2, b"b": 1}, 3)
+    with pytest.raises(InconsistentFields):
+        pack_archive(
+            ALGO_TEXT_ORDER, TokenizerMode.LOSSLESS, 3, [b"a", b"b"], code,
+            final_state=3, freqs=freqs,
+        )
+    with pytest.raises(NotDecodableError, match="text-order"):
+        unpack_archive(sealed(STATIC_AB_V2[:5] + b"\x03" + STATIC_AB_V2[6:-4]))
+    with pytest.raises(NotDecodableError, match="text-order"):
+        unpack_archive(STATIC_AB[:5] + b"\x03" + STATIC_AB[6:])
+
+
 def test_version_2_refuses_the_filter_flag():
     # Only version 1 has flag bit 1; in version 2 it is a reserved bit.
     body = FAM_ABA_V2[:6] + b"\x02" + FAM_ABA_V2[7:-4]
     with pytest.raises(CorruptError, match="reserved flag"):
-        unpack_archive(_sealed(body))
+        unpack_archive(sealed(body))
 
 
 def test_checksum_catches_every_flip():
@@ -273,11 +291,6 @@ def test_checksum_catches_every_flip():
         unpack_archive(FAM_ABA_V2[:-1])
     with pytest.raises(CorruptError, match="checksum"):
         unpack_archive(FAM_ABA_V2 + b"\x00")
-
-
-def _sealed(body: bytes) -> bytes:
-    """body with its CRC-32 appended, so the reader gets past the checksum."""
-    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def _deflate(raw: bytes) -> bytes:
@@ -301,9 +314,9 @@ FREQS_AB = b"\x02\x01"
 def _with_section(which: str, section: bytes) -> bytes:
     """A sealed archive with one section replaced by `section`."""
     if which == "dictionary":
-        return _sealed(FAM_ABA_V2[:10] + section + b"\x09")
+        return sealed(FAM_ABA_V2[:10] + section + b"\x09")
     dict_section = _section(len(DICT_AB), _deflate(DICT_AB))
-    return _sealed(STATIC_AB_V2[:11] + dict_section + section + b"\x04")
+    return sealed(STATIC_AB_V2[:11] + dict_section + section + b"\x04")
 
 
 RAW = {"dictionary": DICT_BA, "frequency": FREQS_AB}

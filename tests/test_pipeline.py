@@ -1,9 +1,11 @@
-"""Library entry points: whole archives pinned, and the bench writes the same."""
+"""Library entry points: whole archives pinned, the bench writes the same, and
+damage past the checksum still ends in a FansError."""
 
 from __future__ import annotations
 
 import gc
 import hashlib
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -11,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fans import pipeline
 from fans.bench import bench_file
-from fans.container import unpack_archive
+from fans.container import ALGO_TEXT_ORDER, unpack_archive
+from fans.errors import FansError, NotDecodableError
 from fans.fam_codec import fam_decode_ids, fam_encode_ids
 from fans.fam_model import number_ids
 from fans.pipeline import compress, decode_ids, decompress, encode_ids
 from fans.tokenizer import TokenizerMode, tokenize
 
-from archive_v1 import v1_bytes
+from archive_v1 import sealed, text_order_archives, v1_bytes
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 ALICE = CORPUS / "alice29.txt"
@@ -27,6 +31,8 @@ ALICE = CORPUS / "alice29.txt"
 # were recorded before the CLI, the bench and the library shared one
 # pipeline, and fans has since written them in version 2; the fields of each
 # version-2 archive, written back in version-1 layout, must still give them.
+# No writer makes text-order archives any more: their pins hash the rebuilds
+# in archive_v1, which the reader must refuse.
 DIGESTS = {
     ("lossless", "fam"): "9d2432c158f85bfc05ccef93db3bb46cb9b8deca0ee90f2db9cdaaef720ae01c",
     ("lossless", "ranged"): "ad7d62f7f13075a86c56718579298157152b58099c4120370c0972b832e295a2",
@@ -38,7 +44,8 @@ DIGESTS = {
     ("paper", "textorder"): "f351142fbb9da9ad520b30ae1a8f372dc938c5d4660b59f475f485092011a443",
 }
 # SHA-256 of compress(alice29.txt, algo, mode), the version-2 archive. Any
-# change here is a format change.
+# change here is a format change, and a text-order one a change to the
+# text-order code.
 DIGESTS_V2 = {
     ("lossless", "fam"): "022d8e444e6eed4fe2513566be891f7c07060b630d1f7023c10996ef5f6bf021",
     ("lossless", "ranged"): "d902b78647520fcbbd18c7858a7f1fdc7def8e75ffe302d42105b48ccf2d4ff2",
@@ -54,13 +61,19 @@ DIGESTS_V2 = {
 @pytest.mark.parametrize("mode,algo", sorted(DIGESTS))
 def test_archive_bytes_are_pinned(mode, algo):
     raw = ALICE.read_bytes()
-    archive = compress(raw, algo, TokenizerMode(mode))
+    if algo == "textorder":
+        archive, old = text_order_archives(raw, TokenizerMode(mode))
+    else:
+        archive = compress(raw, algo, TokenizerMode(mode))
+        old = v1_bytes(unpack_archive(archive))
     assert hashlib.sha256(archive).hexdigest() == DIGESTS_V2[mode, algo]
-    old = v1_bytes(unpack_archive(archive))
     assert hashlib.sha256(old).hexdigest() == DIGESTS[mode, algo]
     record, _ = bench_file(ALICE, algo, TokenizerMode(mode))
     assert record.total_bytes == len(archive)
     if algo == "textorder":
+        for data in (archive, old):
+            with pytest.raises(NotDecodableError, match="text-order"):
+                decompress(data)
         return
     if mode == "lossless":
         want = raw
@@ -68,6 +81,44 @@ def test_archive_bytes_are_pinned(mode, algo):
         want = b"".join(t + b"\n" for t in tokenize(raw, TokenizerMode.PAPER))
     assert decompress(archive) == want
     assert decompress(old) == want
+
+
+@pytest.mark.parametrize("algo", ["bogus", "textorder"])
+def test_compress_checks_the_algorithm_before_tokenizing(algo, monkeypatch):
+    def tokenize_nothing(raw, mode):
+        raise AssertionError("compress tokenized before it checked the algorithm")
+
+    monkeypatch.setattr(pipeline, "iter_tokens", tokenize_nothing)
+    with pytest.raises(ValueError, match="fam, ranged, uniform"):
+        compress(b"some words here", algo)
+
+
+@pytest.mark.parametrize("mode", ["lossless", "paper"])
+@pytest.mark.parametrize("algo", ["fam", "ranged", "uniform"])
+def test_resealed_damage_raises_fans_errors(algo, mode):
+    # The CRC refuses every damaged copy before the parser or a decoder sees
+    # it (acceptance 8). Resealing the CRC after the damage keeps what lies
+    # behind it tested: each copy must be refused with a FansError or decode
+    # to some output, never fail with another exception.
+    raw = (CORPUS / "asyoulik.txt").read_bytes()[:4096]
+    data = compress(raw, algo, TokenizerMode(mode))
+    rng = random.Random(f"{algo}-{mode}")
+    bare = []
+    for _ in range(300):
+        body = bytearray(data[:-4])
+        offset = rng.randrange(len(body))
+        body[offset] ^= rng.randrange(1, 256)
+        try:
+            decompress(sealed(body))
+        except FansError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - anything unstructured is a failure
+            bare.append(f"offset {offset}: {exc!r}")
+    assert bare == []
+    body = bytearray(data[:-4])
+    body[5] = ALGO_TEXT_ORDER
+    with pytest.raises(NotDecodableError):
+        decompress(sealed(body))
 
 
 @settings(max_examples=150, deadline=None)
