@@ -56,6 +56,32 @@ def compute_entropy(counts, total: int) -> float:
     return sum(c * (log2_total - math.log2(c)) for c in counts)
 
 
+def model_bits(ids: list[int], d: int) -> float:
+    """Sum of log2(l / fw) over the adaptive encoder's steps.
+
+    l is the table size at the step and fw the coded symbol's live frequency;
+    a token's last occurrence is coded as the marker, id d, with its fw.
+    """
+    f = [c - 1 for c in count_ids(ids, d)]
+    f.append(d)
+    l = len(ids) + d
+    bits = 0.0
+    for w in ids:
+        if f[w] == 0:
+            w = d
+            l -= 1
+        bits += math.log2(l / f[w])
+        l -= 1
+        f[w] -= 1
+    return bits
+
+
+def _check_algos(algos) -> None:
+    for algo in algos:
+        if algo not in ALGOS:
+            raise ValueError(f"unknown algorithm {algo!r}: bench takes {', '.join(ALGOS)}")
+
+
 def timed(fn, *args, reps: int = 1):
     """(min seconds over reps, last result) of fn(*args)."""
     best = math.inf
@@ -73,6 +99,7 @@ def bench_file(
     reps: int = 1,
 ) -> tuple[BenchRecord, list[str]]:
     """One (file, algorithm) row plus free-form notes for stderr."""
+    _check_algos([algo])
     notes: list[str] = []
     raw = Path(path).read_bytes()
     name = Path(path).name
@@ -124,6 +151,7 @@ def bench_dir(
     reps: int = 1,
 ) -> tuple[list[BenchRecord], list[str]]:
     """All (file, algo) pairs under a directory; per-file errors are notes."""
+    _check_algos(algos)
     records: list[BenchRecord] = []
     notes: list[str] = []
     paths = sorted(p for p in Path(corpus_dir).iterdir() if p.is_file())

@@ -74,16 +74,18 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    from .bench import compute_entropy
+    from .bench import compute_entropy, model_bits
 
     raw = Path(args.input).read_bytes()
     mode = TokenizerMode(args.mode)
-    # The entropy does not depend on the numbering.
+    # Neither figure depends on the numbering.
     seen, ids = number_ids(iter_tokens(raw, mode))
-    bits = compute_entropy(count_ids(ids, len(seen)), len(ids))
+    d = len(seen)
+    bits = compute_entropy(count_ids(ids, d), len(ids))
     print(f"tokens: {len(ids)}")
     print(f"entropy_bits: {bits:.4f}")
     print(f"entropy_bytes: {bits / 8:.1f}")
+    print(f"model_bits: {model_bits(ids, d):.4f}")
     return 0
 
 

@@ -1,14 +1,16 @@
 """Single-file archive format; this module owns every byte of it.
 
-Version 2, the one written, in order: magic "FANS", version byte, algo byte,
+Version 3, the one written, in order: magic "FANS", version byte, algo byte,
 flags byte, then varints n, d, code_bit_len, an optional final-state varint
-(static algos only), the dictionary section, an optional frequency section
-(static algos only), the packed code bits, and last the CRC-32 of every byte
-before it (4 bytes, little-endian). The dictionary blob holds d entries,
-each a varint length plus the token bytes; the frequency blob holds d
-varint counts in dictionary order. Each blob is stored deflated, as a
-section: varint raw length, varint deflated length, then the raw deflate
-stream (zlib's default level, no zlib header). Every section length is
+(static algos only), the dictionary lengths section, the dictionary bytes
+section, an optional frequency section (static algos only), the packed code
+bits, and last the CRC-32 of every byte before it (4 bytes, little-endian).
+The lengths blob holds the d entry lengths as varints and the bytes blob the
+entries themselves, concatenated, so each deflates with a table of its own;
+the frequency blob holds d varint counts in dictionary order. Each blob is
+stored deflated, as a section: varint raw length, varint deflated length,
+then the raw deflate stream (zlib's default level, no zlib header), with a
+window and hash table no larger than the blob needs. Every section length is
 implied by the header fields, so the total length is fully determined and
 trailing bytes are an error. The frequency section is written here from the
 static coder's census, so no coder module formats archive bytes.
@@ -17,18 +19,21 @@ The reader checks the CRC before it parses any section, and inflates a
 section only up to one byte past its declared raw length, so a header
 cannot make it allocate beyond what the section's own bytes inflate to. A
 section must inflate to exactly its declared length and end its deflate
-stream on its last byte.
+stream on its last byte. The lengths must be nonzero and sum to the length
+of the bytes blob, and the entries they cut must be distinct.
 
-Version 1 archives are still read. They carry no CRC, store the dictionary
-blob as a varint byte length plus the blob, and the counts as bare varints.
-Flag bit 1 exists in version 1 only: it means an older build passed the
-dictionary blob through an external filter command. Such archives still
-parse (with no dictionary entries) but do not decode.
+Version 2 archives are still read. They have the same layout with a single
+dictionary section, whose blob holds each entry as a varint length plus the
+token bytes. Version 1 archives are read too. They carry no CRC, store that
+dictionary blob as a varint byte length plus the blob, and the counts as
+bare varints. Flag bit 1 exists in version 1 only: it means an older build
+passed the dictionary blob through an external filter command. Such
+archives still parse (with no dictionary entries) but do not decode.
 
 Algo byte 3 was a text-order archive, which older builds wrote for size
 comparison. Its table is the reversed text, which the archive does not hold,
-so the reader refuses that byte with NotDecodableError and the writer no
-longer takes it.
+so the reader refuses that byte with NotDecodableError in every version and
+the writer no longer takes it.
 
 Adaptive archives carry neither frequencies nor a final state: the decoder
 rebuilds both. Flag bit 0 set means the tokens came from the words-only
@@ -54,7 +59,8 @@ from .errors import (
 from .tokenizer import TokenizerMode
 
 MAGIC = b"FANS"
-VERSION = 2
+VERSION = 3
+_VERSION_2 = 2
 _VERSION_1 = 1
 _CRC_BYTES = 4
 
@@ -79,14 +85,6 @@ Archive = namedtuple("Archive", "algo mode filtered n d entries final_state freq
 Archive.__doc__ = "Parsed archive. entries is None when an older build filtered the dictionary."
 
 
-def encode_dict_entries(entries: list[bytes]) -> bytes:
-    blob = bytearray()
-    for t in entries:
-        put_varint(blob, len(t))
-        blob += t
-    return bytes(blob)
-
-
 def parse_dict_entries(blob: bytes, d: int) -> list[bytes]:
     entries = []
     pos = 0
@@ -106,9 +104,41 @@ def parse_dict_entries(blob: bytes, d: int) -> list[bytes]:
     return entries
 
 
+def _cut_dict_entries(lengths_blob: bytes, blob: bytes, d: int) -> list[bytes]:
+    """blob cut at the d varint lengths of lengths_blob, which must use all of it."""
+    lengths, used = _read_counts(lengths_blob, 0, d, "length")
+    if used != len(lengths_blob):
+        raise TrailingBytes("dictionary lengths section has extra bytes")
+    if sum(lengths) != len(blob):
+        raise CorruptError(
+            f"dictionary lengths sum to {sum(lengths)} bytes, its bytes section holds {len(blob)}"
+        )
+    entries = []
+    pos = 0
+    for length in lengths:
+        entries.append(blob[pos : pos + length])
+        pos += length
+    if len(set(entries)) != len(entries):
+        raise CorruptError("dictionary entries are not distinct")
+    return entries
+
+
+def _varints(values) -> bytearray:
+    out = bytearray()
+    for value in values:
+        put_varint(out, value)
+    return out
+
+
 def _put_deflated(out: bytearray, raw: bytes) -> None:
-    """Append raw as a section: raw length, deflated length, raw deflate."""
-    deflater = zlib.compressobj(wbits=-15)
+    """Append raw as a section: raw length, deflated length, raw deflate.
+
+    The window covers the blob plus zlib's 262-byte lookahead, and the hash
+    table shrinks with it, so a small section does not allocate the full
+    deflate state (about 300 KB at the default memLevel).
+    """
+    wbits = max(9, min(15, (len(raw) + 262).bit_length()))
+    deflater = zlib.compressobj(wbits=-wbits, memLevel=min(8, wbits - 6))
     packed = deflater.compress(raw) + deflater.flush()
     put_varint(out, len(raw))
     put_varint(out, len(packed))
@@ -142,13 +172,13 @@ def _read_deflated(data: bytes, pos: int, end: int, name: str) -> tuple[bytes, i
     return raw, pos + size
 
 
-def _read_counts(data: bytes, pos: int, d: int) -> tuple[list[int], int]:
+def _read_counts(data: bytes, pos: int, d: int, what: str) -> tuple[list[int], int]:
     """d nonzero varint counts from data[pos:]; returns (counts, position past them)."""
     counts = []
     for _ in range(d):
         value, used = read_varint(data, pos)
         if value == 0:
-            raise CorruptError("zero frequency for a dictionary token")
+            raise CorruptError(f"zero {what} for a dictionary token")
         counts.append(value)
         pos += used
     return counts, pos
@@ -163,7 +193,7 @@ def pack_archive(
     final_state: int | None = None,
     freqs=None,
 ) -> bytes:
-    """Assemble version-2 archive bytes; raises InconsistentFields on bad combinations.
+    """Assemble version-3 archive bytes; raises InconsistentFields on bad combinations.
 
     freqs is a static_codec.StaticFrequencies: counts keyed by entry, total.
     """
@@ -201,21 +231,18 @@ def pack_archive(
     put_varint(out, code.bit_length)
     if algo != ALGO_FAM:
         put_varint(out, final_state)
-    _put_deflated(out, encode_dict_entries(dictionary))
+    _put_deflated(out, _varints(len(t) for t in dictionary))
+    _put_deflated(out, b"".join(dictionary))
     if algo != ALGO_FAM:
-        counts = bytearray()
-        if freqs is not None:
-            by_entry = freqs.counts
-            for t in dictionary:
-                put_varint(counts, by_entry[t])
-        _put_deflated(out, counts)
+        by_entry = freqs.counts if freqs is not None else {}
+        _put_deflated(out, _varints(by_entry[t] for t in dictionary))
     out += code.data
     out += zlib.crc32(out).to_bytes(_CRC_BYTES, "little")
     return bytes(out)
 
 
 def unpack_archive(data: bytes) -> Archive:
-    """Parse and validate archive bytes (version 2 or 1) end to end."""
+    """Parse and validate archive bytes (version 3, 2 or 1) end to end."""
     if len(data) < 4:
         raise TruncatedError("shorter than the magic")
     if data[:4] != MAGIC:
@@ -223,7 +250,7 @@ def unpack_archive(data: bytes) -> Archive:
     if len(data) < 7:
         raise TruncatedError("header cut short")
     version = data[4]
-    if version == VERSION:
+    if version in (VERSION, _VERSION_2):
         end = len(data) - _CRC_BYTES
         if end < 7:
             raise TruncatedError("header cut short")
@@ -263,7 +290,7 @@ def unpack_archive(data: bytes) -> Archive:
         final_state, used = read_varint(data, pos)
         pos += used
         fs_size = used
-    header_size = pos - fs_size + (len(data) - end)  # version 2 counts its CRC here
+    header_size = pos - fs_size + (len(data) - end)  # versions 2 and 3 count their CRC here
 
     dict_start = pos
     if version == _VERSION_1:
@@ -273,8 +300,11 @@ def unpack_archive(data: bytes) -> Archive:
             raise TruncatedError("dictionary blob runs past end of archive")
         blob = data[pos : pos + blob_len]
         pos += blob_len
-    else:
+    elif version == _VERSION_2:
         blob, pos = _read_deflated(data, pos, end, "dictionary section")
+    else:
+        lengths, pos = _read_deflated(data, pos, end, "dictionary lengths section")
+        blob, pos = _read_deflated(data, pos, end, "dictionary bytes section")
     dict_region = pos - dict_start
 
     freqs = None
@@ -282,10 +312,10 @@ def unpack_archive(data: bytes) -> Archive:
     if algo != ALGO_FAM:
         freq_start = pos
         if version == _VERSION_1:
-            freqs, pos = _read_counts(data, pos, d)
+            freqs, pos = _read_counts(data, pos, d, "frequency")
         else:
             section, pos = _read_deflated(data, pos, end, "frequency section")
-            freqs, used = _read_counts(section, 0, d)
+            freqs, used = _read_counts(section, 0, d, "frequency")
             if used != len(section):
                 raise TrailingBytes("frequency section has extra bytes")
         freq_size = pos - freq_start
@@ -298,7 +328,12 @@ def unpack_archive(data: bytes) -> Archive:
     if pos != end:
         raise TrailingBytes(f"{end - pos} bytes past the last section")
 
-    entries = None if filtered else parse_dict_entries(blob, d)
+    if filtered:
+        entries = None
+    elif version == VERSION:
+        entries = _cut_dict_entries(lengths, blob, d)
+    else:
+        entries = parse_dict_entries(blob, d)
 
     # Cross-field sanity: these would otherwise surface as confusing decoder
     # failures, or not at all.

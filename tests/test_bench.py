@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from fans.bench import (
     compute_entropy,
     format_csv,
     format_markdown,
+    model_bits,
     timed,
 )
 from fans.bitio import pack_bits
@@ -68,26 +68,6 @@ def test_timed_coders_round_trip_in_id_space():
     assert out == text
 
 
-def _model_bits(ids: list[int], d: int) -> float:
-    """Sum of log2(l / fw) over the adaptive encoder's steps.
-
-    l is the table size at the step and fw the coded symbol's live frequency;
-    a token's last occurrence is coded as the marker, id d, with its fw.
-    """
-    f = [c - 1 for c in count_ids(ids, d)]
-    f.append(d)
-    l = len(ids) + d
-    bits = 0.0
-    for w in ids:
-        if f[w] == 0:
-            w = d
-            l -= 1
-        bits += math.log2(l / f[w])
-        l -= 1
-        f[w] -= 1
-    return bits
-
-
 @pytest.mark.parametrize("mode", ["lossless", "paper"])
 @pytest.mark.parametrize("name", ["alice29.txt", "asyoulik.txt"])
 def test_code_sizes_track_the_model_and_the_entropy(name, mode):
@@ -101,7 +81,7 @@ def test_code_sizes_track_the_model_and_the_entropy(name, mode):
     seen, ids = number_ids(iter_tokens(raw, mode))
     n, d = len(ids), len(seen)
     entropy = compute_entropy(count_ids(ids, d), n)
-    model = _model_bits(ids, d)
+    model = model_bits(ids, d)
     fam = unpack_archive(compress(raw, "fam", mode)).code.bit_length
     uniform = unpack_archive(compress(raw, "uniform", mode)).code.bit_length
     assert fam <= 1.01 * model, (fam, model)
@@ -165,6 +145,14 @@ def test_bench_dir_reports_failures(tmp_path, monkeypatch):
     records, notes = bench_dir(tmp_path, ["fam", "ranged"], TokenizerMode.PAPER)
     assert [r.algo for r in records] == ["ranged"]  # the broken row is dropped
     assert any("FAILED" in note and "fam" in note for note in notes)
+
+
+def test_unknown_algorithms_are_refused_before_any_file_is_read(tmp_path):
+    # The paths do not exist, so reading one would raise FileNotFoundError.
+    with pytest.raises(ValueError, match="fam, ranged, uniform, textorder"):
+        bench_dir(tmp_path / "missing", ["fam", "zstd"], TokenizerMode.PAPER)
+    with pytest.raises(ValueError, match="'zstd'"):
+        bench_file(tmp_path / "missing.txt", "zstd", TokenizerMode.PAPER)
 
 
 def test_bench_dir_empty(tmp_path):

@@ -17,7 +17,7 @@ from fans.container import ALGO_FAM, unpack_archive
 from fans.pipeline import decode_sequence
 from fans.tokenizer import TokenizerMode
 
-from archive_v1 import text_order_archives, v1_bytes
+from archive_v1 import text_order_archives, v1_bytes, v2_bytes
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 # Child interpreters import fans from this checkout, installed or not.
@@ -98,6 +98,16 @@ def test_filtered_archive_is_not_decodable(tmp_path, capsys):
     assert "archive rejected" in capsys.readouterr().err
 
 
+def test_decompress_reads_version_2(tmp_path):
+    # Older builds wrote version 2, with the dictionary in one section of
+    # varint-length-prefixed entries; fans still decodes it.
+    payload = (CORPUS / "alice29.txt").read_bytes()[:20000]
+    _, arc = _compress(tmp_path, payload, "-a", "ranged")
+    arc.write_bytes(v2_bytes(unpack_archive(arc.read_bytes())))
+    assert arc.read_bytes()[4] == 2
+    assert _decompress(tmp_path, arc) == payload
+
+
 def test_verify_ok_and_mismatch(tmp_path, capsys):
     src, arc = _compress(tmp_path, b"abc def abc abc def")
     assert main(["verify", str(arc), str(src)]) == 0
@@ -166,6 +176,9 @@ def test_entropy_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "tokens: 4" in out
     assert "entropy_bits: 4.0000" in out
+    # log2(6/1) + log2(5/1) + log2(3/2) + log2(1/1): two ordinary steps,
+    # then a marker step for each token's last occurrence.
+    assert "model_bits: 5.4919" in out
 
 
 def test_selftest_command(capsys):

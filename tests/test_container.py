@@ -1,8 +1,8 @@
 """Archive format tests: frozen byte vectors, validation, the refused filter flag
 and the refused text-order algo byte.
 
-fans writes version 2. The version-1 vectors stay as decode fixtures, with
-their damage tests: version-1 archives are still read.
+fans writes version 3. The version-2 and version-1 vectors stay as decode
+fixtures, with their damage tests: both older versions are still read.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from fans.container import (
     ALGO_RANGED,
     ALGO_TEXT_ORDER,
     ALGO_UNIFORM,
-    encode_dict_entries,
     pack_archive,
     parse_dict_entries,
     unpack_archive,
@@ -41,29 +40,41 @@ from fans.pipeline import decompress
 from fans.static_codec import StaticFrequencies
 from fans.tokenizer import TokenizerMode
 
-from archive_v1 import sealed, v1_bytes
+from archive_v1 import encode_dict_entries, sealed, v1_bytes, v2_bytes
 
-# fam archives of a b a: version 1 (read only), and version 2 as written:
-# header, deflated dictionary section (raw length 4, deflated length 6), the
-# code byte, CRC-32 of the rest.
+# fam archives of a b a: versions 1 and 2 (read only): header, deflated
+# dictionary section (raw length 4, deflated length 6), the code byte, CRC-32
+# of the rest. Version 3, as written, splits the dictionary section into a
+# lengths section (raw 01 01: length 2, deflated length 4) and a bytes
+# section (raw "ba": length 2, deflated length 4).
 FAM_ABA = bytes.fromhex("46414e5301000003020504016201610 9".replace(" ", ""))
 FAM_ABA_V2 = bytes.fromhex(
     "46414e5302000003020504 06634c624c0400 09 f10f0fd6".replace(" ", "")
 )
+FAM_ABA_V3 = bytes.fromhex(
+    "46414e53030000030205 020463640400 02044b4a0400 09 5bfb193a".replace(" ", "")
+)
 # ranged archives of counts a: 2, b: 1; version 2 adds a deflated frequency
-# section (raw length 2, deflated length 4).
+# section (raw length 2, deflated length 4), and version 3 keeps it after
+# its two dictionary sections.
 STATIC_AB = bytes.fromhex("46414e530101000302030304016101620201 04".replace(" ", ""))
 STATIC_AB_V2 = bytes.fromhex(
     "46414e53020100030203 03 0406634c644c0200 020463620400 04 c630e1ec".replace(" ", "")
+)
+STATIC_AB_V3 = bytes.fromhex(
+    "46414e53030100030203 03 020463640400 02044b4c0200 020463620400 04 fe003b32"
+    .replace(" ", "")
 )
 
 
 def test_frozen_adaptive_archive_bytes():
     code, w0 = fam_encode([b"a", b"b", b"a"])
     data = pack_archive(ALGO_FAM, TokenizerMode.LOSSLESS, 3, w0, code)
-    assert data == FAM_ABA_V2
-    assert len(data) == 23
-    assert v1_bytes(unpack_archive(data)) == FAM_ABA
+    assert data == FAM_ABA_V3
+    assert len(data) == 27
+    arc = unpack_archive(data)
+    assert v2_bytes(arc) == FAM_ABA_V2
+    assert v1_bytes(arc) == FAM_ABA
 
 
 def test_frozen_adaptive_archive_unpack():
@@ -84,7 +95,13 @@ def test_frozen_adaptive_archive_unpack():
     assert (arc2.sizes.header, arc2.sizes.final_state) == (14, 0)
     assert (arc2.sizes.dict_region, arc2.sizes.freqs) == (8, 0)
     assert (arc2.sizes.code, arc2.sizes.total) == (1, 23)
-    assert decompress(FAM_ABA) == decompress(FAM_ABA_V2) == b"aba"
+    # Version 3: the two dictionary sections make the dictionary region.
+    arc3 = unpack_archive(FAM_ABA_V3)
+    assert arc3[:-1] == arc[:-1]
+    assert (arc3.sizes.header, arc3.sizes.final_state) == (14, 0)
+    assert (arc3.sizes.dict_region, arc3.sizes.freqs) == (12, 0)
+    assert (arc3.sizes.code, arc3.sizes.total) == (1, 27)
+    assert decompress(FAM_ABA) == decompress(FAM_ABA_V2) == decompress(FAM_ABA_V3) == b"aba"
 
 
 def test_frozen_static_archive_round_trip():
@@ -98,16 +115,22 @@ def test_frozen_static_archive_round_trip():
         final_state=3,
         freqs=freqs,
     )
-    assert data == STATIC_AB_V2
+    assert data == STATIC_AB_V3
     arc = unpack_archive(data)
     assert arc.algo == ALGO_RANGED
     assert arc.final_state == 3
     assert arc.freqs == [2, 1]
     assert arc.entries == [b"a", b"b"]
     assert (arc.sizes.header, arc.sizes.final_state) == (14, 1)
-    assert (arc.sizes.dict_region, arc.sizes.freqs) == (8, 6)
-    assert (arc.sizes.code, arc.sizes.total) == (1, 30)
+    assert (arc.sizes.dict_region, arc.sizes.freqs) == (12, 6)
+    assert (arc.sizes.code, arc.sizes.total) == (1, 34)
+    assert v2_bytes(arc) == STATIC_AB_V2
     assert v1_bytes(arc) == STATIC_AB
+    arc2 = unpack_archive(STATIC_AB_V2)
+    assert arc2[:-1] == arc[:-1]
+    assert (arc2.sizes.header, arc2.sizes.final_state) == (14, 1)
+    assert (arc2.sizes.dict_region, arc2.sizes.freqs) == (8, 6)
+    assert (arc2.sizes.code, arc2.sizes.total) == (1, 30)
     arc1 = unpack_archive(STATIC_AB)
     assert arc1[:-1] == arc[:-1]
     assert (arc1.sizes.header, arc1.sizes.final_state) == (10, 1)
@@ -181,7 +204,7 @@ def test_unpack_rejects_structural_damage():
     with pytest.raises(TruncatedError):
         unpack_archive(FAM_ABA[:6])
     with pytest.raises(BadVersion):
-        unpack_archive(FAM_ABA[:4] + b"\x03" + FAM_ABA[5:])
+        unpack_archive(FAM_ABA[:4] + b"\x04" + FAM_ABA[5:])
     with pytest.raises(CorruptError):
         unpack_archive(FAM_ABA[:5] + b"\x07" + FAM_ABA[6:])  # unknown algo
     with pytest.raises(CorruptError):
@@ -252,7 +275,7 @@ def test_filtered_flag_parses_but_is_not_decodable():
 
 def test_text_order_archives_are_refused():
     # Algo 3 marked text-order archives, whose table is the reversed text.
-    # Nothing writes one, and the reader refuses the byte in both versions.
+    # Nothing writes one, and the reader refuses the byte in every version.
     code = ByteImage(b"\x04", 3)
     freqs = StaticFrequencies({b"a": 2, b"b": 1}, 3)
     with pytest.raises(InconsistentFields):
@@ -260,23 +283,24 @@ def test_text_order_archives_are_refused():
             ALGO_TEXT_ORDER, TokenizerMode.LOSSLESS, 3, [b"a", b"b"], code,
             final_state=3, freqs=freqs,
         )
-    with pytest.raises(NotDecodableError, match="text-order"):
-        unpack_archive(sealed(STATIC_AB_V2[:5] + b"\x03" + STATIC_AB_V2[6:-4]))
+    for data in (STATIC_AB_V3, STATIC_AB_V2):
+        with pytest.raises(NotDecodableError, match="text-order"):
+            unpack_archive(sealed(data[:5] + b"\x03" + data[6:-4]))
     with pytest.raises(NotDecodableError, match="text-order"):
         unpack_archive(STATIC_AB[:5] + b"\x03" + STATIC_AB[6:])
 
 
 def test_version_2_refuses_the_filter_flag():
-    # Only version 1 has flag bit 1; in version 2 it is a reserved bit.
-    body = FAM_ABA_V2[:6] + b"\x02" + FAM_ABA_V2[7:-4]
-    with pytest.raises(CorruptError, match="reserved flag"):
-        unpack_archive(sealed(body))
+    # Only version 1 has flag bit 1; in versions 2 and 3 it is a reserved bit.
+    for data in (FAM_ABA_V2, FAM_ABA_V3):
+        with pytest.raises(CorruptError, match="reserved flag"):
+            unpack_archive(sealed(data[:6] + b"\x02" + data[7:-4]))
 
 
 def test_checksum_catches_every_flip():
-    # Every one-bit flip of a version-2 archive is refused: most by the CRC,
-    # those in the magic and version bytes before it is read.
-    for data in (FAM_ABA_V2, STATIC_AB_V2):
+    # Every one-bit flip of a version-2 or version-3 archive is refused: most
+    # by the CRC, those in the magic and version bytes before it is read.
+    for data in (FAM_ABA_V2, STATIC_AB_V2, FAM_ABA_V3, STATIC_AB_V3):
         for offset in range(len(data)):
             for bit in range(8):
                 damaged = bytearray(data)
@@ -305,21 +329,36 @@ def _section(raw_len: int, stream: bytes) -> bytes:
     return bytes(out) + stream
 
 
-# The raw blobs behind FAM_ABA_V2's and STATIC_AB_V2's sections.
+def _deflated(raw: bytes) -> bytes:
+    return _section(len(raw), _deflate(raw))
+
+
+# The raw blobs behind the frozen vectors' sections: FAM_ABA_V2's
+# dictionary, FAM_ABA_V3's lengths and bytes, STATIC_AB_V3's frequencies.
 DICT_BA = b"\x01b\x01a"
-DICT_AB = b"\x01a\x01b"
+LENGTHS = b"\x01\x01"
+BYTES_BA = b"ba"
 FREQS_AB = b"\x02\x01"
+
+
+def _fam_v3(lengths: bytes, entries: bytes) -> bytes:
+    """FAM_ABA_V3 with its dictionary sections holding these blobs, resealed."""
+    return sealed(FAM_ABA_V3[:10] + _deflated(lengths) + _deflated(entries) + b"\x09")
 
 
 def _with_section(which: str, section: bytes) -> bytes:
     """A sealed archive with one section replaced by `section`."""
     if which == "dictionary":
         return sealed(FAM_ABA_V2[:10] + section + b"\x09")
-    dict_section = _section(len(DICT_AB), _deflate(DICT_AB))
-    return sealed(STATIC_AB_V2[:11] + dict_section + section + b"\x04")
+    if which == "lengths":
+        return sealed(FAM_ABA_V3[:10] + section + _deflated(BYTES_BA) + b"\x09")
+    if which == "bytes":
+        return sealed(FAM_ABA_V3[:10] + _deflated(LENGTHS) + section + b"\x09")
+    dict_sections = _deflated(LENGTHS) + _deflated(b"ab")
+    return sealed(STATIC_AB_V3[:11] + dict_sections + section + b"\x04")
 
 
-RAW = {"dictionary": DICT_BA, "frequency": FREQS_AB}
+RAW = {"dictionary": DICT_BA, "lengths": LENGTHS, "bytes": BYTES_BA, "frequency": FREQS_AB}
 HOSTILE = {
     "cut-short": lambda raw: _section(len(raw), _deflate(raw)[:-1]),
     "bytes-after-stream": lambda raw: _section(len(raw), _deflate(raw) + b"\x00"),
@@ -333,8 +372,8 @@ HOSTILE = {
 
 @pytest.mark.parametrize("which", sorted(RAW))
 def test_sections_rebuild_the_frozen_vectors(which):
-    data = _with_section(which, _section(len(RAW[which]), _deflate(RAW[which])))
-    assert data == (FAM_ABA_V2 if which == "dictionary" else STATIC_AB_V2)
+    want = {"dictionary": FAM_ABA_V2, "frequency": STATIC_AB_V3}.get(which, FAM_ABA_V3)
+    assert _with_section(which, _deflated(RAW[which])) == want
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
@@ -369,6 +408,22 @@ def test_hostile_sections_raise_fans_errors(which, case, monkeypatch):
 
 def test_frequency_section_must_hold_exactly_d_counts():
     for raw in (FREQS_AB + b"\x01", FREQS_AB[:1]):
-        data = _with_section("frequency", _section(len(raw), _deflate(raw)))
+        data = _with_section("frequency", _deflated(raw))
         with pytest.raises((TrailingBytes, TruncatedError)):
             unpack_archive(data)
+
+
+def test_lengths_must_cut_the_bytes_section_exactly():
+    assert unpack_archive(_fam_v3(LENGTHS, BYTES_BA)).entries == [b"b", b"a"]
+    with pytest.raises(CorruptError, match="zero length"):
+        unpack_archive(_fam_v3(b"\x00\x02", BYTES_BA))
+    with pytest.raises(CorruptError, match="sum to 3 bytes, its bytes section holds 2"):
+        unpack_archive(_fam_v3(b"\x01\x02", BYTES_BA))
+    with pytest.raises(CorruptError, match="sum to 2 bytes, its bytes section holds 3"):
+        unpack_archive(_fam_v3(LENGTHS, b"bax"))
+    with pytest.raises(TruncatedError):
+        unpack_archive(_fam_v3(b"\x02", BYTES_BA))  # d - 1 lengths
+    with pytest.raises(TrailingBytes, match="lengths section"):
+        unpack_archive(_fam_v3(b"\x01\x01\x01", b"bac"))  # d + 1 lengths
+    with pytest.raises(CorruptError, match="not distinct"):
+        unpack_archive(_fam_v3(LENGTHS, b"aa"))

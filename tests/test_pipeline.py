@@ -22,17 +22,17 @@ from fans.fam_model import number_ids
 from fans.pipeline import compress, decode_ids, decompress, encode_ids
 from fans.tokenizer import TokenizerMode, tokenize
 
-from archive_v1 import sealed, text_order_archives, v1_bytes
+from archive_v1 import sealed, text_order_archives, text_order_layout, v1_bytes, v2_bytes
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 ALICE = CORPUS / "alice29.txt"
 
 # SHA-256 of the version-1 archive of alice29.txt for each (mode, algo). They
 # were recorded before the CLI, the bench and the library shared one
-# pipeline, and fans has since written them in version 2; the fields of each
-# version-2 archive, written back in version-1 layout, must still give them.
-# No writer makes text-order archives any more: their pins hash the rebuilds
-# in archive_v1, which the reader must refuse.
+# pipeline, and fans has since written them in version 2 and then 3; the
+# fields of each archive, written back in version-1 layout, must still give
+# them. No writer makes text-order archives any more: their pins hash the
+# rebuilds in archive_v1, which the reader must refuse.
 DIGESTS = {
     ("lossless", "fam"): "9d2432c158f85bfc05ccef93db3bb46cb9b8deca0ee90f2db9cdaaef720ae01c",
     ("lossless", "ranged"): "ad7d62f7f13075a86c56718579298157152b58099c4120370c0972b832e295a2",
@@ -43,9 +43,9 @@ DIGESTS = {
     ("paper", "uniform"): "24718fe087d6a61fc4876739f984cec6563201492ea9fb24be680931f851814e",
     ("paper", "textorder"): "f351142fbb9da9ad520b30ae1a8f372dc938c5d4660b59f475f485092011a443",
 }
-# SHA-256 of compress(alice29.txt, algo, mode), the version-2 archive. Any
-# change here is a format change, and a text-order one a change to the
-# text-order code.
+# SHA-256 of the version-2 archive of alice29.txt, which compress wrote
+# before version 3; the fields written back in version-2 layout must give
+# them. A text-order change here is a change to the text-order code.
 DIGESTS_V2 = {
     ("lossless", "fam"): "022d8e444e6eed4fe2513566be891f7c07060b630d1f7023c10996ef5f6bf021",
     ("lossless", "ranged"): "d902b78647520fcbbd18c7858a7f1fdc7def8e75ffe302d42105b48ccf2d4ff2",
@@ -56,22 +56,35 @@ DIGESTS_V2 = {
     ("paper", "uniform"): "08479300280435a088bc6059a0999adb96657eff9b8a6429f51fec52a4f926e5",
     ("paper", "textorder"): "55d606d7cb60c9559f9d347264809e094f684bfeed7e73ab83f3103001d6e577",
 }
+# SHA-256 of compress(alice29.txt, algo, mode), the version-3 archive. Any
+# change here is a format change. Version 3 never carried text order.
+DIGESTS_V3 = {
+    ("lossless", "fam"): "1bfb3476dda73e52874c538048ed7b367ab96fe7fa89ab9e1ce8e4f1c3e86885",
+    ("lossless", "ranged"): "dc225db6dd7820a3db780371bdcdbc0c36d076943d92bf3472f375085b899f17",
+    ("lossless", "uniform"): "a09c43e227534a8715ff6307f4facf08d6213f471a96f7c7b0cc894b50e187e4",
+    ("paper", "fam"): "3b6029d088172373eed37dd94eb17ab7098da23c969715efa8d00f2baec85e51",
+    ("paper", "ranged"): "81b7f54bcaefad76d0d46c23bc5a8ac5d3cab701b80510368768a632572790c1",
+    ("paper", "uniform"): "87c5562d75410e227f3b54770540a761e1c504e41f3ba511409b891e539d2d6e",
+}
 
 
 @pytest.mark.parametrize("mode,algo", sorted(DIGESTS))
 def test_archive_bytes_are_pinned(mode, algo):
     raw = ALICE.read_bytes()
     if algo == "textorder":
-        archive, old = text_order_archives(raw, TokenizerMode(mode))
+        archive = text_order_layout(raw, TokenizerMode(mode))
+        v2, v1 = text_order_archives(raw, TokenizerMode(mode))
     else:
         archive = compress(raw, algo, TokenizerMode(mode))
-        old = v1_bytes(unpack_archive(archive))
-    assert hashlib.sha256(archive).hexdigest() == DIGESTS_V2[mode, algo]
-    assert hashlib.sha256(old).hexdigest() == DIGESTS[mode, algo]
+        assert hashlib.sha256(archive).hexdigest() == DIGESTS_V3[mode, algo]
+        fields = unpack_archive(archive)
+        v2, v1 = v2_bytes(fields), v1_bytes(fields)
+    assert hashlib.sha256(v2).hexdigest() == DIGESTS_V2[mode, algo]
+    assert hashlib.sha256(v1).hexdigest() == DIGESTS[mode, algo]
     record, _ = bench_file(ALICE, algo, TokenizerMode(mode))
     assert record.total_bytes == len(archive)
     if algo == "textorder":
-        for data in (archive, old):
+        for data in (v2, v1):
             with pytest.raises(NotDecodableError, match="text-order"):
                 decompress(data)
         return
@@ -79,8 +92,8 @@ def test_archive_bytes_are_pinned(mode, algo):
         want = raw
     else:
         want = b"".join(t + b"\n" for t in tokenize(raw, TokenizerMode.PAPER))
-    assert decompress(archive) == want
-    assert decompress(old) == want
+    for data in (archive, v2, v1):
+        assert decompress(data) == want
 
 
 @pytest.mark.parametrize("algo", ["bogus", "textorder"])
@@ -202,6 +215,19 @@ def test_compress_peak_per_token():
     data, peak = _traced_peak(compress, raw)
     assert unpack_archive(data).n == n
     assert peak <= 25 * n, peak / n
+
+
+@pytest.mark.parametrize("mode", ["lossless", "paper"])
+@pytest.mark.parametrize("algo", ["fam", "ranged", "uniform"])
+def test_small_compress_peak_is_not_the_deflate_state(algo, mode):
+    # Each section's deflate state is sized to its blob. zlib's default
+    # state, about 300 KB, set the peak of a 4 KB compress: 329-377 KB
+    # against 91-164 KB with the sized state.
+    raw = (CORPUS / "asyoulik.txt").read_bytes()[:4096]
+    compress(b"warm", algo, TokenizerMode(mode))  # import the coders untraced
+    data, peak = _traced_peak(compress, raw, algo, TokenizerMode(mode))
+    assert decompress(data)
+    assert peak <= 200_000, peak
 
 
 @pytest.mark.parametrize("algo", ["ranged", "uniform"])
