@@ -110,7 +110,7 @@ def bench_file(
     counts = count_ids(ids, d)
     entropy_bits = compute_entropy(counts, n)
 
-    enc_s, coded = timed(encode_ids, algo, ids, d, counts, reps=reps)
+    enc_s, coded = timed(encode_ids, algo, ids, seen, counts, reps=reps)
     # No archive carries a text-order table, and a static archive's layout
     # does not depend on its spread.
     layout = "uniform" if algo == "textorder" else algo

@@ -1,30 +1,42 @@
 """Single-file archive format; this module owns every byte of it.
 
-Version 3, the one written, in order: magic "FANS", version byte, algo byte,
+Version 4, the one written, in order: magic "FANS", version byte, algo byte,
 flags byte, then varints n, d, code_bit_len, an optional final-state varint
-(static algos only), the dictionary lengths section, the dictionary bytes
-section, an optional frequency section (static algos only), the packed code
-bits, and last the CRC-32 of every byte before it (4 bytes, little-endian).
-The lengths blob holds the d entry lengths as varints and the bytes blob the
-entries themselves, concatenated, so each deflates with a table of its own;
-the frequency blob holds d varint counts in dictionary order. Each blob is
-stored deflated, as a section: varint raw length, varint deflated length,
-then the raw deflate stream (zlib's default level, no zlib header), with a
-window and hash table no larger than the blob needs. Every section length is
-implied by the header fields, so the total length is fully determined and
-trailing bytes are an error. The frequency section is written here from the
-static coder's census, so no coder module formats archive bytes.
+(static algos only), the two dictionary sections, an optional frequency
+section (static algos only), the packed code bits, and last the CRC-32 of
+every byte before it (4 bytes, little-endian). Each blob is stored deflated,
+as a section: varint raw length, varint deflated length, then the raw
+deflate stream (zlib's default level, no zlib header), with a window and
+hash table no larger than the blob needs. Every section length is implied
+by the header fields, so the total length is fully determined and trailing
+bytes are an error. The frequency section is written here from the static
+coder's census, so no coder module formats archive bytes.
+
+An adaptive archive's dictionary is in the order its markers transmit. Its
+first section holds the d entry lengths as varints and its second the
+entries themselves, concatenated, so each deflates with a table of its own.
+A static archive carries its counts, so its dictionary is in byte order and
+front-coded: the first section holds, for each entry, the length of the
+prefix it shares with the entry before it and the length of the rest, as d
+pairs of varints; the second holds those rests (the suffixes), concatenated.
+The frequency blob holds d varint counts in dictionary order.
 
 The reader checks the CRC before it parses any section, and inflates a
 section only up to one byte past its declared raw length, so a header
 cannot make it allocate beyond what the section's own bytes inflate to. A
 section must inflate to exactly its declared length and end its deflate
-stream on its last byte. The lengths must be nonzero and sum to the length
-of the bytes blob, and the entries they cut must be distinct.
+stream on its last byte. An adaptive dictionary's lengths must be nonzero
+and sum to the length of its bytes section, and the entries they cut must be
+distinct. A static dictionary's suffix lengths must sum to the length of its
+suffix section; each shared prefix must be no longer than the entry before,
+and each entry rebuilt must be greater than the one before it, which makes
+the entries nonempty and distinct.
 
-Version 2 archives are still read. They have the same layout with a single
-dictionary section, whose blob holds each entry as a varint length plus the
-token bytes. Version 1 archives are read too. They carry no CRC, store that
+Version 3 archives are still read: their static dictionaries are stored as
+the adaptive ones are, in an order of their own (which decoding never
+assumed). Version 2 archives have the same layout with a single dictionary
+section, whose blob holds each entry as a varint length plus the token
+bytes. Version 1 archives are read too. They carry no CRC, store that
 dictionary blob as a varint byte length plus the blob, and the counts as
 bare varints. Flag bit 1 exists in version 1 only: it means an older build
 passed the dictionary blob through an external filter command. Such
@@ -42,9 +54,12 @@ tokenizer (the original bytes are not recoverable).
 
 from __future__ import annotations
 
+import re
 import sys
 import zlib
 from collections import namedtuple
+from itertools import groupby, islice
+from operator import lt
 
 from .bitio import ByteImage, put_varint, read_varint
 from .errors import (
@@ -59,7 +74,8 @@ from .errors import (
 from .tokenizer import TokenizerMode
 
 MAGIC = b"FANS"
-VERSION = 3
+VERSION = 4
+_VERSION_3 = 3
 _VERSION_2 = 2
 _VERSION_1 = 1
 _CRC_BYTES = 4
@@ -74,6 +90,9 @@ ALGO_IDS = {name: algo for algo, name in ALGO_NAMES.items()}
 
 _FLAG_PAPER = 0x01
 _FLAG_FILTERED = 0x02
+
+# A run of one-byte varints: every byte below 0x80.
+_ONE_BYTE_VARINTS = re.compile(rb"[\x00-\x7f]*")
 
 
 SectionSizes = namedtuple("SectionSizes", "header final_state dict_region freqs code total")
@@ -123,10 +142,60 @@ def _cut_dict_entries(lengths_blob: bytes, blob: bytes, d: int) -> list[bytes]:
     return entries
 
 
+def _front_code(dictionary: list[bytes]) -> tuple[bytearray, bytearray]:
+    """A sorted dictionary's (shared-prefix, suffix length) pairs and its suffixes."""
+    pairs = []
+    suffixes = bytearray()
+    prev = b""
+    for entry in dictionary:
+        k = min(len(prev), len(entry))
+        p = 0
+        while p < k and prev[p] == entry[p]:
+            p += 1
+        pairs += (p, len(entry) - p)
+        suffixes += entry[p:]
+        prev = entry
+    return _varints(pairs), suffixes
+
+
+def _front_decode(pairs_blob: bytes, suffixes: bytes, d: int) -> list[bytes]:
+    """The d entries front-coded in the two blobs; each must exceed the one before."""
+    pairs, used = _read_counts(pairs_blob, 0, 2 * d, None)
+    if used != len(pairs_blob):
+        raise TrailingBytes("dictionary pairs section has extra bytes")
+    total = sum(islice(pairs, 1, None, 2))
+    if total != len(suffixes):
+        raise CorruptError(
+            f"dictionary suffix lengths sum to {total} bytes, its suffix section holds {len(suffixes)}"
+        )
+    entries = []
+    prev = b""
+    pos = 0
+    it = iter(pairs)
+    for shared, length in zip(it, it):
+        if shared > len(prev):
+            raise CorruptError(
+                f"dictionary entry {len(entries)} claims a {shared}-byte prefix "
+                f"of the {len(prev)}-byte entry before it"
+            )
+        entry = prev[:shared] + suffixes[pos : pos + length]
+        if entry <= prev:
+            raise CorruptError(f"dictionary entry {len(entries)} is not greater than the one before")
+        entries.append(entry)
+        prev = entry
+        pos += length
+    return entries
+
+
 def _varints(values) -> bytearray:
+    """The values as varints; each run of one-byte values is written at once."""
     out = bytearray()
-    for value in values:
-        put_varint(out, value)
+    for small, run in groupby(values, (0x7F).__ge__):
+        if small:
+            out += bytes(run)
+        else:
+            for value in run:
+                put_varint(out, value)
     return out
 
 
@@ -172,16 +241,25 @@ def _read_deflated(data: bytes, pos: int, end: int, name: str) -> tuple[bytes, i
     return raw, pos + size
 
 
-def _read_counts(data: bytes, pos: int, d: int, what: str) -> tuple[list[int], int]:
-    """d nonzero varint counts from data[pos:]; returns (counts, position past them)."""
-    counts = []
-    for _ in range(d):
-        value, used = read_varint(data, pos)
-        if value == 0:
-            raise CorruptError(f"zero {what} for a dictionary token")
-        counts.append(value)
-        pos += used
-    return counts, pos
+def _read_counts(data: bytes, pos: int, count: int, what: str | None) -> tuple[list[int], int]:
+    """count varints from data[pos:]; returns (values, position past them).
+
+    Each run of one-byte varints is taken with one match; only multi-byte
+    values go through read_varint. A zero is refused as a zero `what`,
+    unless `what` is None.
+    """
+    values = []
+    while len(values) < count:
+        run_end = _ONE_BYTE_VARINTS.match(data, pos, pos + count - len(values)).end()
+        values += data[pos:run_end]
+        pos = run_end
+        if len(values) < count:
+            value, used = read_varint(data, pos)
+            values.append(value)
+            pos += used
+    if what is not None and 0 in values:
+        raise CorruptError(f"zero {what} for a dictionary token")
+    return values, pos
 
 
 def pack_archive(
@@ -193,9 +271,10 @@ def pack_archive(
     final_state: int | None = None,
     freqs=None,
 ) -> bytes:
-    """Assemble version-3 archive bytes; raises InconsistentFields on bad combinations.
+    """Assemble version-4 archive bytes; raises InconsistentFields on bad combinations.
 
-    freqs is a static_codec.StaticFrequencies: counts keyed by entry, total.
+    A static dictionary must be in byte order, strictly increasing. freqs is
+    a static_codec.StaticFrequencies: counts keyed by entry, total.
     """
     if algo not in ALGO_NAMES:
         raise InconsistentFields(f"unknown algo id {algo}")
@@ -210,6 +289,8 @@ def pack_archive(
             raise InconsistentFields("static archives need frequencies")
         if freqs is not None and freqs.total != n:
             raise InconsistentFields("frequency total does not match the token count")
+        if not all(map(lt, dictionary, islice(dictionary, 1, None))):
+            raise InconsistentFields("a static dictionary must be strictly increasing")
     if n == 0:
         if d or code.bit_length or (final_state or 0) != 0:
             raise InconsistentFields("empty input must have no dictionary, code or state")
@@ -231,9 +312,13 @@ def pack_archive(
     put_varint(out, code.bit_length)
     if algo != ALGO_FAM:
         put_varint(out, final_state)
-    _put_deflated(out, _varints(len(t) for t in dictionary))
-    _put_deflated(out, b"".join(dictionary))
-    if algo != ALGO_FAM:
+    if algo == ALGO_FAM:
+        _put_deflated(out, _varints(len(t) for t in dictionary))
+        _put_deflated(out, b"".join(dictionary))
+    else:
+        pairs, suffixes = _front_code(dictionary)
+        _put_deflated(out, pairs)
+        _put_deflated(out, suffixes)
         by_entry = freqs.counts if freqs is not None else {}
         _put_deflated(out, _varints(by_entry[t] for t in dictionary))
     out += code.data
@@ -242,7 +327,7 @@ def pack_archive(
 
 
 def unpack_archive(data: bytes) -> Archive:
-    """Parse and validate archive bytes (version 3, 2 or 1) end to end."""
+    """Parse and validate archive bytes (version 4, 3, 2 or 1) end to end."""
     if len(data) < 4:
         raise TruncatedError("shorter than the magic")
     if data[:4] != MAGIC:
@@ -250,7 +335,7 @@ def unpack_archive(data: bytes) -> Archive:
     if len(data) < 7:
         raise TruncatedError("header cut short")
     version = data[4]
-    if version in (VERSION, _VERSION_2):
+    if version in (VERSION, _VERSION_3, _VERSION_2):
         end = len(data) - _CRC_BYTES
         if end < 7:
             raise TruncatedError("header cut short")
@@ -290,8 +375,9 @@ def unpack_archive(data: bytes) -> Archive:
         final_state, used = read_varint(data, pos)
         pos += used
         fs_size = used
-    header_size = pos - fs_size + (len(data) - end)  # versions 2 and 3 count their CRC here
+    header_size = pos - fs_size + (len(data) - end)  # versions 2 to 4 count their CRC here
 
+    front_coded = version == VERSION and algo != ALGO_FAM
     dict_start = pos
     if version == _VERSION_1:
         blob_len, used = read_varint(data, pos)
@@ -302,6 +388,9 @@ def unpack_archive(data: bytes) -> Archive:
         pos += blob_len
     elif version == _VERSION_2:
         blob, pos = _read_deflated(data, pos, end, "dictionary section")
+    elif front_coded:
+        pairs, pos = _read_deflated(data, pos, end, "dictionary pairs section")
+        blob, pos = _read_deflated(data, pos, end, "dictionary suffix section")
     else:
         lengths, pos = _read_deflated(data, pos, end, "dictionary lengths section")
         blob, pos = _read_deflated(data, pos, end, "dictionary bytes section")
@@ -330,7 +419,9 @@ def unpack_archive(data: bytes) -> Archive:
 
     if filtered:
         entries = None
-    elif version == VERSION:
+    elif front_coded:
+        entries = _front_decode(pairs, blob, d)
+    elif version >= _VERSION_3:
         entries = _cut_dict_entries(lengths, blob, d)
     else:
         entries = parse_dict_entries(blob, d)

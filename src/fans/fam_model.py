@@ -1,12 +1,19 @@
-"""Forward-adaptive model for the token stream: the dictionary and the ids.
+"""Token numbering and dictionary orders for the coders.
 
-The dictionary lists each distinct token once, ordered by the position of its
-last occurrence (ascending). The adaptive coder's prepared sequence is the id
-stream with a marker (id d) inserted after each token's last occurrence, then
-reversed; in it every marker sits immediately before the occurrence it
-annotates. Encoding the marker instead of a token's final occurrence is what
-lets the decoder learn the dictionary order without a transmitted frequency
-table.
+An adaptive archive's dictionary lists each distinct token once, ordered by
+the position of its last occurrence (ascending). The adaptive coder's
+prepared sequence is the id stream with a marker (id d) inserted after each
+token's last occurrence, then reversed; in it every marker sits immediately
+before the occurrence it annotates. Encoding the marker instead of a token's
+final occurrence is what lets the decoder learn the dictionary order without
+a transmitted frequency table, so fam_codec.fam_encode_ids computes that
+order itself and returns it with the code.
+
+A static archive carries its counts, so its dictionary order is free: it is
+byte order, which the container front-codes. pipeline.encode_ids sorts the
+first-sighting ids into it; build_dictionary gives the same order for a
+token list, for perfbench/tracing.py's replay, which builds its static
+dictionaries with it and must write the pipeline's archives.
 
 number_ids numbers the tokens by first sighting in one pass, so they can come
 from a generator and no list of them need exist. The coders use ids only as
@@ -30,15 +37,6 @@ def number_ids(tokens: Iterable[bytes]) -> tuple[list[bytes], list[int]]:
     return list(index), ids
 
 
-def last_occurrence_order(ids: list[int]) -> list[int]:
-    """The distinct ids ordered by last occurrence, earliest first."""
-    # Walking the reversed stream collects ids by descending last occurrence;
-    # dict insertion order keeps the first sighting of each.
-    order = list(dict.fromkeys(reversed(ids)))
-    order.reverse()
-    return order
-
-
 def renumber(ids: list[int], order: list[int]) -> list[int]:
     """The stream with each id replaced by its position in order."""
     position = [0] * len(order)
@@ -48,6 +46,5 @@ def renumber(ids: list[int], order: list[int]) -> list[int]:
 
 
 def build_dictionary(tokens: Iterable[bytes]) -> list[bytes]:
-    """Distinct tokens ordered by last occurrence, earliest first."""
-    seen, ids = number_ids(tokens)
-    return [seen[i] for i in last_occurrence_order(ids)]
+    """A static archive's dictionary: the distinct tokens in byte order."""
+    return sorted(set(tokens))

@@ -11,8 +11,11 @@ benchmark times; it packs each row's archive with pack_coded from the same
 result.
 
 The static coders' table is the spread, a list whose entry j is the id that
-owns slot j, laid out in dictionary order. The encoder derives each id's
-slot table from it, and the decoder its next-state table. encode_ids also
+owns slot j, laid out in dictionary order: byte order, since a static
+archive carries its counts and so is free to sort its dictionary. The
+encoder derives each id's slot table from it, and the decoder its
+next-state table; decoding takes the stored order as it is, so archives
+written in another order still decode. encode_ids also
 takes "textorder", the spread that follows the reversed id stream: the
 benchmark's size yardstick, which no archive can carry, since its table is
 the text. decode_ids reads a static archive with that table when given the
@@ -37,7 +40,7 @@ from .container import (
 )
 from .errors import NotDecodableError
 from .fam_codec import fam_decode_ids, fam_encode_ids
-from .fam_model import last_occurrence_order, number_ids
+from .fam_model import number_ids
 from .tokenizer import TokenizerMode, iter_tokens, join_back_to_front
 
 
@@ -50,15 +53,18 @@ def count_ids(ids: list[int], d: int) -> list[int]:
 
 
 def encode_ids(
-    algo: str, ids: list[int], d: int, counts: list[int] | None = None
+    algo: str, ids: list[int], seen: list[bytes], counts: list[int] | None = None
 ) -> tuple[bytearray, int | None, list[int] | None, list[int]]:
     """Code an id stream; returns (code bits as 0/1 bytes, final state, census, order).
 
-    Any numbering works; order lists the ids in dictionary order. The static
-    coders count the ids unless given their counts, and return the census
-    they used. The adaptive coder needs none and leaves no final state to
-    store, so it returns None for both.
+    ids index seen, the distinct tokens by first sighting, as number_ids
+    returns them; order lists the ids in dictionary order. The adaptive
+    coder's order is the one its markers transmit, and it leaves no census or
+    final state to store, so it returns None for both. The static coders
+    build their spread in byte order, which the container front-codes; they
+    count the ids unless given their counts, and return the census they used.
     """
+    d = len(seen)
     if algo == "fam":
         bits, order, _, _ = fam_encode_ids(ids, d)
         return bits, None, None, order
@@ -66,7 +72,9 @@ def encode_ids(
         counts = count_ids(ids, d)
     from .static_codec import SpreadStrategy, build_spread_ids, static_encode_ids
 
-    order = last_occurrence_order(ids)
+    # Sorting the stream's own id objects, not range(d)'s, keeps d fresh
+    # ints (about 0.9 MB on a 33k-word dictionary) out of the spread.
+    order = sorted(set(ids), key=seen.__getitem__)
     spread = build_spread_ids(SpreadStrategy(algo), counts, order, ids)
     bits, final_state = static_encode_ids(ids, spread, counts)
     return bits, final_state, counts, order
@@ -130,7 +138,7 @@ def compress(
         raise ValueError(f"unknown algorithm {algo!r}: choose {', '.join(ALGO_IDS)}")
     seen, ids = number_ids(iter_tokens(raw, mode))
     n = len(ids)
-    coded = encode_ids(algo, ids, len(seen))
+    coded = encode_ids(algo, ids, seen)
     del ids
     return pack_coded(algo, mode, seen, n, coded)
 

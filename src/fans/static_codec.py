@@ -101,9 +101,13 @@ class _SlotKey:
 
 
 def _ranged_spread(pairs):
-    spread = []
+    # Sized up front: a list grown by extends keeps spare slots, as many as
+    # the growth pattern, and so the dictionary order, happens to leave.
+    spread = [None] * sum(c for _, c in pairs)
+    pos = 0
     for sym, count in pairs:
-        spread.extend([sym] * count)
+        spread[pos : pos + count] = [sym] * count
+        pos += count
     return spread
 
 

@@ -1,6 +1,7 @@
 """Step-level reference for the adaptive coder, for tests only.
 
-prepare/build_indices spell out the adaptive model: the prepared sequence
+fam_dictionary/prepare/build_indices spell out the adaptive model: the
+dictionary (the distinct tokens by last occurrence), the prepared sequence
 (the token stream with the LT marker after each last occurrence, reversed)
 and each symbol's occurrence positions in it. EncoderState/DecoderState plus
 encode_step/decode_step run one loop iteration at a time so tests can check
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 from fans.errors import CorruptError
-from fans.fam_model import build_dictionary
 
 
 class _LastTokenMarker:
@@ -34,6 +34,12 @@ class _LastTokenMarker:
 LT = _LastTokenMarker()
 
 Symbol = Hashable  # a token (bytes) or the LT marker
+
+
+def fam_dictionary(tokens: Sequence[Hashable]) -> list:
+    """The distinct tokens (or ids) ordered by last occurrence, earliest first."""
+    last = {tok: pos for pos, tok in enumerate(tokens)}
+    return sorted(last, key=last.__getitem__)
 
 
 def prepare(tokens: Sequence[bytes], dictionary: Sequence[bytes]) -> list[Symbol]:
@@ -78,7 +84,7 @@ class EncoderState:
     @classmethod
     def initial(cls, tokens: list[bytes]) -> tuple["EncoderState", dict[Symbol, list[int]]]:
         """Build the model for a stream and return (state, index lists)."""
-        w0 = build_dictionary(tokens)
+        w0 = fam_dictionary(tokens)
         index_lists, freqs = build_indices(prepare(tokens, w0), w0)
         start = len(tokens) + len(w0)
         return cls(x=start, l=start, f=freqs), index_lists

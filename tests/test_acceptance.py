@@ -229,7 +229,7 @@ def test_6_timing_asymmetry(capsys):
     # Minimum over repetitions for both coders, the harness's own
     # noise-robustness strategy.
     fam_seconds, (_bits, _order, x, l) = timed(fam_encode_ids, ids, len(w0), reps=3)
-    uniform_seconds, _ = timed(encode_ids, "uniform", ids, len(w0), counts, reps=3)
+    uniform_seconds, _ = timed(encode_ids, "uniform", ids, w0, counts, reps=3)
     ratio = uniform_seconds / fam_seconds
     ok = len(stream) >= 2_000_000 and (x, l) == (1, 0) and ratio >= 3.0
     _verdict(

@@ -52,7 +52,7 @@ def test_timed_coders_round_trip_in_id_space():
     assert final == n + d
 
     for name in ("ranged", "uniform"):
-        _, (bits, state, _counts, order) = timed(encode_ids, name, ids, d, counts)
+        _, (bits, state, _counts, order) = timed(encode_ids, name, ids, seen, counts)
         archive = unpack_archive(compress(raw, name, TokenizerMode.PAPER))
         assert (pack_bits(bits), state) == (archive.code, archive.final_state)
         assert [seen[i] for i in order] == archive.entries
@@ -61,7 +61,7 @@ def test_timed_coders_round_trip_in_id_space():
 
     # The text-order table is the stream itself: its code goes in a uniform
     # layout, and only a decoder given the stream can read it.
-    _, coded = timed(encode_ids, "textorder", ids, d, counts)
+    _, coded = timed(encode_ids, "textorder", ids, seen, counts)
     archive = unpack_archive(pack_coded("uniform", TokenizerMode.PAPER, seen, n, coded))
     text = renumber(ids, coded[3])
     _, out = timed(decode_ids, archive, text)

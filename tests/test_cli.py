@@ -17,7 +17,7 @@ from fans.container import ALGO_FAM, unpack_archive
 from fans.pipeline import decode_sequence
 from fans.tokenizer import TokenizerMode
 
-from archive_v1 import text_order_archives, v1_bytes, v2_bytes
+from archive_v1 import static_fields, text_order_archives, v1_bytes, v2_bytes, v3_bytes
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 # Child interpreters import fans from this checkout, installed or not.
@@ -105,6 +105,19 @@ def test_decompress_reads_version_2(tmp_path):
     _, arc = _compress(tmp_path, payload, "-a", "ranged")
     arc.write_bytes(v2_bytes(unpack_archive(arc.read_bytes())))
     assert arc.read_bytes()[4] == 2
+    assert _decompress(tmp_path, arc) == payload
+
+
+def test_decompress_reads_version_3_static(tmp_path):
+    # Before version 4, static archives kept their dictionary in
+    # last-occurrence order and built their spread in it; decoding never
+    # assumed an order, so fans still reads them.
+    payload = (CORPUS / "alice29.txt").read_bytes()[:20000]
+    fields = static_fields(payload, TokenizerMode.LOSSLESS, "ranged")
+    assert fields.entries != sorted(fields.entries)
+    arc = tmp_path / "input.fans"
+    arc.write_bytes(v3_bytes(fields))
+    assert arc.read_bytes()[4] == 3
     assert _decompress(tmp_path, arc) == payload
 
 

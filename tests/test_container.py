@@ -1,8 +1,9 @@
 """Archive format tests: frozen byte vectors, validation, the refused filter flag
 and the refused text-order algo byte.
 
-fans writes version 3. The version-2 and version-1 vectors stay as decode
-fixtures, with their damage tests: both older versions are still read.
+fans writes version 4. The version-3, version-2 and version-1 vectors stay
+as decode fixtures, with their damage tests: every older version is still
+read.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fans import container
 from fans.bitio import ByteImage, put_varint
@@ -40,13 +43,14 @@ from fans.pipeline import decompress
 from fans.static_codec import StaticFrequencies
 from fans.tokenizer import TokenizerMode
 
-from archive_v1 import encode_dict_entries, sealed, v1_bytes, v2_bytes
+from archive_v1 import encode_dict_entries, sealed, v1_bytes, v2_bytes, v3_bytes
 
 # fam archives of a b a: versions 1 and 2 (read only): header, deflated
 # dictionary section (raw length 4, deflated length 6), the code byte, CRC-32
-# of the rest. Version 3, as written, splits the dictionary section into a
-# lengths section (raw 01 01: length 2, deflated length 4) and a bytes
-# section (raw "ba": length 2, deflated length 4).
+# of the rest. Version 3 splits the dictionary section into a lengths
+# section (raw 01 01: length 2, deflated length 4) and a bytes section (raw
+# "ba": length 2, deflated length 4). Version 4, as written, differs from
+# version 3 only in its version byte and CRC.
 FAM_ABA = bytes.fromhex("46414e5301000003020504016201610 9".replace(" ", ""))
 FAM_ABA_V2 = bytes.fromhex(
     "46414e5302000003020504 06634c624c0400 09 f10f0fd6".replace(" ", "")
@@ -54,9 +58,15 @@ FAM_ABA_V2 = bytes.fromhex(
 FAM_ABA_V3 = bytes.fromhex(
     "46414e53030000030205 020463640400 02044b4a0400 09 5bfb193a".replace(" ", "")
 )
+FAM_ABA_V4 = bytes.fromhex(
+    "46414e53040000030205 020463640400 02044b4a0400 09 10702770".replace(" ", "")
+)
 # ranged archives of counts a: 2, b: 1; version 2 adds a deflated frequency
 # section (raw length 2, deflated length 4), and version 3 keeps it after
-# its two dictionary sections.
+# its two dictionary sections. Version 4 front-codes the dictionary: a pairs
+# section (raw 00 01 00 01, each entry sharing no prefix and adding one
+# byte: length 4, deflated length 6) and a suffix section (raw "ab": length
+# 2, deflated length 4).
 STATIC_AB = bytes.fromhex("46414e530101000302030304016101620201 04".replace(" ", ""))
 STATIC_AB_V2 = bytes.fromhex(
     "46414e53020100030203 03 0406634c644c0200 020463620400 04 c630e1ec".replace(" ", "")
@@ -65,14 +75,19 @@ STATIC_AB_V3 = bytes.fromhex(
     "46414e53030100030203 03 020463640400 02044b4c0200 020463620400 04 fe003b32"
     .replace(" ", "")
 )
+STATIC_AB_V4 = bytes.fromhex(
+    "46414e53040100030203 03 0406636064600400 02044b4c0200 020463620400 04 a155c466"
+    .replace(" ", "")
+)
 
 
 def test_frozen_adaptive_archive_bytes():
     code, w0 = fam_encode([b"a", b"b", b"a"])
     data = pack_archive(ALGO_FAM, TokenizerMode.LOSSLESS, 3, w0, code)
-    assert data == FAM_ABA_V3
+    assert data == FAM_ABA_V4
     assert len(data) == 27
     arc = unpack_archive(data)
+    assert v3_bytes(arc) == FAM_ABA_V3
     assert v2_bytes(arc) == FAM_ABA_V2
     assert v1_bytes(arc) == FAM_ABA
 
@@ -101,7 +116,11 @@ def test_frozen_adaptive_archive_unpack():
     assert (arc3.sizes.header, arc3.sizes.final_state) == (14, 0)
     assert (arc3.sizes.dict_region, arc3.sizes.freqs) == (12, 0)
     assert (arc3.sizes.code, arc3.sizes.total) == (1, 27)
-    assert decompress(FAM_ABA) == decompress(FAM_ABA_V2) == decompress(FAM_ABA_V3) == b"aba"
+    # Version 4 keeps version 3's adaptive layout.
+    arc4 = unpack_archive(FAM_ABA_V4)
+    assert arc4 == arc3
+    for data in (FAM_ABA, FAM_ABA_V2, FAM_ABA_V3, FAM_ABA_V4):
+        assert decompress(data) == b"aba"
 
 
 def test_frozen_static_archive_round_trip():
@@ -115,17 +134,23 @@ def test_frozen_static_archive_round_trip():
         final_state=3,
         freqs=freqs,
     )
-    assert data == STATIC_AB_V3
+    assert data == STATIC_AB_V4
     arc = unpack_archive(data)
     assert arc.algo == ALGO_RANGED
     assert arc.final_state == 3
     assert arc.freqs == [2, 1]
     assert arc.entries == [b"a", b"b"]
     assert (arc.sizes.header, arc.sizes.final_state) == (14, 1)
-    assert (arc.sizes.dict_region, arc.sizes.freqs) == (12, 6)
-    assert (arc.sizes.code, arc.sizes.total) == (1, 34)
+    assert (arc.sizes.dict_region, arc.sizes.freqs) == (14, 6)
+    assert (arc.sizes.code, arc.sizes.total) == (1, 36)
+    assert v3_bytes(arc) == STATIC_AB_V3
     assert v2_bytes(arc) == STATIC_AB_V2
     assert v1_bytes(arc) == STATIC_AB
+    arc3 = unpack_archive(STATIC_AB_V3)
+    assert arc3[:-1] == arc[:-1]
+    assert (arc3.sizes.header, arc3.sizes.final_state) == (14, 1)
+    assert (arc3.sizes.dict_region, arc3.sizes.freqs) == (12, 6)
+    assert (arc3.sizes.code, arc3.sizes.total) == (1, 34)
     arc2 = unpack_archive(STATIC_AB_V2)
     assert arc2[:-1] == arc[:-1]
     assert (arc2.sizes.header, arc2.sizes.final_state) == (14, 1)
@@ -204,7 +229,7 @@ def test_unpack_rejects_structural_damage():
     with pytest.raises(TruncatedError):
         unpack_archive(FAM_ABA[:6])
     with pytest.raises(BadVersion):
-        unpack_archive(FAM_ABA[:4] + b"\x04" + FAM_ABA[5:])
+        unpack_archive(FAM_ABA[:4] + b"\x05" + FAM_ABA[5:])
     with pytest.raises(CorruptError):
         unpack_archive(FAM_ABA[:5] + b"\x07" + FAM_ABA[6:])  # unknown algo
     with pytest.raises(CorruptError):
@@ -283,7 +308,7 @@ def test_text_order_archives_are_refused():
             ALGO_TEXT_ORDER, TokenizerMode.LOSSLESS, 3, [b"a", b"b"], code,
             final_state=3, freqs=freqs,
         )
-    for data in (STATIC_AB_V3, STATIC_AB_V2):
+    for data in (STATIC_AB_V4, STATIC_AB_V3, STATIC_AB_V2):
         with pytest.raises(NotDecodableError, match="text-order"):
             unpack_archive(sealed(data[:5] + b"\x03" + data[6:-4]))
     with pytest.raises(NotDecodableError, match="text-order"):
@@ -291,16 +316,16 @@ def test_text_order_archives_are_refused():
 
 
 def test_version_2_refuses_the_filter_flag():
-    # Only version 1 has flag bit 1; in versions 2 and 3 it is a reserved bit.
-    for data in (FAM_ABA_V2, FAM_ABA_V3):
+    # Only version 1 has flag bit 1; in versions 2 to 4 it is a reserved bit.
+    for data in (FAM_ABA_V2, FAM_ABA_V3, FAM_ABA_V4, STATIC_AB_V4):
         with pytest.raises(CorruptError, match="reserved flag"):
             unpack_archive(sealed(data[:6] + b"\x02" + data[7:-4]))
 
 
 def test_checksum_catches_every_flip():
-    # Every one-bit flip of a version-2 or version-3 archive is refused: most
-    # by the CRC, those in the magic and version bytes before it is read.
-    for data in (FAM_ABA_V2, STATIC_AB_V2, FAM_ABA_V3, STATIC_AB_V3):
+    # Every one-bit flip of a version-2, 3 or 4 archive is refused: most by
+    # the CRC, those in the magic and version bytes before it is read.
+    for data in (FAM_ABA_V2, STATIC_AB_V2, FAM_ABA_V3, STATIC_AB_V3, FAM_ABA_V4, STATIC_AB_V4):
         for offset in range(len(data)):
             for bit in range(8):
                 damaged = bytearray(data)
@@ -334,16 +359,25 @@ def _deflated(raw: bytes) -> bytes:
 
 
 # The raw blobs behind the frozen vectors' sections: FAM_ABA_V2's
-# dictionary, FAM_ABA_V3's lengths and bytes, STATIC_AB_V3's frequencies.
+# dictionary, FAM_ABA_V4's lengths and bytes, STATIC_AB_V4's pairs, suffixes
+# and frequencies.
 DICT_BA = b"\x01b\x01a"
 LENGTHS = b"\x01\x01"
 BYTES_BA = b"ba"
+PAIRS_AB = b"\x00\x01\x00\x01"
+SUFFIXES_AB = b"ab"
 FREQS_AB = b"\x02\x01"
 
 
-def _fam_v3(lengths: bytes, entries: bytes) -> bytes:
-    """FAM_ABA_V3 with its dictionary sections holding these blobs, resealed."""
-    return sealed(FAM_ABA_V3[:10] + _deflated(lengths) + _deflated(entries) + b"\x09")
+def _fam_v4(lengths: bytes, entries: bytes) -> bytes:
+    """FAM_ABA_V4 with its dictionary sections holding these blobs, resealed."""
+    return sealed(FAM_ABA_V4[:10] + _deflated(lengths) + _deflated(entries) + b"\x09")
+
+
+def _static_v4(pairs: bytes, suffixes: bytes) -> bytes:
+    """STATIC_AB_V4 with its dictionary sections holding these blobs, resealed."""
+    dict_sections = _deflated(pairs) + _deflated(suffixes)
+    return sealed(STATIC_AB_V4[:11] + dict_sections + _deflated(FREQS_AB) + b"\x04")
 
 
 def _with_section(which: str, section: bytes) -> bytes:
@@ -351,14 +385,25 @@ def _with_section(which: str, section: bytes) -> bytes:
     if which == "dictionary":
         return sealed(FAM_ABA_V2[:10] + section + b"\x09")
     if which == "lengths":
-        return sealed(FAM_ABA_V3[:10] + section + _deflated(BYTES_BA) + b"\x09")
+        return sealed(FAM_ABA_V4[:10] + section + _deflated(BYTES_BA) + b"\x09")
     if which == "bytes":
-        return sealed(FAM_ABA_V3[:10] + _deflated(LENGTHS) + section + b"\x09")
-    dict_sections = _deflated(LENGTHS) + _deflated(b"ab")
-    return sealed(STATIC_AB_V3[:11] + dict_sections + section + b"\x04")
+        return sealed(FAM_ABA_V4[:10] + _deflated(LENGTHS) + section + b"\x09")
+    if which == "pairs":
+        return sealed(STATIC_AB_V4[:11] + section + _deflated(SUFFIXES_AB) + _deflated(FREQS_AB) + b"\x04")
+    if which == "suffixes":
+        return sealed(STATIC_AB_V4[:11] + _deflated(PAIRS_AB) + section + _deflated(FREQS_AB) + b"\x04")
+    dict_sections = _deflated(PAIRS_AB) + _deflated(SUFFIXES_AB)
+    return sealed(STATIC_AB_V4[:11] + dict_sections + section + b"\x04")
 
 
-RAW = {"dictionary": DICT_BA, "lengths": LENGTHS, "bytes": BYTES_BA, "frequency": FREQS_AB}
+RAW = {
+    "dictionary": DICT_BA,
+    "lengths": LENGTHS,
+    "bytes": BYTES_BA,
+    "pairs": PAIRS_AB,
+    "suffixes": SUFFIXES_AB,
+    "frequency": FREQS_AB,
+}
 HOSTILE = {
     "cut-short": lambda raw: _section(len(raw), _deflate(raw)[:-1]),
     "bytes-after-stream": lambda raw: _section(len(raw), _deflate(raw) + b"\x00"),
@@ -372,7 +417,7 @@ HOSTILE = {
 
 @pytest.mark.parametrize("which", sorted(RAW))
 def test_sections_rebuild_the_frozen_vectors(which):
-    want = {"dictionary": FAM_ABA_V2, "frequency": STATIC_AB_V3}.get(which, FAM_ABA_V3)
+    want = {"dictionary": FAM_ABA_V2, "lengths": FAM_ABA_V4, "bytes": FAM_ABA_V4}.get(which, STATIC_AB_V4)
     assert _with_section(which, _deflated(RAW[which])) == want
 
 
@@ -413,17 +458,101 @@ def test_frequency_section_must_hold_exactly_d_counts():
             unpack_archive(data)
 
 
+def test_varint_sections_keep_their_errors():
+    # Runs of one-byte varints are read at once; a multi-byte value between
+    # them is still checked one byte at a time.
+    assert unpack_archive(_with_section("frequency", _deflated(FREQS_AB))).freqs == [2, 1]
+    for which, raw, error in [
+        ("frequency", b"\x02\x81\x00", OverlongVarint),  # 1 with a redundant zero group
+        ("frequency", b"\x02\x80", TruncatedError),  # cut inside a varint
+        ("frequency", b"\x00\x03", CorruptError),  # a zero count
+        ("pairs", b"\x00\x01\x80\x00\x01", OverlongVarint),
+        ("pairs", b"\x00\x01\x00\x81", TruncatedError),
+        ("lengths", b"\x01\x81\x00", OverlongVarint),
+    ]:
+        with pytest.raises(error):
+            unpack_archive(_with_section(which, _deflated(raw)))
+
+
 def test_lengths_must_cut_the_bytes_section_exactly():
-    assert unpack_archive(_fam_v3(LENGTHS, BYTES_BA)).entries == [b"b", b"a"]
+    assert unpack_archive(_fam_v4(LENGTHS, BYTES_BA)).entries == [b"b", b"a"]
     with pytest.raises(CorruptError, match="zero length"):
-        unpack_archive(_fam_v3(b"\x00\x02", BYTES_BA))
+        unpack_archive(_fam_v4(b"\x00\x02", BYTES_BA))
     with pytest.raises(CorruptError, match="sum to 3 bytes, its bytes section holds 2"):
-        unpack_archive(_fam_v3(b"\x01\x02", BYTES_BA))
+        unpack_archive(_fam_v4(b"\x01\x02", BYTES_BA))
     with pytest.raises(CorruptError, match="sum to 2 bytes, its bytes section holds 3"):
-        unpack_archive(_fam_v3(LENGTHS, b"bax"))
+        unpack_archive(_fam_v4(LENGTHS, b"bax"))
     with pytest.raises(TruncatedError):
-        unpack_archive(_fam_v3(b"\x02", BYTES_BA))  # d - 1 lengths
+        unpack_archive(_fam_v4(b"\x02", BYTES_BA))  # d - 1 lengths
     with pytest.raises(TrailingBytes, match="lengths section"):
-        unpack_archive(_fam_v3(b"\x01\x01\x01", b"bac"))  # d + 1 lengths
+        unpack_archive(_fam_v4(b"\x01\x01\x01", b"bac"))  # d + 1 lengths
     with pytest.raises(CorruptError, match="not distinct"):
-        unpack_archive(_fam_v3(LENGTHS, b"aa"))
+        unpack_archive(_fam_v4(LENGTHS, b"aa"))
+
+
+def test_front_coding_must_rebuild_increasing_entries():
+    assert unpack_archive(_static_v4(PAIRS_AB, SUFFIXES_AB)).entries == [b"a", b"b"]
+    # a, then "ab" as one shared byte plus "b".
+    assert unpack_archive(_static_v4(b"\x00\x01\x01\x01", b"ab")).entries == [b"a", b"ab"]
+    with pytest.raises(CorruptError, match="entry 1 claims a 2-byte prefix of the 1-byte entry"):
+        unpack_archive(_static_v4(b"\x00\x01\x02\x01", SUFFIXES_AB))
+    with pytest.raises(CorruptError, match="entry 0 claims a 1-byte prefix of the 0-byte entry"):
+        unpack_archive(_static_v4(b"\x01\x01\x00\x01", SUFFIXES_AB))
+    for pairs, suffixes in [
+        (PAIRS_AB, b"aa"),  # equal to the one before
+        (PAIRS_AB, b"ba"),  # below the one before
+        (b"\x00\x01\x01\x00", b"a"),  # the whole of the one before
+        (b"\x00\x02\x01\x00", b"ab"),  # a prefix of the one before
+    ]:
+        with pytest.raises(CorruptError, match="entry 1 is not greater"):
+            unpack_archive(_static_v4(pairs, suffixes))
+    with pytest.raises(CorruptError, match="entry 0 is not greater"):
+        unpack_archive(_static_v4(b"\x00\x00\x00\x02", b"ab"))  # an empty first entry
+    with pytest.raises(CorruptError, match="sum to 2 bytes, its suffix section holds 1"):
+        unpack_archive(_static_v4(PAIRS_AB, b"a"))
+    with pytest.raises(CorruptError, match="sum to 2 bytes, its suffix section holds 3"):
+        unpack_archive(_static_v4(PAIRS_AB, b"abc"))
+    with pytest.raises(TruncatedError):
+        unpack_archive(_static_v4(PAIRS_AB[:-1], SUFFIXES_AB))  # 2d - 1 varints
+    with pytest.raises(TrailingBytes, match="pairs section"):
+        unpack_archive(_static_v4(PAIRS_AB + b"\x00", SUFFIXES_AB))  # 2d + 1 varints
+
+
+def test_pack_refuses_an_unsorted_static_dictionary():
+    code = ByteImage(b"\x04", 3)
+    freqs = StaticFrequencies({b"a": 2, b"b": 1}, 3)
+    for algo in (ALGO_RANGED, ALGO_UNIFORM):
+        for dictionary in ([b"b", b"a"], [b"a", b"a"]):
+            with pytest.raises(InconsistentFields, match="strictly increasing"):
+                pack_archive(
+                    algo, TokenizerMode.LOSSLESS, 3, dictionary, code,
+                    final_state=3, freqs=freqs,
+                )
+    # An adaptive dictionary keeps the order its markers transmit.
+    assert unpack_archive(FAM_ABA_V4).entries == [b"b", b"a"]
+
+
+# Sorted, distinct entries, many of them prefixes of others (every seventh
+# cut of each string), with newlines and bytes of 0x80 and above.
+_sorted_entries = st.lists(
+    st.one_of(
+        st.binary(min_size=1, max_size=150),
+        st.sampled_from([b"\n", b"a\n", b"\n\n", b"\x80", b"\xff\xfe", b"ab\x80"]),
+    ),
+    min_size=1,
+    max_size=30,
+).map(lambda xs: sorted({x[:k] for x in xs for k in range(1, len(x) + 1, 7)} | set(xs)))
+
+
+@given(_sorted_entries, st.sampled_from([ALGO_RANGED, ALGO_UNIFORM]), st.data())
+def test_front_coded_dictionary_round_trip(entries, algo, data):
+    count = st.one_of(st.integers(1, 127), st.integers(128, 1 << 33))
+    counts = [data.draw(count) for _ in entries]
+    n = sum(counts)
+    freqs = StaticFrequencies(dict(zip(entries, counts)), n)
+    packed = pack_archive(
+        algo, TokenizerMode.LOSSLESS, n, entries, ByteImage(b"", 0), final_state=0, freqs=freqs
+    )
+    arc = unpack_archive(packed)
+    assert arc.entries == entries
+    assert arc.freqs == counts

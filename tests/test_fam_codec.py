@@ -18,10 +18,18 @@ from hypothesis import strategies as st
 from fans.bitio import pack_bits
 from fans.errors import CorruptError, FansError
 from fans.fam_codec import fam_decode, fam_decode_ids, fam_encode, fam_encode_ids
-from fans.fam_model import build_dictionary, number_ids, renumber
+from fans.fam_model import number_ids, renumber
 from fans.tokenizer import tokenize
 
-from fam_oracle import LT, DecoderState, EncoderState, decode_step, encode_step, select_symbol
+from fam_oracle import (
+    LT,
+    DecoderState,
+    EncoderState,
+    decode_step,
+    encode_step,
+    fam_dictionary,
+    select_symbol,
+)
 
 # (tokens, code bits in push order, dictionary)
 TRACES = [
@@ -128,7 +136,7 @@ def test_decode_step_known_transition():
 def _run_paired(tokens: list[bytes]) -> None:
     """Drive both step interfaces over one stream, checking every invariant."""
     n = len(tokens)
-    w0 = build_dictionary(tokens)
+    w0 = fam_dictionary(tokens)
     d = len(w0)
     m = n + d
 
@@ -290,9 +298,12 @@ def test_decoder_peak_memory_per_token():
 
 
 def test_dictionary_orders_by_last_occurrence():
-    assert build_dictionary([b"a", b"b", b"a"]) == [b"b", b"a"]
-    assert build_dictionary([b"x", b"y", b"z"]) == [b"x", b"y", b"z"]
-    assert build_dictionary([b"x", b"y", b"x", b"z", b"y"]) == [b"x", b"z", b"y"]
+    for tokens, w0 in [
+        ([b"a", b"b", b"a"], [b"b", b"a"]),
+        ([b"x", b"y", b"z"], [b"x", b"y", b"z"]),
+        ([b"x", b"y", b"x", b"z", b"y"], [b"x", b"z", b"y"]),
+    ]:
+        assert fam_encode(tokens)[1] == fam_dictionary(tokens) == w0
 
 
 def test_corrupt_last_bit_flip():

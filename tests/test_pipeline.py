@@ -22,14 +22,14 @@ from fans.fam_model import number_ids
 from fans.pipeline import compress, decode_ids, decompress, encode_ids
 from fans.tokenizer import TokenizerMode, tokenize
 
-from archive_v1 import sealed, text_order_archives, text_order_layout, v1_bytes, v2_bytes
+from archive_v1 import sealed, static_fields, text_order_layout, v1_bytes, v2_bytes, v3_bytes
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 ALICE = CORPUS / "alice29.txt"
 
 # SHA-256 of the version-1 archive of alice29.txt for each (mode, algo). They
 # were recorded before the CLI, the bench and the library shared one
-# pipeline, and fans has since written them in version 2 and then 3; the
+# pipeline, and fans has since written them in versions 2, 3 and 4; the
 # fields of each archive, written back in version-1 layout, must still give
 # them. No writer makes text-order archives any more: their pins hash the
 # rebuilds in archive_v1, which the reader must refuse.
@@ -56,8 +56,9 @@ DIGESTS_V2 = {
     ("paper", "uniform"): "08479300280435a088bc6059a0999adb96657eff9b8a6429f51fec52a4f926e5",
     ("paper", "textorder"): "55d606d7cb60c9559f9d347264809e094f684bfeed7e73ab83f3103001d6e577",
 }
-# SHA-256 of compress(alice29.txt, algo, mode), the version-3 archive. Any
-# change here is a format change. Version 3 never carried text order.
+# SHA-256 of the version-3 archive of alice29.txt, which compress wrote
+# before version 4; the fields written back in version-3 layout must give
+# them. Version 3 never carried text order.
 DIGESTS_V3 = {
     ("lossless", "fam"): "1bfb3476dda73e52874c538048ed7b367ab96fe7fa89ab9e1ce8e4f1c3e86885",
     ("lossless", "ranged"): "dc225db6dd7820a3db780371bdcdbc0c36d076943d92bf3472f375085b899f17",
@@ -66,25 +67,44 @@ DIGESTS_V3 = {
     ("paper", "ranged"): "81b7f54bcaefad76d0d46c23bc5a8ac5d3cab701b80510368768a632572790c1",
     ("paper", "uniform"): "87c5562d75410e227f3b54770540a761e1c504e41f3ba511409b891e539d2d6e",
 }
+# SHA-256 of compress(alice29.txt, algo, mode), the version-4 archive. Any
+# change here is a format change.
+DIGESTS_V4 = {
+    ("lossless", "fam"): "df5a392d23847a11c7b4411ac336430f7689ff2752ecdcf69121b2d3c8ad34fc",
+    ("lossless", "ranged"): "a85a70e39af8536e36f4cfbfdb2eb52623b349a72034d98cb1be61e30c068726",
+    ("lossless", "uniform"): "089b45f28ebd7f0726b0534aa3d3b075bffe0a669fa9e8741f8c681820a507dd",
+    ("paper", "fam"): "3eaf013eb586d2fde107c30b7be4fe6d74226db48ac3cbcacc32d5be852cbb17",
+    ("paper", "ranged"): "ba9b133677d090a9f0126f8539466a677894701ff71ac1b03ed755967ab5c49d",
+    ("paper", "uniform"): "d8fd9bbf99e8a6a4f61e411cb27fca078478bf0ac2630b96b62c52e4b9e37e73",
+}
 
 
 @pytest.mark.parametrize("mode,algo", sorted(DIGESTS))
 def test_archive_bytes_are_pinned(mode, algo):
+    # The fam fields are the same in every version. Static archives before
+    # version 4 kept their dictionary in last-occurrence order, and coded in
+    # it, so their fields are rebuilt from the input.
     raw = ALICE.read_bytes()
     if algo == "textorder":
         archive = text_order_layout(raw, TokenizerMode(mode))
-        v2, v1 = text_order_archives(raw, TokenizerMode(mode))
     else:
         archive = compress(raw, algo, TokenizerMode(mode))
-        assert hashlib.sha256(archive).hexdigest() == DIGESTS_V3[mode, algo]
+        assert hashlib.sha256(archive).hexdigest() == DIGESTS_V4[mode, algo]
+    if algo == "fam":
         fields = unpack_archive(archive)
-        v2, v1 = v2_bytes(fields), v1_bytes(fields)
-    assert hashlib.sha256(v2).hexdigest() == DIGESTS_V2[mode, algo]
-    assert hashlib.sha256(v1).hexdigest() == DIGESTS[mode, algo]
+    else:
+        fields = static_fields(raw, TokenizerMode(mode), algo)
+        assert fields.entries != sorted(fields.entries)
+    older = [v2_bytes(fields), v1_bytes(fields)]
+    if algo != "textorder":
+        older.insert(0, v3_bytes(fields))
+        assert hashlib.sha256(older[0]).hexdigest() == DIGESTS_V3[mode, algo]
+    assert hashlib.sha256(older[-2]).hexdigest() == DIGESTS_V2[mode, algo]
+    assert hashlib.sha256(older[-1]).hexdigest() == DIGESTS[mode, algo]
     record, _ = bench_file(ALICE, algo, TokenizerMode(mode))
     assert record.total_bytes == len(archive)
     if algo == "textorder":
-        for data in (v2, v1):
+        for data in older:
             with pytest.raises(NotDecodableError, match="text-order"):
                 decompress(data)
         return
@@ -92,7 +112,7 @@ def test_archive_bytes_are_pinned(mode, algo):
         want = raw
     else:
         want = b"".join(t + b"\n" for t in tokenize(raw, TokenizerMode.PAPER))
-    for data in (archive, v2, v1):
+    for data in (archive, *older):
         assert decompress(data) == want
 
 
@@ -143,16 +163,19 @@ def test_ids_are_only_keys(stream, rng):
     # Relabelling the ids by any permutation leaves each encoder's code and
     # final state as they are, and permutes the dictionary order to match,
     # so the archive does not depend on the numbering.
-    _, ids = number_ids(stream)
-    d = max(ids) + 1
+    seen, ids = number_ids(b"%d" % t for t in stream)
+    d = len(seen)
     perm = list(range(d))
     rng.shuffle(perm)
     relabelled = [perm[i] for i in ids]
+    relabelled_seen = [b""] * d
+    for i, token in enumerate(seen):
+        relabelled_seen[perm[i]] = token
     bits, order, x, l = fam_encode_ids(ids, d)
     assert fam_encode_ids(relabelled, d) == (bits, [perm[i] for i in order], x, l)
     for algo in ("ranged", "uniform", "textorder"):
-        bits, state, counts, order = encode_ids(algo, ids, d)
-        got_bits, got_state, got_counts, got_order = encode_ids(algo, relabelled, d)
+        bits, state, counts, order = encode_ids(algo, ids, seen)
+        got_bits, got_state, got_counts, got_order = encode_ids(algo, relabelled, relabelled_seen)
         assert (got_bits, got_state) == (bits, state)
         assert got_order == [perm[i] for i in order]
         assert [got_counts[i] for i in got_order] == [counts[i] for i in order]
