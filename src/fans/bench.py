@@ -149,22 +149,27 @@ def bench_dir(
     algos: list[str],
     mode: TokenizerMode,
     reps: int = 1,
-) -> tuple[list[BenchRecord], list[str]]:
-    """All (file, algo) pairs under a directory; per-file errors are notes."""
+) -> tuple[list[BenchRecord], list[str], list[str]]:
+    """All (file, algo) pairs under a directory: (records, notes, failures).
+
+    A pair whose bench raises a FansError has no record; its error is a
+    failure, kept apart from the notes.
+    """
     _check_algos(algos)
     records: list[BenchRecord] = []
     notes: list[str] = []
+    failures: list[str] = []
     paths = sorted(p for p in Path(corpus_dir).iterdir() if p.is_file())
     for path in paths:
         for algo in algos:
             try:
                 record, file_notes = bench_file(path, algo, mode, reps)
             except FansError as exc:
-                notes.append(f"{path.name}/{algo}: FAILED: {exc}")
+                failures.append(f"{path.name}/{algo}: FAILED: {exc}")
                 continue
             records.append(record)
             notes.extend(file_notes)
-    return records, notes
+    return records, notes, failures
 
 
 _FIELDS = BenchRecord._fields

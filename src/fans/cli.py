@@ -65,12 +65,12 @@ def _cmd_bench(args) -> int:
     for algo in algos:
         if algo not in ALGOS:
             raise FansError(f"unknown algorithm {algo!r}")
-    records, notes = bench_dir(Path(args.corpus), algos, mode, reps=args.reps)
+    records, notes, failures = bench_dir(Path(args.corpus), algos, mode, reps=args.reps)
     formatter = format_markdown if args.format == "markdown" else format_csv
     sys.stdout.write(formatter(records))
-    for note in notes:
+    for note in notes + failures:
         print(f"bench: {note}", file=sys.stderr)
-    return 1 if any("FAILED" in note for note in notes) else 0
+    return 1 if failures else 0
 
 
 def _cmd_entropy(args) -> int:

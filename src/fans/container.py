@@ -25,7 +25,9 @@ The reader checks the CRC before it parses any section, and inflates a
 section only up to one byte past its declared raw length, so a header
 cannot make it allocate beyond what the section's own bytes inflate to. A
 section must inflate to exactly its declared length and end its deflate
-stream on its last byte. An adaptive dictionary's lengths must be nonzero
+stream on its last byte. Each layout's dictionary is cut and checked where
+its sections are read, so every archive the reader returns carries its
+entries. An adaptive dictionary's lengths must be nonzero
 and sum to the length of its bytes section, and the entries they cut must be
 distinct. A static dictionary's suffix lengths must sum to the length of its
 suffix section; each shared prefix must be no longer than the entry before,
@@ -39,8 +41,8 @@ section, whose blob holds each entry as a varint length plus the token
 bytes. Version 1 archives are read too. They carry no CRC, store that
 dictionary blob as a varint byte length plus the blob, and the counts as
 bare varints. Flag bit 1 exists in version 1 only: it means an older build
-passed the dictionary blob through an external filter command. Such
-archives still parse (with no dictionary entries) but do not decode.
+passed the dictionary blob through an external filter command, which fans no
+longer runs, so the reader refuses it with NotDecodableError.
 
 Algo byte 3 was a text-order archive, which older builds wrote for size
 comparison. Its table is the reversed text, which the archive does not hold,
@@ -101,7 +103,10 @@ SectionSizes.__doc__ = (
 )
 
 Archive = namedtuple("Archive", "algo mode filtered n d entries final_state freqs code sizes")
-Archive.__doc__ = "Parsed archive. entries is None when an older build filtered the dictionary."
+Archive.__doc__ = (
+    "Parsed archive. filtered is always False, since the reader refuses flag bit 1;"
+    " the field stays because perfbench/tracing.py reads it."
+)
 
 
 def parse_dict_entries(blob: bytes, d: int) -> list[bytes]:
@@ -358,8 +363,12 @@ def unpack_archive(data: bytes) -> Archive:
     flags = data[6]
     if flags & ~known_flags:
         raise CorruptError("reserved flag bits set")
+    if flags & _FLAG_FILTERED:
+        raise NotDecodableError(
+            "the dictionary was passed through an external filter command, "
+            "which fans no longer runs"
+        )
     mode = TokenizerMode.PAPER if flags & _FLAG_PAPER else TokenizerMode.LOSSLESS
-    filtered = bool(flags & _FLAG_FILTERED)
 
     pos = 7
     n, used = read_varint(data, pos)
@@ -377,23 +386,25 @@ def unpack_archive(data: bytes) -> Archive:
         fs_size = used
     header_size = pos - fs_size + (len(data) - end)  # versions 2 to 4 count their CRC here
 
-    front_coded = version == VERSION and algo != ALGO_FAM
     dict_start = pos
     if version == _VERSION_1:
         blob_len, used = read_varint(data, pos)
         pos += used
         if pos + blob_len > end:
             raise TruncatedError("dictionary blob runs past end of archive")
-        blob = data[pos : pos + blob_len]
+        entries = parse_dict_entries(data[pos : pos + blob_len], d)
         pos += blob_len
     elif version == _VERSION_2:
         blob, pos = _read_deflated(data, pos, end, "dictionary section")
-    elif front_coded:
+        entries = parse_dict_entries(blob, d)
+    elif version == VERSION and algo != ALGO_FAM:
         pairs, pos = _read_deflated(data, pos, end, "dictionary pairs section")
         blob, pos = _read_deflated(data, pos, end, "dictionary suffix section")
+        entries = _front_decode(pairs, blob, d)
     else:
         lengths, pos = _read_deflated(data, pos, end, "dictionary lengths section")
         blob, pos = _read_deflated(data, pos, end, "dictionary bytes section")
+        entries = _cut_dict_entries(lengths, blob, d)
     dict_region = pos - dict_start
 
     freqs = None
@@ -417,15 +428,6 @@ def unpack_archive(data: bytes) -> Archive:
     if pos != end:
         raise TrailingBytes(f"{end - pos} bytes past the last section")
 
-    if filtered:
-        entries = None
-    elif front_coded:
-        entries = _front_decode(pairs, blob, d)
-    elif version >= _VERSION_3:
-        entries = _cut_dict_entries(lengths, blob, d)
-    else:
-        entries = parse_dict_entries(blob, d)
-
     # Cross-field sanity: these would otherwise surface as confusing decoder
     # failures, or not at all.
     if n == 0:
@@ -448,7 +450,7 @@ def unpack_archive(data: bytes) -> Archive:
     return Archive(
         algo=algo,
         mode=mode,
-        filtered=filtered,
+        filtered=False,
         n=n,
         d=d,
         entries=entries,

@@ -5,10 +5,11 @@ them, so it holds the stream as ids and never as tokens; encode_ids codes
 them, and pack_coded turns the coder's result into the archive: the
 dictionary in the coder's order, the counts, the packed code bits and the
 container. decompress joins the output straight from the sequence the
-decoder rebuilt, back to front. encode_ids and decode_ids are the coding
-stage alone, model or table build plus the coding loop, which is what the
-benchmark times; it packs each row's archive with pack_coded from the same
-result.
+decoder rebuilt, back to front, paper mode's one word per line included;
+the parser has already refused any archive it cannot decode. encode_ids and
+decode_ids are the coding stage alone, model or table build plus the coding
+loop, which is what the benchmark times; it packs each row's archive with
+pack_coded from the same result.
 
 The static coders' table is the spread, a list whose entry j is the id that
 owns slot j, laid out in dictionary order: byte order, since a static
@@ -38,7 +39,6 @@ from .container import (
     pack_archive,
     unpack_archive,
 )
-from .errors import NotDecodableError
 from .fam_codec import fam_decode_ids, fam_encode_ids
 from .fam_model import number_ids
 from .tokenizer import TokenizerMode, iter_tokens, join_back_to_front
@@ -146,11 +146,6 @@ def compress(
 def decompress(data: bytes) -> bytes:
     """The original bytes, or in paper mode the words one per line."""
     archive = unpack_archive(data)
-    if archive.filtered:
-        raise NotDecodableError(
-            "the dictionary was passed through an external filter command, "
-            "which fans no longer runs"
-        )
     seq = decode_sequence(archive)
     # The marker id d adds nothing; the archive goes before the join.
     if archive.mode is TokenizerMode.PAPER:

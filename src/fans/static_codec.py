@@ -16,9 +16,10 @@ to front, as it finds them. The token-keyed build_spread, static_encode and
 static_decode number the tokens (build_spread in dictionary order, the
 coders in the order of freqs.counts), call the id functions and map the
 result back, so each spread and each loop has one implementation; the coders
-trade the code as a ByteImage. They and count_frequencies serve only the
-tests and perfbench/tracing.py, and go once that replay records through the
-pipeline.
+trade the code as a ByteImage. They take plain lists and an empty stream
+codes through the same path, to no bits and final state 0. They and
+count_frequencies serve only the tests and perfbench/tracing.py, and go once
+that replay records through the pipeline.
 
 Keys in the uniform queue are the exact rationals (2k+1)/(2*count); they are
 compared by cross-multiplication, never as floats, with ties going to the
@@ -195,11 +196,7 @@ def static_encode_ids(
 
 
 def static_decode_ids(
-    image: ByteImage,
-    final_state: int,
-    spread: list[int] | None,
-    counts: list[int] | None,
-    n: int,
+    image: ByteImage, final_state: int, spread: list[int], counts: list[int], n: int
 ) -> list[int]:
     """Decode n ids with the spread; the code must be used up.
 
@@ -211,8 +208,6 @@ def static_decode_ids(
         if final_state != 0 or image.bit_length:
             raise CorruptError("empty stream with leftover state or bits")
         return []
-    if spread is None or counts is None:
-        raise ValueError("nonempty stream needs a spread and frequencies")
     total = len(spread)
     if total != n:
         raise CorruptError("frequency total does not match the token count")
@@ -287,16 +282,9 @@ def build_spread(
 
 
 def static_encode(
-    tokens: list[bytes], spread: list[bytes] | None, freqs: StaticFrequencies | None
+    tokens: list[bytes], spread: list[bytes], freqs: StaticFrequencies
 ) -> tuple[ByteImage, int]:
-    """static_encode_ids over tokens; returns (code bits, final state).
-
-    Empty input needs no table and yields final state 0 as a sentinel.
-    """
-    if not tokens:
-        return pack_bits(b""), 0
-    if spread is None or freqs is None:
-        raise ValueError("nonempty input needs a spread and frequencies")
+    """static_encode_ids over tokens; returns (code bits, final state)."""
     if freqs.total != len(tokens):
         raise ValueError("frequency total does not match the token count")
     index = {t: i for i, t in enumerate(freqs.counts)}
@@ -306,15 +294,9 @@ def static_encode(
 
 
 def static_decode(
-    code: ByteImage,
-    final_state: int,
-    spread: list[bytes] | None,
-    freqs: StaticFrequencies | None,
-    n: int,
+    code: ByteImage, final_state: int, spread: list[bytes], freqs: StaticFrequencies, n: int
 ) -> list[bytes]:
     """static_decode_ids over tokens; the code must be used up."""
-    if spread is None or freqs is None:
-        return static_decode_ids(code, final_state, None, None, n)
     keys = list(freqs.counts)
     index = {t: i for i, t in enumerate(keys)}
     counts = list(freqs.counts.values())

@@ -4,7 +4,7 @@ Lossless mode alternates maximal runs of ASCII letters/digits with maximal
 runs of everything else, so concatenating the tokens reproduces the input
 exactly. Paper mode keeps only ASCII-alphabetic runs, lowercased; it is meant
 for benchmarking against word-model results and is not reversible, so its
-tokens detokenize to one word per line.
+archives decompress to one word per line.
 
 iter_tokens reads the input in chunks of about _CHUNK bytes and yields the
 tokens of one chunk at a time, so a caller that consumes them as they come
@@ -23,12 +23,14 @@ two-branch alternation run by run. Paper tokens come from one translate and
 one whitespace split per chunk, both in C, rather than a regex over a
 lowered copy.
 
-detokenize joins the tokens a slice at a time, then joins the slices.
-bytes.join first takes an 80-byte buffer view of every item, so one join
-over a book's worth of short tokens allocates far more than the bytes it
-returns; over slices that overhead is bounded by the slice length, and the
-peak stays near twice the output on a book and within four times it on a
-short text. join_back_to_front does the same for a decoder's sequence.
+detokenize concatenates lossless tokens, which gives back the original
+bytes; paper output, one word per line, is joined by the decompressor. It
+joins the tokens a slice at a time, then joins the slices. bytes.join first
+takes an 80-byte buffer view of every item, so one join over a book's worth
+of short tokens allocates far more than the bytes it returns; over slices
+that overhead is bounded by the slice length, and the peak stays near twice
+the output on a book and within four times it on a short text.
+join_back_to_front does the same for a decoder's sequence.
 """
 
 from __future__ import annotations
@@ -101,16 +103,10 @@ def tokenize(data: bytes, mode: TokenizerMode = TokenizerMode.LOSSLESS) -> list[
     return list(iter_tokens(data, mode))
 
 
-def detokenize(tokens: list[bytes], mode: TokenizerMode = TokenizerMode.LOSSLESS) -> bytes:
-    """The original bytes in lossless mode; in paper mode, one token per line."""
-    if mode is TokenizerMode.LOSSLESS:
-        sep = end = b""
-    elif mode is TokenizerMode.PAPER:
-        sep = end = b"\n"
-    else:
-        raise ModeError(f"unknown tokenizer mode: {mode!r}")
+def detokenize(tokens: list[bytes]) -> bytes:
+    """The tokens joined: the original bytes of a lossless stream."""
     k = _JOIN_SLICE
-    return b"".join([sep.join(tokens[i : i + k]) + end for i in range(0, len(tokens), k)])
+    return b"".join([b"".join(tokens[i : i + k]) for i in range(0, len(tokens), k)])
 
 
 def join_back_to_front(seq: list[int], table: list[bytes]) -> bytes:

@@ -19,6 +19,7 @@ from fans.bench import (
     timed,
 )
 from fans.bitio import pack_bits
+from fans.cli import main
 from fans.container import ALGO_FAM, unpack_archive
 from fans.fam_codec import fam_decode_ids, fam_encode_ids
 from fans.fam_model import number_ids, renumber
@@ -122,10 +123,11 @@ def test_bench_file_empty_input(tmp_path):
 
 
 def test_bench_dir_over_corpus():
-    records, notes = bench_dir(CORPUS, ALGOS, TokenizerMode.PAPER)
+    records, notes, failures = bench_dir(CORPUS, ALGOS, TokenizerMode.PAPER)
     texts = sorted(p.name for p in CORPUS.iterdir())
     assert [r.text for r in records] == [t for t in texts for _ in ALGOS]
     assert [r.algo for r in records] == ALGOS * len(texts)
+    assert failures == []
     assert not any("FAILED" in note for note in notes)
     for record in records:
         assert record.token_count > 0
@@ -136,15 +138,26 @@ def test_bench_dir_over_corpus():
 def test_bench_dir_reports_failures(tmp_path, monkeypatch):
     sample = tmp_path / "sample.txt"
     sample.write_bytes(b"a a b c")  # id stream is not a palindrome
+    # An empty file benches (with a "no tokens" note) under a name that
+    # holds "FAILED"; the notes must not count as failures.
+    (tmp_path / "FAILED_notes.txt").write_bytes(b"")
+    assert main(["bench", "--algos", "fam", str(tmp_path)]) == 0
 
     def broken(archive, text=None):
         ids = decode_ids(archive, text)
         return ids[::-1] if archive.algo == ALGO_FAM else ids
 
     monkeypatch.setattr(bench, "decode_ids", broken)
-    records, notes = bench_dir(tmp_path, ["fam", "ranged"], TokenizerMode.PAPER)
-    assert [r.algo for r in records] == ["ranged"]  # the broken row is dropped
-    assert any("FAILED" in note and "fam" in note for note in notes)
+    records, notes, failures = bench_dir(tmp_path, ["fam", "ranged"], TokenizerMode.PAPER)
+    # The broken row is dropped; the empty file's rows decode nothing.
+    assert [(r.text, r.algo) for r in records] == [
+        ("FAILED_notes.txt", "fam"),
+        ("FAILED_notes.txt", "ranged"),
+        ("sample.txt", "ranged"),
+    ]
+    assert len(failures) == 1 and failures[0].startswith("sample.txt/fam: FAILED:")
+    assert notes == ["FAILED_notes.txt: no tokens in paper mode"] * 2
+    assert main(["bench", "--algos", "fam,ranged", str(tmp_path)]) == 1
 
 
 def test_unknown_algorithms_are_refused_before_any_file_is_read(tmp_path):
@@ -156,7 +169,7 @@ def test_unknown_algorithms_are_refused_before_any_file_is_read(tmp_path):
 
 
 def test_bench_dir_empty(tmp_path):
-    assert bench_dir(tmp_path, ALGOS, TokenizerMode.LOSSLESS) == ([], [])
+    assert bench_dir(tmp_path, ALGOS, TokenizerMode.LOSSLESS) == ([], [], [])
 
 
 _SAMPLE = BenchRecord(

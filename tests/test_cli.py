@@ -220,10 +220,15 @@ def test_bench_csv_and_markdown(tmp_path, capsys):
     assert lines[0].startswith("text,algo,code_bytes")
     assert len(lines) == 5  # header plus one row per algorithm
 
+    # An empty file's "no tokens" note names it; a name holding "FAILED"
+    # must not fail the run.
+    (tmp_path / "FAILED_notes.txt").write_bytes(b"")
     assert main(["bench", "--format", "markdown", "--algos", "fam", str(tmp_path)]) == 0
-    md_out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    md_out = captured.out
     assert md_out.startswith("| text | algo |")
-    assert md_out.count("\n") == 3
+    assert md_out.count("\n") == 4
+    assert "bench: FAILED_notes.txt: no tokens in paper mode\n" in captured.err
 
 
 def test_bench_rejects_unknown_algo(tmp_path, capsys):

@@ -286,14 +286,12 @@ def test_dict_entry_parsing():
         parse_dict_entries(b"\x01a\x01a", 2)  # duplicate entries
 
 
-def test_filtered_flag_parses_but_is_not_decodable():
+def test_filtered_flag_is_refused_by_the_parser():
     # Flag bit 1 marks a dictionary an older build ran through an external
-    # filter command; the archive parses, but nothing can read the entries.
+    # filter command. Nothing can read the entries, so the parser refuses it.
     filtered = FAM_ABA[:6] + b"\x02" + FAM_ABA[7:]
-    arc = unpack_archive(filtered)
-    assert arc.filtered
-    assert arc.entries is None
-    assert arc.sizes == unpack_archive(FAM_ABA).sizes
+    with pytest.raises(NotDecodableError, match="external filter"):
+        unpack_archive(filtered)
     with pytest.raises(NotDecodableError, match="external filter"):
         decompress(filtered)
 

@@ -214,6 +214,17 @@ def test_decompress_peak_is_the_decoders():
     assert pipeline_peak <= decoder_peak + len(raw), (pipeline_peak, decoder_peak)
     assert pipeline_peak <= 17.5 * n, pipeline_peak / n
 
+    # On a short paper-mode text the join's slice is a fixed cost: at 4,096
+    # tokens a slice, alice29's 38.7 KB of output took decompress 10.4 times
+    # the output past the decoder's peak, against 3.5 at 1,024.
+    raw = ALICE.read_bytes()
+    data = compress(raw, "fam", TokenizerMode.PAPER)
+    out, pipeline_peak = _traced_peak(decompress, data)
+    assert out == b"".join(t + b"\n" for t in tokenize(raw, TokenizerMode.PAPER))
+    archive = unpack_archive(data)
+    _, decoder_peak = _traced_peak(fam_decode_ids, archive.code, archive.d, archive.n)
+    assert pipeline_peak <= decoder_peak + 5 * len(out), (pipeline_peak, decoder_peak, len(out))
+
 
 @pytest.mark.parametrize("algo", ["fam", "ranged", "uniform"])
 def test_decoding_leaves_the_code_intact(algo):

@@ -135,14 +135,15 @@ def test_frozen_ranged_trace():
 
 
 def test_empty_stream():
-    code, final_state = static_encode([], None, None)
+    freqs = StaticFrequencies({}, 0)
+    code, final_state = static_encode([], [], freqs)
     assert len(code) == 0 and final_state == 0
-    assert static_decode(pack_bits([]), 0, None, None, 0) == []
+    assert static_decode(pack_bits([]), 0, [], freqs, 0) == []
     with pytest.raises(CorruptError):
-        static_decode(pack_bits([]), 1, None, None, 0)
+        static_decode(pack_bits([]), 1, [], freqs, 0)
     with pytest.raises(CorruptError):
-        static_decode(pack_bits([1]), 0, None, None, 0)
-    assert build_spread(SpreadStrategy.RANGED, StaticFrequencies({}, 0), []) == []
+        static_decode(pack_bits([1]), 0, [], freqs, 0)
+    assert build_spread(SpreadStrategy.RANGED, freqs, []) == []
 
 
 def test_final_state_range_checks():

@@ -1,6 +1,6 @@
 """Module boundaries: no private cross-module access, no process starts, one module
-that imports the coders, no bit stack or pack/unpack shim outside bitio, no import
-from outside the standard library, no error class that nothing raises, a small
+that imports the coders, no replay-only wrapper used outside its own module, no
+import from outside the standard library, no error class that nothing raises, a small
 resolvable public API, and a benchmark replay that matches the pipeline."""
 
 from __future__ import annotations
@@ -148,11 +148,26 @@ def test_guard_flags_coder_imports(tmp_path):
     assert len(_coder_imports(sample)) == 5
 
 
-_BIT_STACK_NAMES = {"BitStack", "pack", "unpack"}
+# Token-level wrappers and shims that only the tests and the benchmark's
+# replay (perfbench/tracing.py) call; the library goes through the id-level
+# functions.
+_REPLAY_ONLY = {
+    "pack",
+    "unpack",
+    "tokenize",
+    "detokenize",
+    "build_dictionary",
+    "fam_encode",
+    "fam_decode",
+    "count_frequencies",
+    "build_spread",
+    "static_encode",
+    "static_decode",
+}
 
 
-def _bit_stack_uses(path: Path) -> list[str]:
-    """Imports, definitions and mentions of BitStack, pack or unpack."""
+def _name_uses(path: Path) -> list[str]:
+    """Imports, definitions and mentions of a replay-only name."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -166,40 +181,61 @@ def _bit_stack_uses(path: Path) -> list[str]:
             names = [node.attr]
         else:
             continue
-        found += [f"{path.name}:{node.lineno} {name}" for name in names if name in _BIT_STACK_NAMES]
+        found += [f"{path.name}:{node.lineno} {name}" for name in names if name in _REPLAY_ONLY]
     return found
 
 
+def _replay_only_uses(sources: list[Path]) -> list[str]:
+    """Uses of a replay-only name outside the module that defines it at top level."""
+    home = {}
+    for path in sources:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in _REPLAY_ONLY:
+                home.setdefault(node.name, path.name)
+    return [
+        use
+        for path in sources
+        for use in _name_uses(path)
+        if home.get(use.split()[-1]) != path.name
+    ]
+
+
 def test_id_level_path_takes_no_bit_stack():
-    # Every coder, wrapper and container trades ByteImages, and the encoders'
-    # 0/1 bytes go through pack_bits. bitio keeps pack and unpack only as
-    # identity shims for the benchmark's replay; nothing else names them.
-    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != "bitio.py")
+    # Every coder, wrapper and container trades ids and ByteImages. bitio's
+    # pack/unpack shims and the token-level wrappers stay only for the
+    # benchmark's replay; no module but the one that defines such a name
+    # uses it.
+    sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    assert [v for path in sources for v in _bit_stack_uses(path)] == []
-    assert [v for v in _bit_stack_uses(PACKAGE / "bitio.py") if "BitStack" in v] == []
-    assert not hasattr(fans.errors, "EmptyStackError")
+    assert _replay_only_uses(sources) == []
 
 
 def test_guard_flags_bit_stacks(tmp_path):
-    sample = tmp_path / "sample.py"
-    sample.write_text(
-        "from .bitio import BitStack, pack_bits\n"
-        "from fans.bitio import pack as p, unpack\n"
-        "from .container import unpack_archive, pack_archive\n"
-        "def decode(code, n):\n"
-        "    return bitio.unpack(code)\n"
-        "def fam_decode(code):\n"
-        "    return fam_decode_ids(pack(code), 0, 0)\n"
-        "def encode_ids(bits):\n"
-        "    return pack_bits(bits)\n"
+    home = tmp_path / "home.py"
+    home.write_text(
         "def pack(stack):\n"
         "    return stack\n"
+        "def unpack(code):\n"
+        "    return pack(code)\n"
     )
-    # pack_bits, pack_archive and unpack_archive pass.
-    flagged = [v.split(":")[1] for v in _bit_stack_uses(sample)]
-    assert len(flagged) == 6
-    assert set(flagged) == {"1 BitStack", "2 pack", "2 unpack", "5 unpack", "7 pack", "10 pack"}
+    user = tmp_path / "user.py"
+    user.write_text(
+        "from .home import pack, pack_bits\n"
+        "from fans.tokenizer import tokenize as t, iter_tokens\n"
+        "from .container import unpack_archive, pack_archive\n"
+        "def decode(code):\n"
+        "    return home.unpack(static_encode(code))\n"
+        "def count_frequencies(tokens):\n"
+        "    return tokens\n"
+        "def encode_ids(bits):\n"
+        "    def build_spread():\n"
+        "        return pack_bits(bits)\n"
+    )
+    # pack_bits, iter_tokens, pack_archive and unpack_archive pass, as do
+    # home's own uses and user's top-level count_frequencies.
+    flagged = [v.split(":")[1] for v in _replay_only_uses([home, user])]
+    want = ["1 pack", "2 tokenize", "5 static_encode", "5 unpack", "9 build_spread"]
+    assert sorted(flagged) == want
 
 
 def _literal_typecode_arrays(path: Path) -> list[str]:

@@ -32,13 +32,6 @@ def test_detokenize_concatenates():
     assert detokenize([]) == b""
 
 
-def test_detokenize_paper_mode_emits_one_token_per_line():
-    assert detokenize([b"the", b"cat"], TokenizerMode.PAPER) == b"the\ncat\n"
-    assert detokenize([], TokenizerMode.PAPER) == b""
-    with pytest.raises(ModeError):
-        detokenize([b"hi"], "paper")  # a mode must be a TokenizerMode
-
-
 K = _JOIN_SLICE
 # Boundaries of the current slice, and of the earlier 4,096-token slice.
 _COUNTS = sorted({0, 1, K - 1, K, K + 1, 3 * K + 5, 4095, 4096, 4097, 12293})
@@ -48,8 +41,6 @@ _COUNTS = sorted({0, 1, K - 1, K, K + 1, 3 * K + 5, 4095, 4096, 4097, 12293})
 def test_detokenize_slices_match_one_join(count):
     tokens = [b"w%d" % i if i % 2 else b" " * (i % 3 + 1) for i in range(count)]
     assert detokenize(tokens) == b"".join(tokens)
-    paper = b"".join(t + b"\n" for t in tokens)
-    assert detokenize(tokens, TokenizerMode.PAPER) == paper
 
 
 def test_detokenize_peak_memory_tracks_the_output():
@@ -68,16 +59,16 @@ def test_detokenize_peak_memory_tracks_the_output():
 
 def test_detokenize_peak_on_a_short_text():
     # The slice's views are a fixed cost: at 4,096 tokens a slice, alice29's
-    # 38.7 KB of paper-mode output peaked at 381 KB, about ten times over.
+    # 42.5 KB of output peaked at 394 KB, about nine times over.
     raw = (_CORPUS / "alice29.txt").read_bytes()
-    tokens = tokenize(raw, TokenizerMode.PAPER)
+    tokens = tokenize(raw, TokenizerMode.LOSSLESS)
     tracemalloc.start()
     try:
-        out = detokenize(tokens, TokenizerMode.PAPER)
+        out = detokenize(tokens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out == b"".join(t + b"\n" for t in tokens)
+    assert out == raw
     assert peak <= 4 * len(out), (peak, len(out))
 
 
