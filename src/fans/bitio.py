@@ -1,4 +1,4 @@
-"""Bit-level plumbing: packed bit strings, decoder reads and minimal varints.
+"""Bit-level plumbing: packed bit strings, their packing and decoder reads.
 
 The coders renormalize by pushing low bits of the state, and the decoder
 reads them back from the end, so a code is one bit string read from the top
@@ -10,11 +10,12 @@ nonzero padding is refused while it is parsed.
 
 Decoders read a ByteImage, the archive's code as it stands, from the top
 down through an integer window that `refill` tops up, and leave it intact.
+Every other archive byte, varints included, is the container's.
 """
 
 from __future__ import annotations
 
-from .errors import BadPadding, CorruptError, OverlongVarint, TruncatedError
+from .errors import BadPadding, CorruptError
 
 # EXPANDED_BITS[s][v] is the low s bits of v as 0/1 bytes, LSB first. The
 # encoders emit renormalization bits in batches through these tables instead
@@ -136,39 +137,3 @@ def refill(data: bytes, pos: int, win: int, avail: int, need: int) -> tuple[int,
         pos = lo
     return pos, win, avail
 
-
-# Varints are unsigned LEB128, minimal form only: 7 value bits per byte,
-# continuation in the high bit, and the final byte may be zero only when it
-# is the whole encoding.
-
-_VARINT_MAX_BYTES = 10  # enough for any 64-bit value
-
-
-def put_varint(out: bytearray, value: int) -> None:
-    """Append value's varint to out."""
-    if value < 0:
-        raise ValueError("varints are unsigned")
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def read_varint(data, pos: int = 0) -> tuple[int, int]:
-    """Read one varint from data[pos:]; returns (value, bytes consumed)."""
-    value = 0
-    shift = 0
-    consumed = 0
-    while True:
-        if pos + consumed >= len(data):
-            raise TruncatedError("varint runs past end of input")
-        if consumed >= _VARINT_MAX_BYTES:
-            raise OverlongVarint("varint longer than 10 bytes")
-        byte = data[pos + consumed]
-        value |= (byte & 0x7F) << shift
-        consumed += 1
-        if not byte & 0x80:
-            if byte == 0 and consumed > 1:
-                raise OverlongVarint("varint has redundant trailing zero group")
-            return value, consumed
-        shift += 7

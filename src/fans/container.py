@@ -12,6 +12,12 @@ by the header fields, so the total length is fully determined and trailing
 bytes are an error. The frequency section is written here from the static
 coder's census, so no coder module formats archive bytes.
 
+Every integer field is a varint, written by `varints` and read by
+`read_varints`, the format's only varint codec: unsigned LEB128 (7 value
+bits per byte, low group first, continuation in the high bit) in minimal
+form, at most 10 bytes. The reader refuses a redundant trailing zero group
+and a longer encoding with OverlongVarint.
+
 An adaptive archive's dictionary is in the order its markers transmit. Its
 first section holds the d entry lengths as varints and its second the
 entries themselves, concatenated, so each deflates with a table of its own.
@@ -61,15 +67,15 @@ import sys
 import zlib
 from collections import namedtuple
 from itertools import groupby, islice
-from operator import lt
 
-from .bitio import ByteImage, put_varint, read_varint
+from .bitio import ByteImage
 from .errors import (
     BadMagic,
     BadVersion,
     CorruptError,
     InconsistentFields,
     NotDecodableError,
+    OverlongVarint,
     TrailingBytes,
     TruncatedError,
 )
@@ -95,6 +101,7 @@ _FLAG_FILTERED = 0x02
 
 # A run of one-byte varints: every byte below 0x80.
 _ONE_BYTE_VARINTS = re.compile(rb"[\x00-\x7f]*")
+_VARINT_MAX_BYTES = 10  # enough for any 64-bit value
 
 
 SectionSizes = namedtuple("SectionSizes", "header final_state dict_region freqs code total")
@@ -109,12 +116,60 @@ Archive.__doc__ = (
 )
 
 
+def varints(values) -> bytearray:
+    """The values as varints; each run of one-byte values is written at once."""
+    out = bytearray()
+    for small, run in groupby(values, (0x7F).__ge__):
+        if small:
+            out += bytes(run)  # raises ValueError on a negative value
+        else:
+            for value in run:
+                while value > 0x7F:
+                    out.append((value & 0x7F) | 0x80)
+                    value >>= 7
+                out.append(value)
+    return out
+
+
+def read_varints(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
+    """count varints from data[pos:]; returns (values, position past them).
+
+    Each run of one-byte varints is taken with one match; a longer value is
+    read byte by byte. Raises TruncatedError when data ends inside a varint,
+    and OverlongVarint on one of more than 10 bytes or with a redundant
+    trailing zero group.
+    """
+    values = []
+    while len(values) < count:
+        run_end = _ONE_BYTE_VARINTS.match(data, pos, pos + count - len(values)).end()
+        values += data[pos:run_end]
+        pos = run_end
+        if len(values) < count:
+            # data[pos] has its high bit set, so a zero final byte is redundant.
+            limit = pos + _VARINT_MAX_BYTES
+            value = shift = 0
+            while True:
+                if pos >= len(data):
+                    raise TruncatedError("varint runs past end of input")
+                if pos == limit:
+                    raise OverlongVarint("varint longer than 10 bytes")
+                byte = data[pos]
+                pos += 1
+                value |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+            if not byte:
+                raise OverlongVarint("varint has redundant trailing zero group")
+            values.append(value)
+    return values, pos
+
+
 def parse_dict_entries(blob: bytes, d: int) -> list[bytes]:
     entries = []
     pos = 0
     for _ in range(d):
-        length, used = read_varint(blob, pos)
-        pos += used
+        (length,), pos = read_varints(blob, pos, 1)
         if length == 0:
             raise CorruptError("empty dictionary entry")
         if pos + length > len(blob):
@@ -130,7 +185,9 @@ def parse_dict_entries(blob: bytes, d: int) -> list[bytes]:
 
 def _cut_dict_entries(lengths_blob: bytes, blob: bytes, d: int) -> list[bytes]:
     """blob cut at the d varint lengths of lengths_blob, which must use all of it."""
-    lengths, used = _read_counts(lengths_blob, 0, d, "length")
+    lengths, used = read_varints(lengths_blob, 0, d)
+    if 0 in lengths:
+        raise CorruptError("zero length for a dictionary token")
     if used != len(lengths_blob):
         raise TrailingBytes("dictionary lengths section has extra bytes")
     if sum(lengths) != len(blob):
@@ -148,11 +205,17 @@ def _cut_dict_entries(lengths_blob: bytes, blob: bytes, d: int) -> list[bytes]:
 
 
 def _front_code(dictionary: list[bytes]) -> tuple[bytearray, bytearray]:
-    """A sorted dictionary's (shared-prefix, suffix length) pairs and its suffixes."""
+    """A sorted dictionary's (shared-prefix, suffix length) pairs and its suffixes.
+
+    Raises InconsistentFields unless each entry is greater than the one
+    before it, the first than b"": the order the reader rebuilds.
+    """
     pairs = []
     suffixes = bytearray()
     prev = b""
     for entry in dictionary:
+        if entry <= prev:
+            raise InconsistentFields("a static dictionary must be strictly increasing, with no empty entry")
         k = min(len(prev), len(entry))
         p = 0
         while p < k and prev[p] == entry[p]:
@@ -160,12 +223,12 @@ def _front_code(dictionary: list[bytes]) -> tuple[bytearray, bytearray]:
         pairs += (p, len(entry) - p)
         suffixes += entry[p:]
         prev = entry
-    return _varints(pairs), suffixes
+    return varints(pairs), suffixes
 
 
 def _front_decode(pairs_blob: bytes, suffixes: bytes, d: int) -> list[bytes]:
     """The d entries front-coded in the two blobs; each must exceed the one before."""
-    pairs, used = _read_counts(pairs_blob, 0, 2 * d, None)
+    pairs, used = read_varints(pairs_blob, 0, 2 * d)
     if used != len(pairs_blob):
         raise TrailingBytes("dictionary pairs section has extra bytes")
     total = sum(islice(pairs, 1, None, 2))
@@ -192,18 +255,6 @@ def _front_decode(pairs_blob: bytes, suffixes: bytes, d: int) -> list[bytes]:
     return entries
 
 
-def _varints(values) -> bytearray:
-    """The values as varints; each run of one-byte values is written at once."""
-    out = bytearray()
-    for small, run in groupby(values, (0x7F).__ge__):
-        if small:
-            out += bytes(run)
-        else:
-            for value in run:
-                put_varint(out, value)
-    return out
-
-
 def _put_deflated(out: bytearray, raw: bytes) -> None:
     """Append raw as a section: raw length, deflated length, raw deflate.
 
@@ -214,17 +265,13 @@ def _put_deflated(out: bytearray, raw: bytes) -> None:
     wbits = max(9, min(15, (len(raw) + 262).bit_length()))
     deflater = zlib.compressobj(wbits=-wbits, memLevel=min(8, wbits - 6))
     packed = deflater.compress(raw) + deflater.flush()
-    put_varint(out, len(raw))
-    put_varint(out, len(packed))
+    out += varints((len(raw), len(packed)))
     out += packed
 
 
 def _read_deflated(data: bytes, pos: int, end: int, name: str) -> tuple[bytes, int]:
     """Inflate the section at data[pos:end]; returns (raw bytes, position past it)."""
-    raw_len, used = read_varint(data, pos)
-    pos += used
-    size, used = read_varint(data, pos)
-    pos += used
+    (raw_len, size), pos = read_varints(data, pos, 2)
     if pos + size > end:
         raise TruncatedError(f"{name} runs past end of archive")
     inflater = zlib.decompressobj(-15)
@@ -246,27 +293,6 @@ def _read_deflated(data: bytes, pos: int, end: int, name: str) -> tuple[bytes, i
     return raw, pos + size
 
 
-def _read_counts(data: bytes, pos: int, count: int, what: str | None) -> tuple[list[int], int]:
-    """count varints from data[pos:]; returns (values, position past them).
-
-    Each run of one-byte varints is taken with one match; only multi-byte
-    values go through read_varint. A zero is refused as a zero `what`,
-    unless `what` is None.
-    """
-    values = []
-    while len(values) < count:
-        run_end = _ONE_BYTE_VARINTS.match(data, pos, pos + count - len(values)).end()
-        values += data[pos:run_end]
-        pos = run_end
-        if len(values) < count:
-            value, used = read_varint(data, pos)
-            values.append(value)
-            pos += used
-    if what is not None and 0 in values:
-        raise CorruptError(f"zero {what} for a dictionary token")
-    return values, pos
-
-
 def pack_archive(
     algo: int,
     mode: TokenizerMode,
@@ -278,8 +304,9 @@ def pack_archive(
 ) -> bytes:
     """Assemble version-4 archive bytes; raises InconsistentFields on bad combinations.
 
-    A static dictionary must be in byte order, strictly increasing. freqs is
-    a static_codec.StaticFrequencies: counts keyed by entry, total.
+    A static dictionary must be in byte order, strictly increasing; an
+    adaptive one must hold distinct, nonempty entries. freqs is a
+    static_codec.StaticFrequencies: counts keyed by entry, total.
     """
     if algo not in ALGO_NAMES:
         raise InconsistentFields(f"unknown algo id {algo}")
@@ -287,6 +314,8 @@ def pack_archive(
     if algo == ALGO_FAM:
         if final_state is not None or freqs is not None:
             raise InconsistentFields("adaptive archives carry no final state or frequencies")
+        if b"" in dictionary or len(set(dictionary)) != d:
+            raise InconsistentFields("an adaptive dictionary must hold distinct, nonempty entries")
     else:
         if final_state is None:
             raise InconsistentFields("static archives need a final state")
@@ -294,8 +323,6 @@ def pack_archive(
             raise InconsistentFields("static archives need frequencies")
         if freqs is not None and freqs.total != n:
             raise InconsistentFields("frequency total does not match the token count")
-        if not all(map(lt, dictionary, islice(dictionary, 1, None))):
-            raise InconsistentFields("a static dictionary must be strictly increasing")
     if n == 0:
         if d or code.bit_length or (final_state or 0) != 0:
             raise InconsistentFields("empty input must have no dictionary, code or state")
@@ -312,20 +339,18 @@ def pack_archive(
     out.append(VERSION)
     out.append(algo)
     out.append(flags)
-    put_varint(out, n)
-    put_varint(out, d)
-    put_varint(out, code.bit_length)
+    out += varints((n, d, code.bit_length))
     if algo != ALGO_FAM:
-        put_varint(out, final_state)
+        out += varints((final_state,))
     if algo == ALGO_FAM:
-        _put_deflated(out, _varints(len(t) for t in dictionary))
+        _put_deflated(out, varints(len(t) for t in dictionary))
         _put_deflated(out, b"".join(dictionary))
     else:
         pairs, suffixes = _front_code(dictionary)
         _put_deflated(out, pairs)
         _put_deflated(out, suffixes)
         by_entry = freqs.counts if freqs is not None else {}
-        _put_deflated(out, _varints(by_entry[t] for t in dictionary))
+        _put_deflated(out, varints(by_entry[t] for t in dictionary))
     out += code.data
     out += zlib.crc32(out).to_bytes(_CRC_BYTES, "little")
     return bytes(out)
@@ -370,26 +395,18 @@ def unpack_archive(data: bytes) -> Archive:
         )
     mode = TokenizerMode.PAPER if flags & _FLAG_PAPER else TokenizerMode.LOSSLESS
 
-    pos = 7
-    n, used = read_varint(data, pos)
-    pos += used
-    d, used = read_varint(data, pos)
-    pos += used
-    code_bit_len, used = read_varint(data, pos)
-    pos += used
-
+    (n, d, code_bit_len), pos = read_varints(data, 7, 3)
     final_state = None
     fs_size = 0
     if algo != ALGO_FAM:
-        final_state, used = read_varint(data, pos)
-        pos += used
-        fs_size = used
+        (final_state,), fs_end = read_varints(data, pos, 1)
+        fs_size = fs_end - pos
+        pos = fs_end
     header_size = pos - fs_size + (len(data) - end)  # versions 2 to 4 count their CRC here
 
     dict_start = pos
     if version == _VERSION_1:
-        blob_len, used = read_varint(data, pos)
-        pos += used
+        (blob_len,), pos = read_varints(data, pos, 1)
         if pos + blob_len > end:
             raise TruncatedError("dictionary blob runs past end of archive")
         entries = parse_dict_entries(data[pos : pos + blob_len], d)
@@ -412,12 +429,14 @@ def unpack_archive(data: bytes) -> Archive:
     if algo != ALGO_FAM:
         freq_start = pos
         if version == _VERSION_1:
-            freqs, pos = _read_counts(data, pos, d, "frequency")
+            freqs, pos = read_varints(data, pos, d)
         else:
             section, pos = _read_deflated(data, pos, end, "frequency section")
-            freqs, used = _read_counts(section, 0, d, "frequency")
-            if used != len(section):
-                raise TrailingBytes("frequency section has extra bytes")
+            freqs, used = read_varints(section, 0, d)
+        if 0 in freqs:
+            raise CorruptError("zero frequency for a dictionary token")
+        if version != _VERSION_1 and used != len(section):
+            raise TrailingBytes("frequency section has extra bytes")
         freq_size = pos - freq_start
 
     code_bytes = (code_bit_len + 7) // 8

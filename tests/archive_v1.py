@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import zlib
 
-from fans.bitio import pack_bits, put_varint
+from fans.bitio import pack_bits
 from fans.container import (
     ALGO_FAM,
     ALGO_IDS,
     ALGO_TEXT_ORDER,
     MAGIC,
     Archive,
+    varints,
 )
 from fans.fam_model import number_ids
 from fans.pipeline import count_ids, encode_ids, pack_coded
@@ -45,7 +46,7 @@ def encode_dict_entries(entries: list[bytes]) -> bytes:
     """The version-1 and version-2 dictionary blob: each entry as a varint length plus its bytes."""
     blob = bytearray()
     for t in entries:
-        put_varint(blob, len(t))
+        blob += varints((len(t),))
         blob += t
     return bytes(blob)
 
@@ -55,11 +56,9 @@ def _header(archive: Archive, version: int, flags: int | None) -> bytearray:
         flags = 1 if archive.mode is TokenizerMode.PAPER else 0
     out = bytearray(MAGIC)
     out += bytes([version, archive.algo, flags])
-    put_varint(out, archive.n)
-    put_varint(out, archive.d)
-    put_varint(out, archive.code.bit_length)
+    out += varints((archive.n, archive.d, archive.code.bit_length))
     if archive.algo != ALGO_FAM:
-        put_varint(out, archive.final_state)
+        out += varints((archive.final_state,))
     return out
 
 
@@ -67,9 +66,9 @@ def v1_bytes(archive: Archive, flags: int | None = None) -> bytes:
     """archive's fields in version-1 layout; flags overrides the flags byte."""
     out = _header(archive, 1, flags)
     blob = encode_dict_entries(archive.entries)
-    put_varint(out, len(blob))
+    out += varints((len(blob),))
     out += blob
-    out += _varints(archive.freqs or ())
+    out += varints(archive.freqs or ())
     out += archive.code.data
     return bytes(out)
 
@@ -79,25 +78,17 @@ def _put_section(out: bytearray, raw: bytes, sized: bool) -> None:
     wbits = max(9, min(15, (len(raw) + 262).bit_length())) if sized else 15
     deflater = zlib.compressobj(wbits=-wbits, memLevel=min(8, wbits - 6))
     packed = deflater.compress(raw) + deflater.flush()
-    put_varint(out, len(raw))
-    put_varint(out, len(packed))
+    out += varints((len(raw), len(packed)))
     out += packed
-
-
-def _varints(values) -> bytes:
-    out = bytearray()
-    for value in values:
-        put_varint(out, value)
-    return bytes(out)
 
 
 def v3_bytes(archive: Archive) -> bytes:
     """archive's fields in version-3 layout, sealed."""
     out = _header(archive, 3, None)
-    _put_section(out, _varints(len(t) for t in archive.entries), sized=True)
+    _put_section(out, varints(len(t) for t in archive.entries), sized=True)
     _put_section(out, b"".join(archive.entries), sized=True)
     if archive.algo != ALGO_FAM:
-        _put_section(out, _varints(archive.freqs), sized=True)
+        _put_section(out, varints(archive.freqs), sized=True)
     out += archive.code.data
     return sealed(out)
 
@@ -107,7 +98,7 @@ def v2_bytes(archive: Archive) -> bytes:
     out = _header(archive, 2, None)
     _put_section(out, encode_dict_entries(archive.entries), sized=False)
     if archive.algo != ALGO_FAM:
-        _put_section(out, _varints(archive.freqs), sized=False)
+        _put_section(out, varints(archive.freqs), sized=False)
     out += archive.code.data
     return sealed(out)
 

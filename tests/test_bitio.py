@@ -1,4 +1,5 @@
-"""Byte images, bit packing, decoder reads, and varint round trips."""
+"""Byte images, bit packing, decoder reads, and round trips through the
+container's varint codec."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,10 @@ from fans.bitio import (
     WINDOW_MASKS,
     ByteImage,
     pack_bits,
-    put_varint,
-    read_varint,
     refill,
     table_typecode,
 )
+from fans.container import read_varints, varints
 from fans.errors import BadPadding, CorruptError, OverlongVarint, TruncatedError
 
 
@@ -121,45 +121,40 @@ def test_refill_past_the_end_raises():
         refill(data, 0, 0b101, 3, 4)
 
 
-def _varint(value: int) -> bytes:
-    out = bytearray()
-    put_varint(out, value)
-    return bytes(out)
-
-
 def test_varint_known_vectors():
-    assert _varint(5) == b"\x05"
-    assert _varint(0) == b"\x00"
-    assert _varint(300) == b"\xac\x02"
-    out = bytearray(b"x")
-    put_varint(out, 300)
-    assert out == b"x\xac\x02"  # appends
-    assert read_varint(b"\x05") == (5, 1)
-    assert read_varint(b"\xac\x02") == (300, 2)
+    assert varints([5]) == b"\x05"
+    assert varints([0]) == b"\x00"
+    assert varints([300]) == b"\xac\x02"
+    assert varints([5, 0, 300, 1]) == b"\x05\x00\xac\x02\x01"  # one run, inline, a run
+    assert read_varints(b"\x05", 0, 1) == ([5], 1)
+    assert read_varints(b"\xac\x02", 0, 1) == ([300], 2)
+    assert read_varints(b"\x05\x00\xac\x02\x01", 0, 4) == ([5, 0, 300, 1], 5)
 
 
 def test_varint_reads_at_offset():
-    assert read_varint(b"\xff\xac\x02", 1) == (300, 2)
+    assert read_varints(b"\xff\xac\x02", 1, 1) == ([300], 3)
 
 
 def test_varint_truncated():
     with pytest.raises(TruncatedError):
-        read_varint(b"\x80")
+        read_varints(b"\x80", 0, 1)
     with pytest.raises(TruncatedError):
-        read_varint(b"")
+        read_varints(b"", 0, 1)
+    with pytest.raises(TruncatedError):
+        read_varints(b"\x05", 0, 2)
 
 
 def test_varint_rejects_overlong():
     # A redundant trailing zero group encodes the same value in more bytes.
     with pytest.raises(OverlongVarint):
-        read_varint(b"\x85\x00")
+        read_varints(b"\x85\x00", 0, 1)
     with pytest.raises(OverlongVarint):
-        read_varint(b"\x80" * 10 + b"\x01")
+        read_varints(b"\x80" * 10 + b"\x01", 0, 1)
 
 
 def test_varint_rejects_negative():
     with pytest.raises(ValueError):
-        _varint(-1)
+        varints([-1])
 
 
 @given(st.lists(st.integers(0, 1), max_size=4096))
@@ -185,8 +180,21 @@ def test_bitstack_is_the_unpacked_image(bits):
 
 @given(st.integers(0, 2**64 - 1))
 def test_varint_round_trip(value):
-    encoded = _varint(value)
-    assert read_varint(encoded) == (value, len(encoded))
+    encoded = varints([value])
+    assert read_varints(encoded, 0, 1) == ([value], len(encoded))
+
+
+@given(
+    st.binary(max_size=8),
+    st.lists(st.one_of(st.integers(0, 0x7F), st.integers(0, 2**64 - 1)), max_size=40),
+    st.binary(max_size=8),
+)
+def test_varint_runs_stop_at_count(prefix, values, tail):
+    # One-byte runs are matched at once; the read must still stop after
+    # `count` values and leave the tail, whatever its bytes, unread.
+    encoded = varints(values)
+    data = prefix + encoded + tail
+    assert read_varints(data, len(prefix), len(values)) == (values, len(prefix) + len(encoded))
 
 
 @settings(max_examples=20)

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fans import container
-from fans.bitio import ByteImage, put_varint
+from fans.bitio import ByteImage
 from fans.container import (
     ALGO_FAM,
     ALGO_RANGED,
@@ -25,6 +25,7 @@ from fans.container import (
     pack_archive,
     parse_dict_entries,
     unpack_archive,
+    varints,
 )
 from fans.errors import (
     BadMagic,
@@ -219,6 +220,16 @@ def test_pack_rejects_inconsistent_fields():
         pack_archive(ALGO_FAM, TokenizerMode.LOSSLESS, 0, [b"a"], ByteImage(b"", 0))
     with pytest.raises(InconsistentFields):
         pack_archive(ALGO_FAM, TokenizerMode.LOSSLESS, 1, [b"a", b"b"], code)
+    # Dictionaries the reader would refuse: an empty static entry, and an
+    # empty or repeated adaptive one.
+    with pytest.raises(InconsistentFields, match="no empty entry"):
+        pack_archive(
+            ALGO_RANGED, TokenizerMode.LOSSLESS, 3, [b"", b"a"], code,
+            final_state=3, freqs=StaticFrequencies({b"": 2, b"a": 1}, 3),
+        )
+    for dictionary in ([b"", b"a"], [b"a", b"a"]):
+        with pytest.raises(InconsistentFields, match="distinct, nonempty"):
+            pack_archive(ALGO_FAM, TokenizerMode.LOSSLESS, 3, dictionary, code)
 
 
 def test_unpack_rejects_structural_damage():
@@ -346,10 +357,7 @@ def _deflate(raw: bytes) -> bytes:
 
 
 def _section(raw_len: int, stream: bytes) -> bytes:
-    out = bytearray()
-    put_varint(out, raw_len)
-    put_varint(out, len(stream))
-    return bytes(out) + stream
+    return bytes(varints((raw_len, len(stream)))) + stream
 
 
 def _deflated(raw: bytes) -> bytes:

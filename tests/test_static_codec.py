@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fans.bitio import ByteImage, pack_bits, read_varint
-from fans.container import ALGO_RANGED, ALGO_UNIFORM, pack_archive, unpack_archive
+from fans.bitio import ByteImage, pack_bits
+from fans.container import ALGO_RANGED, ALGO_UNIFORM, pack_archive, read_varints, unpack_archive
 from fans.errors import CorruptError
 from fans.static_codec import (
     SpreadStrategy,
@@ -213,10 +213,9 @@ def _frequency_section(freqs: StaticFrequencies, dictionary: list[bytes]) -> byt
     # The section ends where the code and the 4 CRC bytes begin; it holds the
     # raw length, the deflated length, then the raw deflate stream.
     start = sizes.total - 4 - sizes.code - sizes.freqs
-    raw_len, used = read_varint(data, start)
-    size, more = read_varint(data, start + used)
-    assert used + more + size == sizes.freqs
-    raw = zlib.decompress(data[start + used + more : start + sizes.freqs], wbits=-15)
+    (raw_len, size), pos = read_varints(data, start, 2)
+    assert pos + size == start + sizes.freqs
+    raw = zlib.decompress(data[pos : start + sizes.freqs], wbits=-15)
     assert len(raw) == raw_len
     return raw
 

@@ -1,7 +1,8 @@
 """Module boundaries: no private cross-module access, no process starts, one module
 that imports the coders, no replay-only wrapper used outside its own module, no
-import from outside the standard library, no error class that nothing raises, a small
-resolvable public API, and a benchmark replay that matches the pipeline."""
+varint code outside the container, no import from outside the standard library, no
+error class that nothing raises, a small resolvable public API, and a benchmark
+replay that matches the pipeline."""
 
 from __future__ import annotations
 
@@ -235,6 +236,63 @@ def test_guard_flags_bit_stacks(tmp_path):
     # home's own uses and user's top-level count_frequencies.
     flagged = [v.split(":")[1] for v in _replay_only_uses([home, user])]
     want = ["1 pack", "2 tokenize", "5 static_encode", "5 unpack", "9 build_spread"]
+    assert sorted(flagged) == want
+
+
+def _varint_names(path: Path) -> list[str]:
+    """Imports, definitions and bindings of a name containing "varint", in any case."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [alias.asname for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        else:
+            continue
+        found += [
+            f"{path.name}:{node.lineno} {name}" for name in names if name and "varint" in name.lower()
+        ]
+    return found
+
+
+def test_only_the_container_holds_varint_code():
+    # The varint is part of the archive format, so its one writer and one
+    # reader live in container.py. errors.py only names the error class the
+    # reader raises.
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("container.py", "errors.py"))
+    assert sources
+    assert [v for path in sources for v in _varint_names(path)] == []
+    assert [v.split()[-1] for v in _varint_names(PACKAGE / "errors.py")] == ["OverlongVarint"]
+    assert _varint_names(PACKAGE / "container.py")
+
+
+def test_guard_flags_varint_code(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .container import read_varints, unpack_archive\n"
+        "from .errors import OverlongVarint as Overlong\n"
+        "import fans.container as varint_codec\n"
+        "def put_varint(out, value):\n"
+        "    for varint in value:\n"
+        "        pass\n"
+        "class VarintError(Exception): pass\n"
+        "_VARINT_MAX_BYTES = 10\n"
+        "out = container.varints(values)\n"
+        "# a varint in a comment\n"
+    )
+    flagged = [v.split(":")[1] for v in _varint_names(sample)]
+    want = [
+        "1 read_varints",
+        "2 OverlongVarint",
+        "3 varint_codec",
+        "4 put_varint",
+        "5 varint",
+        "7 VarintError",
+        "8 _VARINT_MAX_BYTES",
+    ]
     assert sorted(flagged) == want
 
 
