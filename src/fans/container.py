@@ -447,15 +447,15 @@ def unpack_archive(data: bytes) -> Archive:
     if pos != end:
         raise TrailingBytes(f"{end - pos} bytes past the last section")
 
-    # Cross-field sanity: these would otherwise surface as confusing decoder
-    # failures, or not at all.
+    # Cross-field checks: the decoders take these fields as given and repeat
+    # none of them. When n = 0, d = 0 leaves freqs empty.
     if n == 0:
         if d or code_bit_len or (final_state or 0) != 0:
             raise CorruptError("empty stream with leftover sections")
     else:
         if d == 0 or d > n:
             raise CorruptError("dictionary size impossible for token count")
-    if freqs is not None and n > 0 and sum(freqs) != n:
+    if freqs is not None and sum(freqs) != n:
         raise CorruptError("frequencies do not sum to the token count")
 
     sizes = SectionSizes(

@@ -41,6 +41,13 @@ leaves fewer than 8 bits above the floor has run out of code. The decoder
 reads the code's ByteImage and leaves it intact. Nothing but the code bits,
 the dictionary and the token count crosses the wire.
 
+container.unpack_archive owns every check of those fields against each
+other: n = 0 comes with no dictionary and no code bits, and otherwise
+1 <= d <= n. The decoder takes them as given and repeats none of it; it
+checks only what the code bits say: that they last, that the markers use
+up the dictionary exactly within the n + d slots, that the state ends at
+n + d, and that no bit is left.
+
 fam_encode_ids/fam_decode_ids code ids; fam_encode/fam_decode
 wrap them for token streams and trade the code as a ByteImage. Only the
 tests and perfbench/tracing.py call the wrappers, which go once that replay
@@ -129,15 +136,14 @@ def fam_decode_ids(image: ByteImage, d: int, n: int) -> tuple[list[int], int]:
     """Decode n dictionary ids from the code, which must be used up.
 
     Returns (the prepared sequence: the ids back to front, each marker d
-    before its token's last occurrence; final state). Raises CorruptError
-    whenever the bits, the dictionary size and the token count do not add up.
+    before its token's last occurrence; final state). d and n are the
+    parser's validated fields, which container.unpack_archive checks and
+    this decoder does not: n = 0 comes with d = 0 and no code bits, and
+    otherwise 1 <= d <= n. Within that contract it raises CorruptError
+    whenever the code bits do not decode to exactly n ids.
     """
     if n == 0:
-        if d or image.bit_length:
-            raise CorruptError("empty stream with leftover dictionary or bits")
         return [], 0
-    if d == 0 or d > n:
-        raise CorruptError("dictionary size impossible for token count")
     from array import array
 
     m = n + d
@@ -196,13 +202,16 @@ def fam_decode_ids(image: ByteImage, d: int, n: int) -> tuple[list[int], int]:
                     continue
                 c = cnt[lt]
                 x = c + 1 + rank[p]
-            elif p == L:
-                # The slot being rebuilt is itself a marker, and it ranks
-                # last among the markers.
+            else:
+                # Here p == L, since x <= bound + L before every step: x
+                # starts at 1 with L = 0, a renormalisation stops there,
+                # and otherwise x is the last step's c + rank[p] <= 2c - 1,
+                # or a marker's c + 1 + rank <= 2c + 1, where c counts
+                # slots among those rebuilt then, so c < L. The slot being
+                # rebuilt is itself a marker, and it ranks last among the
+                # markers.
                 c = cnt[lt]
                 x = c + 1 + c
-            else:
-                raise CorruptError("slot reference beyond rebuilt region")
             # Marker: introduces the next dictionary token (back to
             # front). The marker's own count includes the slot being
             # rebuilt.
@@ -250,7 +259,11 @@ def fam_encode(tokens: list[bytes]) -> tuple[ByteImage, list[bytes]]:
 
 
 def fam_decode(code: ByteImage, dictionary: list[bytes], n: int) -> list[bytes]:
-    """Decode n tokens; the code must be used up."""
+    """Decode n tokens; the code must be used up.
+
+    Takes fam_decode_ids's contract: n = 0 comes with an empty dictionary
+    and no code bits, and otherwise 1 <= len(dictionary) <= n.
+    """
     recon, _ = fam_decode_ids(code, len(dictionary), n)
     d = len(dictionary)
     return [dictionary[i] for i in reversed(recon) if i != d]

@@ -45,6 +45,13 @@ its symbol and the state before the slot was taken, which is the symbol's
 count plus the slot's rank among that symbol's slots. Walking the spread with
 running counts gives those states directly. Each renormalization shift is
 read from the code's ByteImage at once; the image is left intact.
+
+container.unpack_archive owns every check of the header's fields against
+each other: n = 0 comes with no counts, no code bits and final state 0,
+and otherwise 1 <= d <= n with counts that sum to n. The decoder takes them
+as given and repeats none of it; it checks only that the final state is in
+the table's range, that the code bits last, that the state drains to the
+table size, and that no bit is left.
 """
 
 from __future__ import annotations
@@ -201,16 +208,16 @@ def static_decode_ids(
     """Decode n ids with the spread; the code must be used up.
 
     Returns the ids back to front, in the order the decoder finds them.
-    Raises CorruptError whenever the bits, the final state, the spread and
-    the count do not add up.
+    The spread, counts and n come from the parser's validated fields, which
+    container.unpack_archive checks and this decoder does not: n = 0 comes
+    with no counts, no code bits and final state 0, and otherwise
+    len(spread) == sum(counts) == n. Within that contract it raises
+    CorruptError whenever the final state and the code bits do not decode
+    to exactly n ids.
     """
     if n == 0:
-        if final_state != 0 or image.bit_length:
-            raise CorruptError("empty stream with leftover state or bits")
         return []
     total = len(spread)
-    if total != n:
-        raise CorruptError("frequency total does not match the token count")
     if not total <= final_state < 2 * total:
         raise CorruptError("final state outside the table range")
     from array import array
@@ -296,7 +303,11 @@ def static_encode(
 def static_decode(
     code: ByteImage, final_state: int, spread: list[bytes], freqs: StaticFrequencies, n: int
 ) -> list[bytes]:
-    """static_decode_ids over tokens; the code must be used up."""
+    """static_decode_ids over tokens; the code must be used up.
+
+    Takes static_decode_ids's contract: n = 0 comes with no counts, no code
+    bits and final state 0, and otherwise len(spread) == freqs.total == n.
+    """
     keys = list(freqs.counts)
     index = {t: i for i, t in enumerate(keys)}
     counts = list(freqs.counts.values())

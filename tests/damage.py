@@ -1,0 +1,166 @@
+"""Damage census: small archives of every version, damaged every way, each outcome recorded.
+
+The archives are fam, ranged and uniform archives of a few small inputs, in
+both tokenizer modes and in versions 1 to 4 (version 4 from compress, the
+older layouts from archive_v1's builders). Each is damaged by every
+truncation, four byte values at every offset (the byte XOR 0x01, 0x02, 0x80
+and 0xff), every one-byte deletion and a zero byte inserted at every offset.
+Versions 2 to 4 are damaged in front of their CRC and resealed, so the damage
+reaches the parser's sections and the decoders rather than stopping at the
+checksum; version 1 has no CRC.
+
+Each case's outcome is "same" (decompress returned the undamaged output),
+"wrong" (it returned other bytes), "ClassName: message" for a FansError, or
+"bare ClassName: message" for any other exception. The message is kept:
+many checks raise CorruptError, so the class alone could not show which
+check fired. The whole census takes about a second, so tests/test_damage.py
+runs all of it and pins the SHA-256 of each version's ordered outcomes: a
+change that moves any outcome shows as a changed pin.
+
+    python tests/damage.py
+
+runs the same census and prints the outcome classes per version, the
+wrong-output count, the slowest case, and which reader-side raise sites
+(the innermost traceback frame of each error) the damage reached.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import sys
+import time
+from collections import Counter, namedtuple
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from fans import bitio, container, errors, fam_codec, static_codec
+from fans.container import unpack_archive
+from fans.errors import FansError
+from fans.pipeline import compress, decompress
+from fans.tokenizer import TokenizerMode
+
+from archive_v1 import sealed, static_fields, v1_bytes, v2_bytes, v3_bytes
+
+INPUTS = [b"", b"a b a\n", b"the cat sat on the mat\nthe cat\n", "café au lait, café!\n".encode()]
+CODERS = ["fam", "ranged", "uniform"]
+VERSIONS = [1, 2, 3, 4]
+MASKS = [0x01, 0x02, 0x80, 0xFF]
+# The modules decompress reads an archive with; every raise of a FansError
+# class in them but the writer's InconsistentFields is a reader-side site.
+READER_MODULES = [bitio, container, fam_codec, static_codec]
+
+Case = namedtuple("Case", "version archive damage outcome seconds site")
+
+
+def archives():
+    """(version, label, archive bytes, undamaged output) for each input, mode, coder and version."""
+    for i, raw in enumerate(INPUTS):
+        for mode in TokenizerMode:
+            for coder in CODERS:
+                v4 = compress(raw, coder, mode)
+                if coder == "fam":
+                    fields = unpack_archive(v4)
+                else:
+                    fields = static_fields(raw, mode, coder)
+                expected = decompress(v4)
+                built = {1: v1_bytes(fields), 2: v2_bytes(fields), 3: v3_bytes(fields), 4: v4}
+                for version in VERSIONS:
+                    label = f"input {i} {mode.value} {coder} v{version}"
+                    yield version, label, built[version], expected
+
+
+def damaged(data: bytes, version: int):
+    """(label, bytes) for each damage to data; versions 2 to 4 are resealed."""
+    seal = sealed if version > 1 else bytes
+    body = data[:-4] if version > 1 else data
+    for k in range(len(body)):
+        yield f"cut to {k}", seal(body[:k])
+    for i, byte in enumerate(body):
+        for mask in MASKS:
+            yield f"xor {mask:#04x} at {i}", seal(body[:i] + bytes([byte ^ mask]) + body[i + 1 :])
+        yield f"delete {i}", seal(body[:i] + body[i + 1 :])
+    for i in range(len(body) + 1):
+        yield f"insert at {i}", seal(body[:i] + b"\x00" + body[i:])
+
+
+def outcome(data: bytes, expected: bytes) -> tuple[str, tuple[str, int] | None]:
+    """(outcome, innermost frame of the error as (file name, line) or None)."""
+    try:
+        out = decompress(data)
+    except Exception as exc:  # noqa: BLE001 - a bare exception is a finding, not a crash
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        site = (Path(tb.tb_frame.f_code.co_filename).name, tb.tb_lineno)
+        prefix = "" if isinstance(exc, FansError) else "bare "
+        return f"{prefix}{type(exc).__name__}: {exc}", site
+    return ("same" if out == expected else "wrong"), None
+
+
+def census() -> list[Case]:
+    """Every damaged case, in a fixed order."""
+    cases = []
+    for version, label, data, expected in archives():
+        if decompress(data) != expected:
+            raise AssertionError(f"{label} does not decode before damage")
+        for damage, bad in damaged(data, version):
+            start = time.perf_counter()
+            result, site = outcome(bad, expected)
+            cases.append(Case(version, label, damage, result, time.perf_counter() - start, site))
+    return cases
+
+
+def digests(cases: list[Case]) -> dict[int, str]:
+    """The SHA-256 of each version's ordered outcomes, one per line."""
+    return {
+        v: hashlib.sha256("\n".join(c.outcome for c in cases if c.version == v).encode()).hexdigest()
+        for v in VERSIONS
+    }
+
+
+def raise_sites() -> set[tuple[str, int]]:
+    """(file name, line) of every reader-side raise statement."""
+    names = {
+        name
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, FansError) and cls is not errors.InconsistentFields
+    }
+    sites = set()
+    for module in READER_MODULES:
+        path = Path(module.__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) in names
+            ):
+                sites.add((path.name, node.lineno))
+    return sites
+
+
+def report(cases: list[Case]) -> None:
+    classes = Counter((c.outcome.split(":")[0], c.version) for c in cases)
+    print(f"{len(cases)} damaged archives")
+    print(f"{'outcome':<20}" + "".join(f"{'v%d' % v:>8}" for v in VERSIONS))
+    for name in sorted({name for name, _ in classes}):
+        print(f"{name:<20}" + "".join(f"{classes[name, v]:>8}" for v in VERSIONS))
+    wrong = sum(c.outcome == "wrong" for c in cases)
+    bare = sum(c.outcome.startswith("bare ") for c in cases)
+    print(f"wrong output: {wrong}; bare exceptions: {bare}")
+    slow = max(cases, key=lambda c: c.seconds)
+    print(f"slowest: {slow.seconds * 1e3:.1f} ms, {slow.archive}, {slow.damage}: {slow.outcome}")
+    for version, digest in digests(cases).items():
+        print(f"v{version} outcomes sha256 {digest}")
+    reached = Counter(c.site for c in cases if c.site is not None)
+    sites = raise_sites()
+    print(f"reader-side raise sites reached: {len(sites & set(reached))} of {len(sites)}")
+    for file, line in sorted(sites | set(reached)):
+        mark = "" if (file, line) in sites else "  (not a reader-side raise)"
+        print(f"  {file}:{line} {reached[file, line]}{mark}")
+
+
+if __name__ == "__main__":
+    report(census())

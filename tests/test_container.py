@@ -283,6 +283,48 @@ def test_unpack_rejects_semantic_damage():
         unpack_archive(bytes(data))
 
 
+EMPTY_FAM_V4 = pack_archive(ALGO_FAM, TokenizerMode.LOSSLESS, 0, [], ByteImage(b"", 0))
+EMPTY_STATIC_V4 = pack_archive(
+    ALGO_RANGED, TokenizerMode.LOSSLESS, 0, [], ByteImage(b"", 0), final_state=0
+)
+
+
+def _reheaded(base: bytes, header: bytes, code: bytes) -> bytes:
+    """base's sections under other one-byte header varints and code, resealed."""
+    sections_end = len(base) - 4 - unpack_archive(base).sizes.code
+    return sealed(base[:7] + header + base[7 + len(header) : sections_end] + code)
+
+
+# The decoders take n, d, the code bits and the final state as the parser
+# validated them, so these checks have one owner: unpack_archive. Each case
+# gets through every section, so only its header's fields can fail it.
+# Header varints: n, d, code bits, then a static archive's final state.
+CROSS_FIELD = {
+    "fam n=0 with d>0": (FAM_ABA_V4, b"\x00\x02\x00", b"", "leftover sections"),
+    "fam n=0 with code bits": (EMPTY_FAM_V4, b"\x00\x00\x05", b"\x09", "leftover sections"),
+    "fam n>0 with d=0": (EMPTY_FAM_V4, b"\x03\x00\x05", b"\x09", "dictionary size impossible"),
+    "fam d>n": (FAM_ABA_V4, b"\x01\x02\x05", b"\x09", "dictionary size impossible"),
+    "static n=0 with d>0": (STATIC_AB_V4, b"\x00\x02\x00\x00", b"", "leftover sections"),
+    "static n=0 with code bits": (
+        EMPTY_STATIC_V4, b"\x00\x00\x03\x00", b"\x04", "leftover sections"
+    ),
+    "static n=0 with a final state": (
+        EMPTY_STATIC_V4, b"\x00\x00\x00\x01", b"", "leftover sections"
+    ),
+    "static n>0 with d=0": (
+        EMPTY_STATIC_V4, b"\x03\x00\x03\x03", b"\x04", "dictionary size impossible"
+    ),
+    "static d>n": (STATIC_AB_V4, b"\x01\x02\x03\x03", b"\x04", "dictionary size impossible"),
+}
+
+
+@pytest.mark.parametrize("case", CROSS_FIELD)
+def test_parser_owns_the_cross_field_checks(case):
+    base, header, code, message = CROSS_FIELD[case]
+    with pytest.raises(CorruptError, match=message):
+        unpack_archive(_reheaded(base, header, code))
+
+
 def test_dict_entry_parsing():
     blob = encode_dict_entries([b"b", b"a"])
     assert blob == b"\x01b\x01a"
