@@ -58,14 +58,10 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     # bench and selftest are imported by their own commands only, so that
     # compress and decompress calls do not load them.
-    from .bench import ALGOS, bench_dir, format_csv, format_markdown
+    from .bench import bench_dir, format_csv, format_markdown
 
     mode = TokenizerMode(args.mode)
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for algo in algos:
-        if algo not in ALGOS:
-            raise FansError(f"unknown algorithm {algo!r}")
-    records, notes, failures = bench_dir(Path(args.corpus), algos, mode, reps=args.reps)
+    records, notes, failures = bench_dir(Path(args.corpus), args.algos, mode, reps=args.reps)
     formatter = format_markdown if args.format == "markdown" else format_csv
     sys.stdout.write(formatter(records))
     for note in notes + failures:
@@ -107,6 +103,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bench_algos(text: str) -> list[str]:
+    # argparse converts this option, its default included, only when the
+    # bench command is parsed, so other commands do not load bench.
+    from .bench import ALGOS
+
+    algos = [a.strip() for a in text.split(",") if a.strip()]
+    for algo in algos:
+        if algo not in ALGOS:
+            raise argparse.ArgumentTypeError(f"unknown algorithm {algo!r}: choose from {','.join(ALGOS)}")
+    return algos
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fans",
@@ -130,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--mode", choices=[m.value for m in TokenizerMode], default="paper")
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
     p.add_argument("--reps", type=_positive_int, default=1)
-    p.add_argument("--algos", default="fam,ranged,uniform,textorder")
+    p.add_argument("--algos", type=_bench_algos, default="fam,ranged,uniform,textorder")
     p.add_argument("corpus")
     p.set_defaults(func=_cmd_bench)
 

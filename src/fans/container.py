@@ -12,6 +12,13 @@ by the header fields, so the total length is fully determined and trailing
 bytes are an error. The frequency section is written here from the static
 coder's census, so no coder module formats archive bytes.
 
+Each census check has one owner per side. On writing, pack_archive reads the
+census once in dictionary order and refuses it unless it counts every entry
+and no other, each a positive integer, summing to n, so it writes no
+archive the reader refuses; static_codec.StaticFrequencies, which carries
+the census here, checks nothing. On reading, unpack_archive refuses a zero
+count and counts that do not sum to n.
+
 Every integer field is a varint, written by `varints` and read by
 `read_varints`, the format's only varint codec: unsigned LEB128 (7 value
 bits per byte, low group first, continuation in the high bit) in minimal
@@ -306,7 +313,10 @@ def pack_archive(
 
     A static dictionary must be in byte order, strictly increasing; an
     adaptive one must hold distinct, nonempty entries. freqs is a
-    static_codec.StaticFrequencies: counts keyed by entry, total.
+    static_codec.StaticFrequencies, whose counts, keyed by entry, must
+    count every entry of the dictionary and no other, each a positive
+    integer, and sum to n; only an empty static archive may omit it. Its
+    total is not read.
     """
     if algo not in ALGO_NAMES:
         raise InconsistentFields(f"unknown algo id {algo}")
@@ -316,13 +326,8 @@ def pack_archive(
             raise InconsistentFields("adaptive archives carry no final state or frequencies")
         if b"" in dictionary or len(set(dictionary)) != d:
             raise InconsistentFields("an adaptive dictionary must hold distinct, nonempty entries")
-    else:
-        if final_state is None:
-            raise InconsistentFields("static archives need a final state")
-        if freqs is None and d > 0:
-            raise InconsistentFields("static archives need frequencies")
-        if freqs is not None and freqs.total != n:
-            raise InconsistentFields("frequency total does not match the token count")
+    elif final_state is None:
+        raise InconsistentFields("static archives need a final state")
     if n == 0:
         if d or code.bit_length or (final_state or 0) != 0:
             raise InconsistentFields("empty input must have no dictionary, code or state")
@@ -340,17 +345,22 @@ def pack_archive(
     out.append(algo)
     out.append(flags)
     out += varints((n, d, code.bit_length))
-    if algo != ALGO_FAM:
-        out += varints((final_state,))
     if algo == ALGO_FAM:
         _put_deflated(out, varints(len(t) for t in dictionary))
         _put_deflated(out, b"".join(dictionary))
     else:
         pairs, suffixes = _front_code(dictionary)
+        census = freqs.counts if freqs is not None else {}
+        counts = [census.get(entry, 0) for entry in dictionary]
+        if len(census) != d or not all(isinstance(c, int) and c > 0 for c in counts) or sum(counts) != n:
+            raise InconsistentFields(
+                "frequencies must count each dictionary entry, and no other, "
+                "with positive integers that sum to the token count"
+            )
+        out += varints((final_state,))
         _put_deflated(out, pairs)
         _put_deflated(out, suffixes)
-        by_entry = freqs.counts if freqs is not None else {}
-        _put_deflated(out, varints(by_entry[t] for t in dictionary))
+        _put_deflated(out, varints(counts))
     out += code.data
     out += zlib.crc32(out).to_bytes(_CRC_BYTES, "little")
     return bytes(out)

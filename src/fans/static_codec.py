@@ -52,6 +52,13 @@ and otherwise 1 <= d <= n with counts that sum to n. The decoder takes them
 as given and repeats none of it; it checks only that the final state is in
 the table's range, that the code bits last, that the state drains to the
 table size, and that no bit is left.
+
+On the writer's side container.pack_archive owns the census check: each
+dictionary entry, and no other, counted by a positive integer, the counts
+summing to n. StaticFrequencies is a plain record and checks nothing.
+count_frequencies checks only that the tokens match the dictionary, and
+static_encode only that the total is the token count; both guard the
+inputs of the replay-only wrappers.
 """
 
 from __future__ import annotations
@@ -64,17 +71,10 @@ from .bitio import EXPANDED_BITS, WINDOW_MASKS, ByteImage, pack_bits, refill, ta
 from .errors import CorruptError
 
 
-class StaticFrequencies(namedtuple("StaticFrequencies", "counts total")):
-    """Exact occurrence counts; total doubles as the table size."""
-
-    __slots__ = ()
-
-    def __new__(cls, counts: dict[bytes, int], total: int):
-        if any(c <= 0 for c in counts.values()):
-            raise ValueError("frequencies must be positive")
-        if sum(counts.values()) != total:
-            raise ValueError("frequencies do not sum to the total")
-        return super().__new__(cls, counts, total)
+# Exact occurrence counts keyed by token, and their total, which doubles as
+# the table size. A plain record: container.pack_archive checks the counts it
+# writes, and the other makers take them from a Counter or a parsed archive.
+StaticFrequencies = namedtuple("StaticFrequencies", "counts total")
 
 
 def count_frequencies(tokens: list[bytes], dictionary: list[bytes]) -> StaticFrequencies:

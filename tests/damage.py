@@ -22,19 +22,35 @@ change that moves any outcome shows as a changed pin.
 runs the same census and prints the outcome classes per version, the
 wrong-output count, the slowest case, and which reader-side raise sites
 (the innermost traceback frame of each error) the damage reached.
+
+    python tests/damage.py --base REV
+
+runs this census once with the fans of a temporary git worktree of REV and
+once with the working tree's, each in a child process, prints every case
+whose outcome differs, grouped by (REV outcome -> tree outcome), and exits 1
+if any does. Each side builds its archives with its own compress, so an
+archive byte that moved shows too. The worktree is removed afterwards.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
+import json
+import os
+import subprocess
 import sys
+import tempfile
 import time
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from pathlib import Path
 
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
 
 from fans import bitio, container, errors, fam_codec, static_codec
 from fans.container import unpack_archive
@@ -162,5 +178,49 @@ def report(cases: list[Case]) -> None:
         print(f"  {file}:{line} {reached[file, line]}{mark}")
 
 
+def outcomes_with(src: Path) -> dict[tuple[int, str, str], str]:
+    """{(version, archive, damage): outcome} of this census, run in a child
+    process that imports fans from src."""
+    child = (
+        f"import sys; sys.path[:0] = [{str(src)!r}, {str(TESTS)!r}]; import json, damage; "
+        "print(json.dumps([[c.version, c.archive, c.damage, c.outcome] for c in damage.census()]))"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    if proc.returncode:
+        sys.exit(f"the census failed with the fans in {src}:\n{proc.stderr}")
+    return {(v, archive, damage): outcome for v, archive, damage, outcome in json.loads(proc.stdout)}
+
+
+def compare(base: str) -> int:
+    """Print the cases whose outcome differs between base and the working tree; 1 if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        worktree = Path(tmp) / "base"
+        git = ["git", "-C", str(ROOT), "worktree"]
+        subprocess.run(git + ["add", "--detach", "--quiet", str(worktree), base], check=True)
+        try:
+            before = outcomes_with(worktree / "src")
+        finally:
+            subprocess.run(git + ["remove", "--force", str(worktree)], check=True)
+    after = outcomes_with(ROOT / "src")
+    moved = defaultdict(list)
+    for case in {**before, **after}:  # census order
+        pair = (before.get(case, "absent"), after.get(case, "absent"))
+        if pair[0] != pair[1]:
+            moved[pair].append(case)
+    print(f"{len(before)} cases at {base}, {len(after)} in the working tree")
+    for (was, now), cases in sorted(moved.items(), key=lambda item: -len(item[1])):
+        print(f"{len(cases)} cases: {was} -> {now}")
+        for version, archive, damage in cases:
+            print(f"  {archive}, {damage}")
+    print(f"{sum(map(len, moved.values()))} cases differ")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Damage census of small fans archives.")
+    parser.add_argument("--base", metavar="REV", help="compare each case's outcome with the fans at REV")
+    args = parser.parse_args()
+    if args.base:
+        sys.exit(compare(args.base))
     report(census())

@@ -232,8 +232,11 @@ def test_bench_csv_and_markdown(tmp_path, capsys):
 
 
 def test_bench_rejects_unknown_algo(tmp_path, capsys):
-    assert main(["bench", "--algos", "fam,zstd", str(tmp_path)]) == 1
-    assert "unknown algorithm" in capsys.readouterr().err
+    # A usage error, as compress -a zstd is; 1 is left to bench's failures.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--algos", "fam,zstd", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unknown algorithm 'zstd'" in capsys.readouterr().err
 
 
 def test_console_script_runs():

@@ -230,6 +230,21 @@ def test_pack_rejects_inconsistent_fields():
     for dictionary in ([b"", b"a"], [b"a", b"a"]):
         with pytest.raises(InconsistentFields, match="distinct, nonempty"):
             pack_archive(ALGO_FAM, TokenizerMode.LOSSLESS, 3, dictionary, code)
+    # Censuses the reader would refuse or the writer could not read: a zero
+    # count, a negative count, counts that miss the token count, an entry
+    # with no count, and a count for no entry that n includes.
+    for n, dictionary, counts in (
+        (2, [b"a", b"b"], {b"a": 2, b"b": 0}),
+        (2, [b"a", b"b"], {b"a": 3, b"b": -1}),
+        (3, [b"a"], {b"a": 2}),
+        (3, [b"a", b"b"], {b"a": 3}),
+        (3, [b"a"], {b"a": 2, b"b": 1}),
+    ):
+        with pytest.raises(InconsistentFields, match="frequencies must count each dictionary entry"):
+            pack_archive(
+                ALGO_UNIFORM, TokenizerMode.LOSSLESS, n, dictionary, code,
+                final_state=n, freqs=StaticFrequencies(counts, n),
+            )
 
 
 def test_unpack_rejects_structural_damage():
@@ -604,3 +619,30 @@ def test_front_coded_dictionary_round_trip(entries, algo, data):
     arc = unpack_archive(packed)
     assert arc.entries == entries
     assert arc.freqs == counts
+
+
+@given(_sorted_entries, st.data())
+def test_writer_and_reader_agree_on_static_censuses(entries, data):
+    # A census of the dictionary with up to two faults (an entry without a
+    # count, a count for no entry, a zero or a negative count) and an n that
+    # may miss its sum by one. The writer must refuse it, or write an archive
+    # the reader takes back with the census in dictionary order.
+    census = {entry: data.draw(st.one_of(st.integers(1, 3), st.integers(126, 130))) for entry in entries}
+    for fault in data.draw(st.lists(st.sampled_from(["drop", "extra", "zero", "negative"]), max_size=2)):
+        entry = data.draw(st.sampled_from(entries))
+        if fault == "drop":
+            census.pop(entry, None)
+        elif fault == "extra":
+            census[max(entries) + b"\x00"] = 1
+        else:
+            census[entry] = 0 if fault == "zero" else -1
+    n = sum(census.values()) + data.draw(st.sampled_from([0, 0, -1, 1]), label="n off by")
+    try:
+        packed = pack_archive(
+            ALGO_RANGED, TokenizerMode.LOSSLESS, n, entries, ByteImage(b"", 0),
+            final_state=0, freqs=StaticFrequencies(census, n),
+        )
+    except InconsistentFields:
+        return
+    arc = unpack_archive(packed)
+    assert arc.freqs == [census[entry] for entry in entries]

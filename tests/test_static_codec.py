@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fans.bitio import ByteImage, pack_bits
 from fans.container import ALGO_RANGED, ALGO_UNIFORM, pack_archive, read_varints, unpack_archive
-from fans.errors import CorruptError
+from fans.errors import CorruptError, InconsistentFields
 from fans.static_codec import (
     SpreadStrategy,
     StaticFrequencies,
@@ -43,12 +43,18 @@ def test_count_frequencies():
 
 
 def test_frequency_validation():
-    with pytest.raises(ValueError):
-        StaticFrequencies({b"a": 0}, 0)
-    with pytest.raises(ValueError):
-        StaticFrequencies({b"a": -1}, -1)
-    with pytest.raises(ValueError):
-        StaticFrequencies({b"a": 2}, 3)
+    # StaticFrequencies is a plain record; the writer refuses a zero count, a
+    # negative count and counts that do not sum to the token count.
+    for n, counts in (
+        (2, {b"a": 2, b"b": 0}),
+        (2, {b"a": 3, b"b": -1}),
+        (3, {b"a": 1, b"b": 1}),
+    ):
+        with pytest.raises(InconsistentFields, match="frequencies must count each dictionary entry"):
+            pack_archive(
+                ALGO_UNIFORM, TokenizerMode.LOSSLESS, n, [b"a", b"b"], ByteImage(b"", 0),
+                final_state=n, freqs=StaticFrequencies(counts, n),
+            )
 
 
 def test_ranged_spread_vector():
