@@ -12,12 +12,15 @@ by the header fields, so the total length is fully determined and trailing
 bytes are an error. The frequency section is written here from the static
 coder's census, so no coder module formats archive bytes.
 
-Each census check has one owner per side. On writing, pack_archive reads the
-census once in dictionary order and refuses it unless it counts every entry
-and no other, each a positive integer, summing to n, so it writes no
-archive the reader refuses; static_codec.StaticFrequencies, which carries
-the census here, checks nothing. On reading, unpack_archive refuses a zero
-count and counts that do not sum to n.
+Each census and final-state check has one owner per side. On writing,
+pack_archive reads the census once in dictionary order and refuses it
+unless it counts every entry and no other, each a positive integer, summing
+to n, and it refuses a static final state unless it is an int in the
+table's range [n, 2n), or 0 when n = 0; so it writes no archive the reader
+refuses. static_codec.StaticFrequencies, which carries the census here,
+checks nothing. On reading, unpack_archive refuses a zero count, counts
+that do not sum to n, and a final state outside [n, 2n) when n > 0 (when
+n = 0 it must be 0), so the static decoder reads only code bits.
 
 Every integer field is a varint, written by `varints` and read by
 `read_varints`, the format's only varint codec: unsigned LEB128 (7 value
@@ -316,7 +319,8 @@ def pack_archive(
     static_codec.StaticFrequencies, whose counts, keyed by entry, must
     count every entry of the dictionary and no other, each a positive
     integer, and sum to n; only an empty static archive may omit it. Its
-    total is not read.
+    total is not read. A static final_state must be an int in [n, 2n), or
+    0 when n = 0; an adaptive archive takes neither.
     """
     if algo not in ALGO_NAMES:
         raise InconsistentFields(f"unknown algo id {algo}")
@@ -326,11 +330,11 @@ def pack_archive(
             raise InconsistentFields("adaptive archives carry no final state or frequencies")
         if b"" in dictionary or len(set(dictionary)) != d:
             raise InconsistentFields("an adaptive dictionary must hold distinct, nonempty entries")
-    elif final_state is None:
-        raise InconsistentFields("static archives need a final state")
+    elif not (isinstance(final_state, int) and (n <= final_state < 2 * n or final_state == n == 0)):
+        raise InconsistentFields("a static final state must be an int in [n, 2n), or 0 when n = 0")
     if n == 0:
-        if d or code.bit_length or (final_state or 0) != 0:
-            raise InconsistentFields("empty input must have no dictionary, code or state")
+        if d or code.bit_length:
+            raise InconsistentFields("empty input must have no dictionary or code")
     else:
         if d == 0 or d > n:
             raise InconsistentFields("dictionary size impossible for token count")
@@ -458,7 +462,8 @@ def unpack_archive(data: bytes) -> Archive:
         raise TrailingBytes(f"{end - pos} bytes past the last section")
 
     # Cross-field checks: the decoders take these fields as given and repeat
-    # none of them. When n = 0, d = 0 leaves freqs empty.
+    # none of them. When n = 0, d = 0 leaves freqs empty; otherwise a static
+    # final state lies in the table's range [n, 2n).
     if n == 0:
         if d or code_bit_len or (final_state or 0) != 0:
             raise CorruptError("empty stream with leftover sections")
@@ -467,6 +472,8 @@ def unpack_archive(data: bytes) -> Archive:
             raise CorruptError("dictionary size impossible for token count")
     if freqs is not None and sum(freqs) != n:
         raise CorruptError("frequencies do not sum to the token count")
+    if n and final_state is not None and not n <= final_state < 2 * n:
+        raise CorruptError("final state outside the table range")
 
     sizes = SectionSizes(
         header=header_size,

@@ -48,14 +48,16 @@ read from the code's ByteImage at once; the image is left intact.
 
 container.unpack_archive owns every check of the header's fields against
 each other: n = 0 comes with no counts, no code bits and final state 0,
-and otherwise 1 <= d <= n with counts that sum to n. The decoder takes them
-as given and repeats none of it; it checks only that the final state is in
-the table's range, that the code bits last, that the state drains to the
-table size, and that no bit is left.
+and otherwise 1 <= d <= n with counts that sum to n and a final state in
+the table's range [n, 2n). The decoder takes them as given and repeats none
+of it; it checks only what the code bits say: that they last, that the
+state drains to the table size, and that no bit is left. An empty stream
+needs no branch of its own: its loop runs no step and ends at state 0.
 
-On the writer's side container.pack_archive owns the census check: each
-dictionary entry, and no other, counted by a positive integer, the counts
-summing to n. StaticFrequencies is a plain record and checks nothing.
+On the writer's side container.pack_archive owns the same rules: the
+census check (each dictionary entry, and no other, counted by a positive
+integer, the counts summing to n) and the final-state range.
+StaticFrequencies is a plain record and checks nothing.
 count_frequencies checks only that the tokens match the dictionary, and
 static_encode only that the total is the token count; both guard the
 inputs of the replay-only wrappers.
@@ -208,18 +210,14 @@ def static_decode_ids(
     """Decode n ids with the spread; the code must be used up.
 
     Returns the ids back to front, in the order the decoder finds them.
-    The spread, counts and n come from the parser's validated fields, which
-    container.unpack_archive checks and this decoder does not: n = 0 comes
-    with no counts, no code bits and final state 0, and otherwise
-    len(spread) == sum(counts) == n. Within that contract it raises
-    CorruptError whenever the final state and the code bits do not decode
-    to exactly n ids.
+    The final state, spread, counts and n come from the parser's validated
+    fields, which container.unpack_archive checks and this decoder does not:
+    n = 0 comes with no counts, no code bits and final state 0, and
+    otherwise len(spread) == sum(counts) == n <= final_state < 2 * n. Within
+    that contract it raises CorruptError whenever the code bits do not
+    decode to exactly n ids.
     """
-    if n == 0:
-        return []
     total = len(spread)
-    if not total <= final_state < 2 * total:
-        raise CorruptError("final state outside the table range")
     from array import array
 
     # The tANS decode table: the state before slot j was taken is the slot's
@@ -306,7 +304,8 @@ def static_decode(
     """static_decode_ids over tokens; the code must be used up.
 
     Takes static_decode_ids's contract: n = 0 comes with no counts, no code
-    bits and final state 0, and otherwise len(spread) == freqs.total == n.
+    bits and final state 0, and otherwise len(spread) == freqs.total == n
+    <= final_state < 2 * n.
     """
     keys = list(freqs.counts)
     index = {t: i for i, t in enumerate(keys)}

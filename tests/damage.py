@@ -29,7 +29,11 @@ runs this census once with the fans of a temporary git worktree of REV and
 once with the working tree's, each in a child process, prints every case
 whose outcome differs, grouped by (REV outcome -> tree outcome), and exits 1
 if any does. Each side builds its archives with its own compress, so an
-archive byte that moved shows too. The worktree is removed afterwards.
+archive byte that moved shows too. It then lists the cases whose outcome
+held but whose error is raised elsewhere, grouped by (REV owner -> tree
+owner), where an owner is the module and function of the innermost frame:
+a check that moved to another owner. That list does not change the exit
+code. The worktree is removed afterwards.
 """
 
 from __future__ import annotations
@@ -68,7 +72,9 @@ MASKS = [0x01, 0x02, 0x80, 0xFF]
 # class in them but the writer's InconsistentFields is a reader-side site.
 READER_MODULES = [bitio, container, fam_codec, static_codec]
 
-Case = namedtuple("Case", "version archive damage outcome seconds site")
+# site is the (module, function) that raised, which compares across
+# revisions; line is its line, for this tree's raise-site report.
+Case = namedtuple("Case", "version archive damage outcome seconds site line")
 
 
 def archives():
@@ -102,18 +108,20 @@ def damaged(data: bytes, version: int):
         yield f"insert at {i}", seal(body[:i] + b"\x00" + body[i:])
 
 
-def outcome(data: bytes, expected: bytes) -> tuple[str, tuple[str, int] | None]:
-    """(outcome, innermost frame of the error as (file name, line) or None)."""
+def outcome(data: bytes, expected: bytes) -> tuple[str, tuple[str, str] | None, int | None]:
+    """(outcome, site, line): the error's innermost frame as (module, function)
+    and its line, or None for both."""
     try:
         out = decompress(data)
     except Exception as exc:  # noqa: BLE001 - a bare exception is a finding, not a crash
         tb = exc.__traceback__
         while tb.tb_next is not None:
             tb = tb.tb_next
-        site = (Path(tb.tb_frame.f_code.co_filename).name, tb.tb_lineno)
+        code = tb.tb_frame.f_code
+        site = (Path(code.co_filename).stem, code.co_name)
         prefix = "" if isinstance(exc, FansError) else "bare "
-        return f"{prefix}{type(exc).__name__}: {exc}", site
-    return ("same" if out == expected else "wrong"), None
+        return f"{prefix}{type(exc).__name__}: {exc}", site, tb.tb_lineno
+    return ("same" if out == expected else "wrong"), None, None
 
 
 def census() -> list[Case]:
@@ -124,8 +132,8 @@ def census() -> list[Case]:
             raise AssertionError(f"{label} does not decode before damage")
         for damage, bad in damaged(data, version):
             start = time.perf_counter()
-            result, site = outcome(bad, expected)
-            cases.append(Case(version, label, damage, result, time.perf_counter() - start, site))
+            result, site, line = outcome(bad, expected)
+            cases.append(Case(version, label, damage, result, time.perf_counter() - start, site, line))
     return cases
 
 
@@ -170,7 +178,7 @@ def report(cases: list[Case]) -> None:
     print(f"slowest: {slow.seconds * 1e3:.1f} ms, {slow.archive}, {slow.damage}: {slow.outcome}")
     for version, digest in digests(cases).items():
         print(f"v{version} outcomes sha256 {digest}")
-    reached = Counter(c.site for c in cases if c.site is not None)
+    reached = Counter((f"{c.site[0]}.py", c.line) for c in cases if c.site is not None)
     sites = raise_sites()
     print(f"reader-side raise sites reached: {len(sites & set(reached))} of {len(sites)}")
     for file, line in sorted(sites | set(reached)):
@@ -178,22 +186,34 @@ def report(cases: list[Case]) -> None:
         print(f"  {file}:{line} {reached[file, line]}{mark}")
 
 
-def outcomes_with(src: Path) -> dict[tuple[int, str, str], str]:
-    """{(version, archive, damage): outcome} of this census, run in a child
-    process that imports fans from src."""
+def outcomes_with(src: Path) -> dict[tuple[int, str, str], tuple[str, str | None]]:
+    """{(version, archive, damage): (outcome, owner)} of this census, run in a
+    child process that imports fans from src. The owner is "module.function"
+    of the error's innermost frame, or None."""
     child = (
         f"import sys; sys.path[:0] = [{str(src)!r}, {str(TESTS)!r}]; import json, damage; "
-        "print(json.dumps([[c.version, c.archive, c.damage, c.outcome] for c in damage.census()]))"
+        "print(json.dumps([[c.version, c.archive, c.damage, c.outcome, c.site and '.'.join(c.site)]"
+        " for c in damage.census()]))"
     )
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
     if proc.returncode:
         sys.exit(f"the census failed with the fans in {src}:\n{proc.stderr}")
-    return {(v, archive, damage): outcome for v, archive, damage, outcome in json.loads(proc.stdout)}
+    rows = json.loads(proc.stdout)
+    return {(v, archive, damage): (outcome, owner) for v, archive, damage, outcome, owner in rows}
+
+
+def _print_groups(groups: dict, what: str) -> None:
+    for (was, now), cases in sorted(groups.items(), key=lambda item: -len(item[1])):
+        print(f"{len(cases)} cases: {was} -> {now}")
+        for version, archive, damage in cases:
+            print(f"  {archive}, {damage}")
+    print(f"{sum(map(len, groups.values()))} cases {what}")
 
 
 def compare(base: str) -> int:
-    """Print the cases whose outcome differs between base and the working tree; 1 if any."""
+    """Print the cases whose outcome differs between base and the working tree,
+    then those whose outcome held but whose owner moved; 1 if any outcome differs."""
     with tempfile.TemporaryDirectory() as tmp:
         worktree = Path(tmp) / "base"
         git = ["git", "-C", str(ROOT), "worktree"]
@@ -204,16 +224,17 @@ def compare(base: str) -> int:
             subprocess.run(git + ["remove", "--force", str(worktree)], check=True)
     after = outcomes_with(ROOT / "src")
     moved = defaultdict(list)
+    owners = defaultdict(list)
+    absent = ("absent", None)
     for case in {**before, **after}:  # census order
-        pair = (before.get(case, "absent"), after.get(case, "absent"))
-        if pair[0] != pair[1]:
-            moved[pair].append(case)
+        (was, was_owner), (now, now_owner) = before.get(case, absent), after.get(case, absent)
+        if was != now:
+            moved[was, now].append(case)
+        elif was_owner != now_owner:
+            owners[was_owner, now_owner].append(case)
     print(f"{len(before)} cases at {base}, {len(after)} in the working tree")
-    for (was, now), cases in sorted(moved.items(), key=lambda item: -len(item[1])):
-        print(f"{len(cases)} cases: {was} -> {now}")
-        for version, archive, damage in cases:
-            print(f"  {archive}, {damage}")
-    print(f"{sum(map(len, moved.values()))} cases differ")
+    _print_groups(moved, "differ")
+    _print_groups(owners, "keep their outcome under another owner")
     return 1 if moved else 0
 
 

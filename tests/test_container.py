@@ -330,6 +330,8 @@ CROSS_FIELD = {
         EMPTY_STATIC_V4, b"\x03\x00\x03\x03", b"\x04", "dictionary size impossible"
     ),
     "static d>n": (STATIC_AB_V4, b"\x01\x02\x03\x03", b"\x04", "dictionary size impossible"),
+    "static final state n-1": (STATIC_AB_V4, b"\x03\x02\x03\x02", b"\x04", "final state outside"),
+    "static final state 2n": (STATIC_AB_V4, b"\x03\x02\x03\x06", b"\x04", "final state outside"),
 }
 
 
@@ -614,7 +616,7 @@ def test_front_coded_dictionary_round_trip(entries, algo, data):
     n = sum(counts)
     freqs = StaticFrequencies(dict(zip(entries, counts)), n)
     packed = pack_archive(
-        algo, TokenizerMode.LOSSLESS, n, entries, ByteImage(b"", 0), final_state=0, freqs=freqs
+        algo, TokenizerMode.LOSSLESS, n, entries, ByteImage(b"", 0), final_state=n, freqs=freqs
     )
     arc = unpack_archive(packed)
     assert arc.entries == entries
@@ -640,9 +642,31 @@ def test_writer_and_reader_agree_on_static_censuses(entries, data):
     try:
         packed = pack_archive(
             ALGO_RANGED, TokenizerMode.LOSSLESS, n, entries, ByteImage(b"", 0),
-            final_state=0, freqs=StaticFrequencies(census, n),
+            final_state=n, freqs=StaticFrequencies(census, n),
         )
     except InconsistentFields:
         return
     arc = unpack_archive(packed)
     assert arc.freqs == [census[entry] for entry in entries]
+
+
+@given(st.lists(st.one_of(st.integers(1, 5), st.integers(64, 200)), max_size=4), st.data())
+def test_writer_and_reader_agree_on_final_states(counts, data):
+    # A valid census of n >= 0 tokens and a final state inside the table's
+    # range [n, 2n) (0 when n = 0) or outside it. The writer must refuse the
+    # state, or write an archive the reader takes back with it in range.
+    entries = [bytes([97 + i]) for i in range(len(counts))]
+    n = sum(counts)
+    inside = st.integers(n, max(n, 2 * n - 1))
+    outside = st.sampled_from([n - 1, 2 * n, 0, -1, 2**70, 1.5, None])
+    state = data.draw(st.one_of(inside, outside), label="final state")
+    try:
+        packed = pack_archive(
+            ALGO_UNIFORM, TokenizerMode.LOSSLESS, n, entries, ByteImage(b"", 0),
+            final_state=state, freqs=StaticFrequencies(dict(zip(entries, counts)), n),
+        )
+    except InconsistentFields:
+        return
+    arc = unpack_archive(packed)
+    assert arc.final_state == state
+    assert n <= state < 2 * n or state == n == 0

@@ -390,14 +390,16 @@ def test_fam_decode_raises_only_fans_errors(data, drop, clear_padding, d, n):
     st.lists(st.integers(1, 6), min_size=1, max_size=8),
     st.sampled_from(list(SpreadStrategy)),
     st.one_of(st.none(), st.integers(0, 60)),
-    st.integers(-2, 100),
+    st.integers(0, 100),
     st.randoms(use_true_random=False),
 )
 def test_static_decode_raises_only_fans_errors(
-    data, drop, clear_padding, counts, strategy, n, final_state, rng
+    data, drop, clear_padding, counts, strategy, n, state_offset, rng
 ):
     dictionary = [bytes([65 + i]) for i in range(len(counts))]
     freqs = StaticFrequencies(dict(zip(dictionary, counts)), sum(counts))
+    # The final state lies in [total, 2 * total), as the parser enforces.
+    final_state = freqs.total + state_offset % freqs.total
     tokens = [t for t, c in zip(dictionary, counts) for _ in range(c)]
     rng.shuffle(tokens)
     table = build_spread(strategy, freqs, dictionary, tokens)
