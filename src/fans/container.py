@@ -7,10 +7,15 @@ section (static algos only), the packed code bits, and last the CRC-32 of
 every byte before it (4 bytes, little-endian). Each blob is stored deflated,
 as a section: varint raw length, varint deflated length, then the raw
 deflate stream (zlib's default level, no zlib header), with a window and
-hash table no larger than the blob needs. Every section length is implied
-by the header fields, so the total length is fully determined and trailing
-bytes are an error. The frequency section is written here from the static
-coder's census, so no coder module formats archive bytes.
+hash table no larger than the blob needs. The writer deflates each blob with
+zlib's default, filtered and Huffman-only strategies and keeps the shortest
+stream, the default on a tie. The reader inflates any raw deflate stream
+and never learns which was kept, so every version-4 reader, including those
+of builds that always wrote the default stream, reads these archives. Every
+section length is implied by the header fields, so the total length is fully
+determined and trailing bytes are an error. The frequency section is written
+here from the static coder's census, so no coder module formats archive
+bytes.
 
 Each census and final-state check has one owner per side. On writing,
 pack_archive reads the census once in dictionary order and refuses it
@@ -112,6 +117,11 @@ _FLAG_FILTERED = 0x02
 # A run of one-byte varints: every byte below 0x80.
 _ONE_BYTE_VARINTS = re.compile(rb"[\x00-\x7f]*")
 _VARINT_MAX_BYTES = 10  # enough for any 64-bit value
+
+# The deflate strategies the writer tries for each section, the default
+# first. Huffman-only suits the varint sections, which hold little to match;
+# filtered often wins on the byte sections (entries and suffixes).
+_STRATEGIES = (zlib.Z_DEFAULT_STRATEGY, zlib.Z_FILTERED, zlib.Z_HUFFMAN_ONLY)
 
 
 SectionSizes = namedtuple("SectionSizes", "header final_state dict_region freqs code total")
@@ -265,16 +275,22 @@ def _front_decode(pairs_blob: bytes, suffixes: bytes, d: int) -> list[bytes]:
     return entries
 
 
+def _deflate(raw: bytes, wbits: int, strategy: int) -> bytes:
+    deflater = zlib.compressobj(wbits=-wbits, memLevel=min(8, wbits - 6), strategy=strategy)
+    return deflater.compress(raw) + deflater.flush()
+
+
 def _put_deflated(out: bytearray, raw: bytes) -> None:
     """Append raw as a section: raw length, deflated length, raw deflate.
 
     The window covers the blob plus zlib's 262-byte lookahead, and the hash
     table shrinks with it, so a small section does not allocate the full
-    deflate state (about 300 KB at the default memLevel).
+    deflate state (about 300 KB at the default memLevel). The blob is
+    deflated with each of _STRATEGIES in turn, one deflater at a time, and
+    the shortest stream is kept; on a tie min keeps the first, the default.
     """
     wbits = max(9, min(15, (len(raw) + 262).bit_length()))
-    deflater = zlib.compressobj(wbits=-wbits, memLevel=min(8, wbits - 6))
-    packed = deflater.compress(raw) + deflater.flush()
+    packed = min((_deflate(raw, wbits, strategy) for strategy in _STRATEGIES), key=len)
     out += varints((len(raw), len(packed)))
     out += packed
 

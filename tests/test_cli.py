@@ -126,10 +126,21 @@ def test_verify_ok_and_mismatch(tmp_path, capsys):
     assert main(["verify", str(arc), str(src)]) == 0
     assert "ok" in capsys.readouterr().out
 
+    # The offset is the first byte that differs, or the shorter length when
+    # one file is a prefix of the other.
     other = tmp_path / "other.bin"
-    other.write_bytes(b"abc Xef abc abc def")
-    assert main(["verify", str(arc), str(other)]) == 1
-    assert "MISMATCH at byte 4" in capsys.readouterr().err
+    for reference, at in [
+        (b"abc Xef abc abc def", 4),
+        (b"Xbc def abc abc def", 0),
+        (b"abc def abc abc deX", 18),
+        (b"abc def abc", 11),
+        (b"abc def abc abc def\n", 19),
+        (b"", 0),
+    ]:
+        other.write_bytes(reference)
+        assert main(["verify", str(arc), str(other)]) == 1
+        err = capsys.readouterr().err
+        assert f"MISMATCH at byte {at} (decoded 19 bytes, reference {len(reference)})" in err
 
 
 def test_verify_rejects_corrupt_archive(tmp_path, capsys):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 import zlib
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fans import container
@@ -24,6 +25,7 @@ from fans.container import (
     ALGO_UNIFORM,
     pack_archive,
     parse_dict_entries,
+    read_varints,
     unpack_archive,
     varints,
 )
@@ -42,9 +44,11 @@ from fans.errors import (
 from fans.fam_codec import fam_encode
 from fans.pipeline import decompress
 from fans.static_codec import StaticFrequencies
-from fans.tokenizer import TokenizerMode
+from fans.tokenizer import TokenizerMode, iter_tokens
 
 from archive_v1 import encode_dict_entries, sealed, v1_bytes, v2_bytes, v3_bytes
+
+ALICE = Path(__file__).parent / "data" / "corpus" / "alice29.txt"
 
 # fam archives of a b a: versions 1 and 2 (read only): header, deflated
 # dictionary section (raw length 4, deflated length 6), the code byte, CRC-32
@@ -484,6 +488,47 @@ HOSTILE = {
 def test_sections_rebuild_the_frozen_vectors(which):
     want = {"dictionary": FAM_ABA_V2, "lengths": FAM_ABA_V4, "bytes": FAM_ABA_V4}.get(which, STATIC_AB_V4)
     assert _with_section(which, _deflated(RAW[which])) == want
+
+
+def _strategy_streams(raw: bytes) -> list[bytes]:
+    """raw deflated with the default, filtered and Huffman-only strategies, in that order."""
+    wbits = max(9, min(15, (len(raw) + 262).bit_length()))
+    streams = []
+    for strategy in (zlib.Z_DEFAULT_STRATEGY, zlib.Z_FILTERED, zlib.Z_HUFFMAN_ONLY):
+        deflater = zlib.compressobj(wbits=-wbits, memLevel=min(8, wbits - 6), strategy=strategy)
+        streams.append(deflater.compress(raw) + deflater.flush())
+    return streams
+
+
+# The entry lengths of alice29.txt's distinct lossless tokens, as the fam
+# lengths section holds them: small varints with little to match, where
+# Huffman-only deflate beats the default.
+WORD_LENGTHS = bytes(
+    varints(map(len, dict.fromkeys(iter_tokens(ALICE.read_bytes(), TokenizerMode.LOSSLESS))))
+)
+
+
+@example(WORD_LENGTHS)
+@example(b"")
+@example(b"a")
+@given(
+    st.one_of(
+        st.binary(max_size=3000),
+        st.text(max_size=1000).map(str.encode),
+        st.lists(st.integers(0, 300), max_size=1500).map(lambda values: bytes(varints(values))),
+    )
+)
+def test_sections_keep_the_shortest_deflate_stream(raw):
+    out = bytearray()
+    container._put_deflated(out, raw)
+    (raw_len, size), pos = read_varints(out, 0, 2)
+    stream = bytes(out[pos:])
+    assert (raw_len, size) == (len(raw), len(stream))
+    streams = _strategy_streams(raw)
+    assert len(stream) == min(map(len, streams))
+    if len(streams[0]) == len(stream):
+        assert stream == streams[0]
+    assert container._read_deflated(bytes(out), 0, len(out), "section") == (raw, len(out))
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
