@@ -1,25 +1,34 @@
 """Byte-level word tokenizer with a lossless and a words-only mode.
 
-Lossless mode alternates maximal runs of ASCII letters/digits with maximal
-runs of everything else, so concatenating the tokens reproduces the input
-exactly. Paper mode keeps only ASCII-alphabetic runs, lowercased; it is meant
-for benchmarking against word-model results and is not reversible, so its
+Lossless mode cuts the input into words and separators. A word is a maximal
+run of ASCII letters/digits, and it takes the one non-alphanumeric byte after
+it along, unless another non-alphanumeric byte follows that byte. Every other
+run of non-alphanumeric bytes is a token of its own. So b"Hi, hi!" gives
+b"Hi", b", " and b"hi!", and concatenating the tokens reproduces the input
+exactly. Folding the separator into the word (the "spaceless words" of
+word-based text compressors) gives fewer, longer tokens, and the adaptive
+coder takes one step per token: corpus x8 goes from 233,313 tokens to
+139,673, and its archive shrinks by 11.7%. One byte is the only rule tried
+that made no archive measured larger: a word with its whole separator run,
+or with a single following space only, made small inputs larger.
+
+Paper mode keeps only ASCII-alphabetic runs, lowercased; it is meant for
+benchmarking against word-model results and is not reversible, so its
 archives decompress to one word per line.
 
 iter_tokens reads the input in chunks of about _CHUNK bytes and yields the
 tokens of one chunk at a time, so a caller that consumes them as they come
 (number_ids does) never holds a bytes object per token of the whole input. Each
 chunk is cut where no token can straddle the cut: in lossless mode at the
-first character-class change at or past _CHUNK bytes, in paper mode just
-after the first non-letter there. A run longer than a chunk just makes that
-chunk longer. So the chunks' tokens, in order, are the tokens of the whole
-input, and tokenize is the list of them.
+first word start at or past _CHUNK bytes, in paper mode just after the first
+non-letter there. A lossless cut at a word's end would strip the word of its
+separator. A run longer than a chunk just makes that chunk longer. So the
+chunks' tokens, in order, are the tokens of the whole input, and tokenize is
+the list of them.
 
-Lossless tokens come from one split per chunk on the letter/digit runs, with
-the runs kept. The split alternates separator and word runs, and only its
-first and last item can be empty (when the chunk starts or ends with a word),
-so dropping those leaves the tokens. That is cheaper than matching a
-two-branch alternation run by run. Paper tokens come from one translate and
+Lossless tokens come from one findall per chunk; the split on letter/digit
+runs that this mode used before is cheaper, but gives only tokens that
+alternate between the two classes. Paper tokens come from one translate and
 one whitespace split per chunk, both in C, rather than a regex over a
 lowered copy.
 
@@ -30,7 +39,11 @@ takes an 80-byte buffer view of every item, so one join over a book's worth
 of short tokens allocates far more than the bytes it returns; over slices
 that overhead is bounded by the slice length, and the peak stays near twice
 the output on a book and within four times it on a short text.
-join_back_to_front does the same for a decoder's sequence.
+join_back_to_front does the same for a decoder's sequence, and deletes each
+slice of the sequence once it is joined: the final join holds the slices and
+the output, two copies of it, so the sequence should be gone by then. On
+corpus x7 decompress peaked 591 KB above the decoder with the sequence kept,
+more than the 549 KB output, and 317 KB above it with the sequence deleted.
 """
 
 from __future__ import annotations
@@ -48,11 +61,11 @@ class TokenizerMode(enum.Enum):
     PAPER = "paper"
 
 
-_LOSSLESS_RE = re.compile(rb"([0-9A-Za-z]+)")
+_LOSSLESS_RE = re.compile(rb"[0-9A-Za-z]+(?:[^0-9A-Za-z](?![^0-9A-Za-z]))?|[^0-9A-Za-z]+")
 # Matched one byte before a chunk's nominal end, these reach the chunk's cut:
-# the end of the run holding that byte (lossless), or just past the first
-# non-letter from there (paper). Either ends at or past the nominal end.
-_LOSSLESS_CUT = re.compile(rb"[0-9A-Za-z]+|[^0-9A-Za-z]+")
+# the start of the next word (lossless), or just past the first non-letter
+# from there (paper). Either ends at or past the nominal end.
+_LOSSLESS_CUT = re.compile(rb"[0-9A-Za-z]*[^0-9A-Za-z]*")
 _PAPER_CUT = re.compile(rb"[A-Za-z]*[^A-Za-z]?")
 # Paper mode's translate table: A-Z to a-z, a-z kept, any other byte a space.
 _PAPER_TABLE = bytes(
@@ -63,15 +76,6 @@ _CHUNK = 1 << 16
 # Tokens per detokenize slice: bounds bytes.join's per-item views at ~80 KB,
 # which small inputs would otherwise pay in full.
 _JOIN_SLICE = 1024
-
-
-def _lossless_tokens(chunk: bytes) -> list[bytes]:
-    tokens = _LOSSLESS_RE.split(chunk)
-    if not tokens[-1]:
-        tokens.pop()
-    if not tokens[0]:
-        del tokens[0]
-    return tokens
 
 
 def _paper_tokens(chunk: bytes) -> list[bytes]:
@@ -91,7 +95,7 @@ def _chunks(data: bytes, cut: re.Pattern) -> Iterator[bytes]:
 def iter_tokens(data: bytes, mode: TokenizerMode = TokenizerMode.LOSSLESS) -> Iterator[bytes]:
     """The tokens of data, a chunk at a time; an unknown mode raises here."""
     if mode is TokenizerMode.LOSSLESS:
-        chunks = map(_lossless_tokens, _chunks(data, _LOSSLESS_CUT))
+        chunks = map(_LOSSLESS_RE.findall, _chunks(data, _LOSSLESS_CUT))
     elif mode is TokenizerMode.PAPER:
         chunks = map(_paper_tokens, _chunks(data, _PAPER_CUT))
     else:
@@ -110,9 +114,11 @@ def detokenize(tokens: list[bytes]) -> bytes:
 
 
 def join_back_to_front(seq: list[int], table: list[bytes]) -> bytes:
-    """The bytes table[i] for each i of seq, read back to front, joined."""
+    """The bytes table[i] for each i of seq, read back to front, joined; seq is emptied."""
     get = table.__getitem__
     k = _JOIN_SLICE
-    return b"".join(
-        [b"".join(map(get, reversed(seq[max(i - k, 0) : i]))) for i in range(len(seq), 0, -k)]
-    )
+    slices = []
+    while seq:
+        slices.append(b"".join(map(get, reversed(seq[-k:]))))
+        del seq[-k:]
+    return b"".join(slices)

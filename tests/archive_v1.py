@@ -19,10 +19,18 @@ the reversed text. The text-order coder still runs in the benchmark, and a
 static archive's layout does not depend on its spread, so such an archive is
 the uniform layout of the text-order code with its algo byte set to 3.
 Versions 3 and 4 never carried one.
+
+Builds before the one-byte separator rule cut lossless text into alternating
+maximal runs of letters/digits and of other bytes. old_tokens keeps that
+rule as a reference: the older layouts are built from fields coded over its
+tokens, so their pins still record what those builds wrote, and
+old_compress is the version-4 archive such a build wrote, which today's
+reader must still decode.
 """
 
 from __future__ import annotations
 
+import re
 import zlib
 
 from fans.bitio import pack_bits
@@ -37,9 +45,29 @@ from fans.container import (
 from fans.fam_model import number_ids
 from fans.pipeline import count_ids, encode_ids, pack_coded
 from fans.static_codec import SpreadStrategy, build_spread_ids, static_encode_ids
-from fans.tokenizer import TokenizerMode, iter_tokens
+from fans.tokenizer import TokenizerMode, iter_tokens, tokenize
 
 from fam_oracle import fam_dictionary
+
+
+_LETTER_DIGIT_RUNS = re.compile(rb"([0-9A-Za-z]+)")
+
+
+def old_tokens(raw: bytes, mode: TokenizerMode) -> list[bytes]:
+    """raw's tokens as builds before the one-byte separator rule cut them.
+
+    Lossless tokens are the letter/digit runs and the runs between them, so
+    the two classes alternate; paper tokens are today's.
+    """
+    if mode is TokenizerMode.LOSSLESS:
+        return [t for t in _LETTER_DIGIT_RUNS.split(raw) if t]
+    return tokenize(raw, mode)
+
+
+def old_compress(raw: bytes, algo: str, mode: TokenizerMode) -> bytes:
+    """The version-4 archive of raw as builds before the one-byte separator rule wrote it."""
+    seen, ids = number_ids(old_tokens(raw, mode))
+    return pack_coded(algo, mode, seen, len(ids), encode_ids(algo, ids, seen))
 
 
 def encode_dict_entries(entries: list[bytes]) -> bytes:
@@ -111,11 +139,12 @@ def sealed(body: bytes) -> bytes:
 def static_fields(raw: bytes, mode: TokenizerMode, algo: str) -> Archive:
     """The fields of raw's static archive as builds before version 4 wrote them.
 
-    The dictionary is in last-occurrence order, earliest first, and the
-    spread is built in that order. algo "textorder" gives the text-order
-    archive, algo byte 3. sizes is None: no archive was parsed.
+    The tokens are old_tokens', the dictionary is in last-occurrence order,
+    earliest first, and the spread is built in that order. algo "textorder"
+    gives the text-order archive, algo byte 3. sizes is None: no archive was
+    parsed.
     """
-    seen, ids = number_ids(iter_tokens(raw, mode))
+    seen, ids = number_ids(old_tokens(raw, mode))
     counts = count_ids(ids, len(seen))
     order = fam_dictionary(ids)
     spread = build_spread_ids(SpreadStrategy(algo), counts, order, ids)

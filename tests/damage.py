@@ -2,9 +2,10 @@
 
 The archives are fam, ranged and uniform archives of a few small inputs, in
 both tokenizer modes and in versions 1 to 4 (version 4 from compress, the
-older layouts from archive_v1's builders). Each is damaged by every
-truncation, four byte values at every offset (the byte XOR 0x01, 0x02, 0x80
-and 0xff), every one-byte deletion and a zero byte inserted at every offset.
+older layouts from archive_v1's builders, over the tokens of the builds that
+wrote them). Each is damaged by every truncation, four byte values at every
+offset (the byte XOR 0x01, 0x02, 0x80 and 0xff), every one-byte deletion and
+a zero byte inserted at every offset.
 Versions 2 to 4 are damaged in front of their CRC and resealed, so the damage
 reaches the parser's sections and the decoders rather than stopping at the
 checksum; version 1 has no CRC.
@@ -62,7 +63,7 @@ from fans.errors import FansError
 from fans.pipeline import compress, decompress
 from fans.tokenizer import TokenizerMode
 
-from archive_v1 import sealed, static_fields, v1_bytes, v2_bytes, v3_bytes
+from archive_v1 import old_compress, sealed, static_fields, v1_bytes, v2_bytes, v3_bytes
 
 INPUTS = [b"", b"a b a\n", b"the cat sat on the mat\nthe cat\n", "café au lait, café!\n".encode()]
 CODERS = ["fam", "ranged", "uniform"]
@@ -84,7 +85,7 @@ def archives():
             for coder in CODERS:
                 v4 = compress(raw, coder, mode)
                 if coder == "fam":
-                    fields = unpack_archive(v4)
+                    fields = unpack_archive(old_compress(raw, coder, mode))
                 else:
                     fields = static_fields(raw, mode, coder)
                 expected = decompress(v4)

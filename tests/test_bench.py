@@ -107,7 +107,7 @@ def test_bench_file_single(tmp_path):
         record, _notes = bench_file(sample, algo, TokenizerMode.LOSSLESS)
         assert record.text == "sample.txt"
         assert record.algo == algo
-        assert record.token_count == 20
+        assert record.token_count == 12
         assert record.code_bytes > 0
         _check_accounting(record)
 

@@ -508,6 +508,11 @@ WORD_LENGTHS = bytes(
 )
 
 
+def test_word_lengths_deflate_shortest_huffman_only():
+    default, _, huffman_only = map(len, _strategy_streams(WORD_LENGTHS))
+    assert huffman_only < default
+
+
 @example(WORD_LENGTHS)
 @example(b"")
 @example(b"a")

@@ -18,7 +18,7 @@ OUTCOMES = {
     1: "e1a055e50b87b65d235fc54a8004d4fe2c75d81b9c8dc964f9e0f645c98a7ad4",
     2: "aa1aa858cfb9fd22bde4e3b4ad3e8956d23a713521ac8b8b1a7ad466ec81e045",
     3: "7088cdcfb69ac6270d3eb576a56992389640df58d2c5c3be42ef8aba10bbd3ff",
-    4: "eaa338388e5149a0c6e498177ce3a631a85eaf5695e0257fd86240c90a269fd2",
+    4: "6bf746bc8e36f9b8f6ddb3972fb6e0ddd9ee02b91348e36b56d1e46c4496c9a5",
 }
 
 

@@ -1,4 +1,4 @@
-"""Tokenizer modes: lossless alternating runs and words-only."""
+"""Tokenizer modes: lossless words with their one-byte separators, and words-only."""
 
 import itertools
 import re
@@ -15,7 +15,9 @@ from fans.tokenizer import _JOIN_SLICE, TokenizerMode, detokenize, iter_tokens, 
 
 
 def test_lossless_known_vector():
-    assert tokenize(b"Hi, hi!", TokenizerMode.LOSSLESS) == [b"Hi", b", ", b"hi", b"!"]
+    assert tokenize(b"Hi, hi!", TokenizerMode.LOSSLESS) == [b"Hi", b", ", b"hi!"]
+    assert tokenize(b"a b  c\n", TokenizerMode.LOSSLESS) == [b"a ", b"b", b"  ", b"c\n"]
+    assert tokenize(b" a\xff\xffb", TokenizerMode.LOSSLESS) == [b" ", b"a", b"\xff\xff", b"b"]
 
 
 def test_paper_known_vector():
@@ -73,7 +75,7 @@ def test_detokenize_peak_on_a_short_text():
 
 
 def test_digits_are_word_bytes():
-    assert tokenize(b"a1 2b", TokenizerMode.LOSSLESS) == [b"a1", b" ", b"2b"]
+    assert tokenize(b"a1 2b", TokenizerMode.LOSSLESS) == [b"a1 ", b"2b"]
     # Paper mode keeps alphabetic runs only, so digits split words.
     assert tokenize(b"a1b", TokenizerMode.PAPER) == [b"a", b"b"]
 
@@ -83,6 +85,8 @@ def test_non_ascii_bytes_are_non_word():
     tokens = tokenize(data, TokenizerMode.LOSSLESS)
     assert b"".join(tokens) == data
     assert tokens == [b"h", b"\xc3\xa9", b"llo"]
+    # A single non-ASCII byte after a word is its separator.
+    assert tokenize(b"caf\xe9s", TokenizerMode.LOSSLESS) == [b"caf\xe9", b"s"]
     assert tokenize(b"\xc0Ab\xe9CD", TokenizerMode.PAPER) == [b"ab", b"cd"]
 
 
@@ -91,39 +95,56 @@ def test_lossless_round_trip(data):
     assert detokenize(tokenize(data, TokenizerMode.LOSSLESS)) == data
 
 
-# Lossless tokens as a run-by-run match of the two classes; tokenize splits
-# instead and must give the same list.
-_ORACLE = re.compile(rb"[0-9A-Za-z]+|[^0-9A-Za-z]+")
+# The maximal runs of letters/digits and of other bytes, alternating.
+_RUNS_SPLIT = re.compile(rb"([0-9A-Za-z]+)")
 _CORPUS = Path(__file__).parent / "data" / "corpus"
+
+
+def _oracle(data: bytes) -> list[bytes]:
+    """Lossless tokens built from the alternating runs: a separator run of
+    one byte joins the word before it; every other run is a token."""
+    tokens: list[bytes] = []
+    for run in _RUNS_SPLIT.split(data):
+        if len(run) == 1 and not run.isalnum() and tokens and tokens[-1].isalnum():
+            tokens[-1] += run
+        elif run:
+            tokens.append(run)
+    return tokens
 
 
 def test_lossless_matches_oracle_on_short_inputs():
     cases = [b""] + [bytes([b]) for b in range(256)]
-    cases += [bytes(t) for k in (1, 2, 3) for t in itertools.product(b"a0Z \n\xff", repeat=k)]
+    cases += [bytes(t) for k in (1, 2, 3, 4) for t in itertools.product(b"a0Z \n\xff", repeat=k)]
     for data in cases:
-        assert tokenize(data, TokenizerMode.LOSSLESS) == _ORACLE.findall(data), data
+        assert tokenize(data, TokenizerMode.LOSSLESS) == _oracle(data), data
 
 
 @pytest.mark.parametrize("name", ["alice29.txt", "asyoulik.txt"])
 def test_lossless_matches_oracle_on_corpus(name):
     data = (_CORPUS / name).read_bytes()
-    assert tokenize(data, TokenizerMode.LOSSLESS) == _ORACLE.findall(data)
+    assert tokenize(data, TokenizerMode.LOSSLESS) == _oracle(data)
 
 
 @given(st.binary())
 def test_lossless_matches_oracle(data):
-    assert tokenize(data, TokenizerMode.LOSSLESS) == _ORACLE.findall(data)
+    assert tokenize(data, TokenizerMode.LOSSLESS) == _oracle(data)
 
 
-_WORD = re.compile(rb"[0-9A-Za-z]+\Z")
+_SHAPE = re.compile(rb"[0-9A-Za-z]+[^0-9A-Za-z]?|[^0-9A-Za-z]+")
 
 
 @given(st.binary(max_size=4096))
-def test_lossless_tokens_alternate_classes(data):
+def test_lossless_tokens_take_one_separator_byte(data):
+    # Each token is a word with at most one byte after it, or a separator
+    # run. After a token that ends in a separator byte a word starts; after
+    # a bare word comes a separator run of two bytes or more, never one.
     tokens = tokenize(data, TokenizerMode.LOSSLESS)
-    classes = [bool(_WORD.match(t)) for t in tokens]
-    assert all(t for t in tokens)
-    assert all(a != b for a, b in zip(classes, classes[1:]))
+    assert all(_SHAPE.fullmatch(t) for t in tokens)
+    for a, b in zip(tokens, tokens[1:]):
+        if a[-1:].isalnum():
+            assert len(b) >= 2 and not b.isalnum() and not b[:1].isalnum(), (a, b)
+        else:
+            assert b[:1].isalnum(), (a, b)
 
 
 @given(st.binary(max_size=4096))
@@ -132,11 +153,11 @@ def test_paper_tokens_are_lowercase_alpha(data):
         assert re.fullmatch(rb"[a-z]+", tok)
 
 
-# One-shot oracles over the whole input, with no chunks: the lossless split
-# with its empty ends dropped, and the lowered input's letter runs.
+# One-shot oracles over the whole input, with no chunks: the lossless oracle,
+# and the lowered input's letter runs.
 def _one_shot(data: bytes, mode: TokenizerMode) -> list[bytes]:
     if mode is TokenizerMode.LOSSLESS:
-        return [t for t in re.split(rb"([0-9A-Za-z]+)", data) if t]
+        return _oracle(data)
     return re.findall(rb"[a-z]+", data.lower())
 
 
@@ -156,12 +177,29 @@ _RUNS = st.lists(st.sampled_from([b"a", b"Zq", b"09", b" ", b"\n\n", b"\xff", b"
 )
 @example(b"", 1, TokenizerMode.LOSSLESS)
 @example(b"", 1, TokenizerMode.PAPER)
+@example(b"abc, de f", 2, TokenizerMode.LOSSLESS)
 def test_chunked_tokenize_matches_one_shot(data, size, mode):
     assert _chunked(data, mode, size) == _one_shot(data, mode)
 
 
+@given(st.one_of(st.binary(max_size=64), _RUNS.map(b"".join)), st.integers(1, 8))
+@example(b"abc, de f", 2)
+def test_lossless_chunks_are_cut_at_word_starts(data, size):
+    # A cut at a word's end would part the word from its separator byte.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tokenizer, "_CHUNK", size)
+        chunks = list(tokenizer._chunks(data, tokenizer._LOSSLESS_CUT))
+    assert b"".join(chunks) == data
+    cut = 0
+    for chunk in chunks[:-1]:
+        assert len(chunk) >= size
+        cut += len(chunk)
+        assert data[cut : cut + 1].isalnum() and not data[cut - 1 : cut].isalnum(), (data, cut)
+
+
 # (input, chunk size): runs longer than a chunk, class changes exactly at the
-# chunk size, and inputs that end at or just past it.
+# chunk size, words whose separator byte lies past the chunk end, and inputs
+# that end at or just past it.
 _CHUNK_CASES = [
     (b"", 4),
     (b"abcdefghij klm", 4),
@@ -173,6 +211,8 @@ _CHUNK_CASES = [
     (b"a", 1),
     (b"a b1c,,d", 1),
     (b"Hello, World! 42 times.", 5),
+    (b"ab cd ef", 2),
+    (b"abc, de f", 2),
 ]
 
 
@@ -202,4 +242,4 @@ def test_corpus_tokens_cross_many_chunks():
 def test_iter_tokens_checks_the_mode_at_the_call():
     with pytest.raises(ModeError):
         iter_tokens(b"hi", "paper")  # a mode must be a TokenizerMode
-    assert list(iter_tokens(b"Hi, hi!")) == [b"Hi", b", ", b"hi", b"!"]
+    assert list(iter_tokens(b"Hi, hi!")) == [b"Hi", b", ", b"hi!"]
