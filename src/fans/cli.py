@@ -56,8 +56,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    # bench and selftest are imported by their own commands only, so that
-    # compress and decompress calls do not load them.
+    # bench is imported by its own commands only, so that compress and
+    # decompress calls do not load it.
     from .bench import bench_dir, format_csv, format_markdown
 
     mode = TokenizerMode(args.mode)
@@ -82,17 +82,6 @@ def _cmd_entropy(args) -> int:
     print(f"entropy_bits: {bits:.4f}")
     print(f"entropy_bytes: {bits / 8:.1f}")
     print(f"model_bits: {model_bits(ids, d):.4f}")
-    return 0
-
-
-def _cmd_selftest(args) -> int:
-    from .selftest import run
-
-    failures = run(log=print)
-    if failures:
-        print(f"selftest: {failures} check(s) failed", file=sys.stderr)
-        return 1
-    print("selftest: all checks passed")
     return 0
 
 
@@ -151,9 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("archive")
     p.add_argument("reference")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("selftest", help="run the built-in checks")
-    p.set_defaults(func=_cmd_selftest)
     return parser
 
 

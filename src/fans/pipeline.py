@@ -22,10 +22,10 @@ benchmark's size yardstick, which no archive can carry, since its table is
 the text. decode_ids reads a static archive with that table when given the
 text.
 
-This is the only module in the package that imports a coder; the CLI, the
-benchmark harness and the selftest reach the coders through it. The static
-coder is imported inside the static branches only, so an adaptive call and
-the CLI's start-up never load it.
+This is the only module in the package that imports a coder; the CLI and
+the benchmark harness reach the coders through it. The static coder is
+imported inside the static branches only, so an adaptive call and the CLI's
+start-up never load it.
 """
 
 from __future__ import annotations

@@ -15,14 +15,15 @@ Each case's outcome is "same" (decompress returned the undamaged output),
 "bare ClassName: message" for any other exception. The message is kept:
 many checks raise CorruptError, so the class alone could not show which
 check fired. The whole census takes about a second, so tests/test_damage.py
-runs all of it and pins the SHA-256 of each version's ordered outcomes: a
-change that moves any outcome shows as a changed pin.
+runs all of it and checks the SHA-256 of each version's ordered outcomes
+against OUTCOMES: a change that moves any outcome shows as a changed pin.
 
     python tests/damage.py
 
-runs the same census and prints the outcome classes per version, the
-wrong-output count, the slowest case, and which reader-side raise sites
-(the innermost traceback frame of each error) the damage reached.
+runs the same census without pytest and prints the outcome classes per
+version, the wrong-output count, the slowest case, and which reader-side
+raise sites (the innermost traceback frame of each error) the damage
+reached. It exits 1 if any version's digest differs from its pin.
 
     python tests/damage.py --base REV
 
@@ -69,6 +70,15 @@ INPUTS = [b"", b"a b a\n", b"the cat sat on the mat\nthe cat\n", "café au lait,
 CODERS = ["fam", "ranged", "uniform"]
 VERSIONS = [1, 2, 3, 4]
 MASKS = [0x01, 0x02, 0x80, 0xFF]
+# SHA-256 of each version's ordered outcomes. The outcomes include zlib's own
+# error texts, so a Python built against another zlib may word them
+# differently; the pins were taken with zlib 1.2.13.
+OUTCOMES = {
+    1: "e1a055e50b87b65d235fc54a8004d4fe2c75d81b9c8dc964f9e0f645c98a7ad4",
+    2: "aa1aa858cfb9fd22bde4e3b4ad3e8956d23a713521ac8b8b1a7ad466ec81e045",
+    3: "7088cdcfb69ac6270d3eb576a56992389640df58d2c5c3be42ef8aba10bbd3ff",
+    4: "6bf746bc8e36f9b8f6ddb3972fb6e0ddd9ee02b91348e36b56d1e46c4496c9a5",
+}
 # The modules decompress reads an archive with; every raise of a FansError
 # class in them but the writer's InconsistentFields is a reader-side site.
 READER_MODULES = [bitio, container, fam_codec, static_codec]
@@ -166,7 +176,8 @@ def raise_sites() -> set[tuple[str, int]]:
     return sites
 
 
-def report(cases: list[Case]) -> None:
+def report(cases: list[Case]) -> int:
+    """Print the census; 1 if any version's digest differs from its pin in OUTCOMES."""
     classes = Counter((c.outcome.split(":")[0], c.version) for c in cases)
     print(f"{len(cases)} damaged archives")
     print(f"{'outcome':<20}" + "".join(f"{'v%d' % v:>8}" for v in VERSIONS))
@@ -177,14 +188,17 @@ def report(cases: list[Case]) -> None:
     print(f"wrong output: {wrong}; bare exceptions: {bare}")
     slow = max(cases, key=lambda c: c.seconds)
     print(f"slowest: {slow.seconds * 1e3:.1f} ms, {slow.archive}, {slow.damage}: {slow.outcome}")
-    for version, digest in digests(cases).items():
-        print(f"v{version} outcomes sha256 {digest}")
+    found = digests(cases)
+    for version, digest in found.items():
+        verdict = "pinned" if digest == OUTCOMES[version] else f"DIFFERS from the pin {OUTCOMES[version]}"
+        print(f"v{version} outcomes sha256 {digest} ({verdict})")
     reached = Counter((f"{c.site[0]}.py", c.line) for c in cases if c.site is not None)
     sites = raise_sites()
     print(f"reader-side raise sites reached: {len(sites & set(reached))} of {len(sites)}")
     for file, line in sorted(sites | set(reached)):
         mark = "" if (file, line) in sites else "  (not a reader-side raise)"
         print(f"  {file}:{line} {reached[file, line]}{mark}")
+    return 1 if found != OUTCOMES else 0
 
 
 def outcomes_with(src: Path) -> dict[tuple[int, str, str], tuple[str, str | None]]:
@@ -245,4 +259,4 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if args.base:
         sys.exit(compare(args.base))
-    report(census())
+    sys.exit(report(census()))

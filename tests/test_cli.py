@@ -11,10 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from fans import pipeline, selftest
 from fans.cli import main
-from fans.container import ALGO_FAM, unpack_archive
-from fans.pipeline import decode_sequence
+from fans.container import unpack_archive
 from fans.tokenizer import TokenizerMode
 
 from archive_v1 import static_fields, text_order_archives, v1_bytes, v2_bytes, v3_bytes
@@ -205,24 +203,6 @@ def test_entropy_command(tmp_path, capsys):
     assert "model_bits: 5.4919" in out
 
 
-def test_selftest_command(capsys):
-    assert main(["selftest"]) == 0
-    assert "all checks passed" in capsys.readouterr().out
-
-
-def test_selftest_fails_on_a_broken_decoder(monkeypatch, capsys):
-    # The selftest decodes through the pipeline, so a decoder that returns
-    # the fam sequence reversed must fail it.
-    def broken(archive, text=None):
-        seq = decode_sequence(archive, text)
-        return seq[::-1] if archive.algo == ALGO_FAM else seq
-
-    monkeypatch.setattr(pipeline, "decode_sequence", broken)
-    assert selftest.run() >= 1
-    assert main(["selftest"]) == 1
-    assert "exhaustive sweep" in capsys.readouterr().out
-
-
 def test_bench_csv_and_markdown(tmp_path, capsys):
     shutil.copy(CORPUS / "asyoulik.txt", tmp_path / "asyoulik.txt")
     assert main(["bench", "--format", "csv", str(tmp_path)]) == 0
@@ -250,21 +230,25 @@ def test_bench_rejects_unknown_algo(tmp_path, capsys):
     assert "unknown algorithm 'zstd'" in capsys.readouterr().err
 
 
-def test_console_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fans.cli", "selftest"],
-        capture_output=True,
-        text=True,
-        env=SRC_ENV,
-    )
-    assert proc.returncode == 0
-    assert "all checks passed" in proc.stdout
+def test_console_script_runs(tmp_path):
+    payload = b"the cat sat on the mat\n"
+    (tmp_path / "in.txt").write_bytes(payload)
+    for args in (["compress", "-o", "in.fans", "in.txt"], ["decompress", "-o", "out.txt", "in.fans"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fans.cli", *args],
+            capture_output=True,
+            text=True,
+            env=SRC_ENV,
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.txt").read_bytes() == payload
 
 
 # Modules no compress or decompress call needs. numpy alone would be about
 # half of a small file's call; dataclasses brings inspect, ast and dis along;
-# the bench harness and the selftest load only for their own commands; array
-# holds the adaptive encoder's occurrence table and loads when it runs.
+# the bench harness loads only for its own commands; array holds the adaptive
+# encoder's occurrence table and loads when it runs.
 _OFF_STARTUP_PATH = (
     "array",
     "numpy",
@@ -274,7 +258,6 @@ _OFF_STARTUP_PATH = (
     "tempfile",
     "typing",
     "fans.bench",
-    "fans.selftest",
     "fans.static_codec",
 )
 

@@ -1,10 +1,12 @@
-"""Library entry points: whole archives pinned, the bench writes the same, and
+"""Library entry points: whole archives pinned, the hand traces and every
+short sequence over three tokens round-trip, the bench writes the same, and
 damage past the checksum still ends in a FansError."""
 
 from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import random
 import tracemalloc
 from pathlib import Path
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from fans import pipeline
 from fans.bench import bench_file
+from fans.bitio import pack_bits
 from fans.container import ALGO_TEXT_ORDER, unpack_archive
 from fans.errors import FansError, NotDecodableError
 from fans.fam_codec import fam_decode_ids, fam_encode_ids
@@ -151,6 +154,32 @@ def test_archives_of_the_old_lossless_tokens_still_decode(algo):
     texts = [b"", b"a", b"Hi, hi!", b"  a,,b c\n\n", (CORPUS / "asyoulik.txt").read_bytes()]
     for raw in texts:
         assert decompress(old_compress(raw, algo, TokenizerMode.LOSSLESS)) == raw
+
+
+# The adaptive coder's hand traces: (tokens, code bits in push order, dictionary).
+HAND_TRACES = [
+    ([b"a", b"b", b"a"], [1, 0, 0, 1, 0], [b"b", b"a"]),
+    ([b"a", b"a"], [1, 0, 0], [b"a"]),
+    ([b"a"], [0], [b"a"]),
+]
+
+
+def test_hand_traces_and_every_short_sequence_round_trip_through_compress():
+    # Paper-mode text through compress and decompress, so the tokenizer and
+    # the container are checked along with the adaptive coder. Acceptance 1-3
+    # run the same sequences through the coders alone.
+    for tokens, bits, entries in HAND_TRACES:
+        data = compress(b" ".join(tokens), "fam", TokenizerMode.PAPER)
+        archive = unpack_archive(data)
+        assert (archive.code, archive.entries) == (pack_bits(bits), entries), tokens
+        assert decompress(data) == b"\n".join(tokens) + b"\n"
+    sequences = [seq for k in range(1, 9) for seq in itertools.product([b"a", b"b", b"c"], repeat=k)]
+    broken = [
+        seq
+        for seq in sequences
+        if decompress(compress(b" ".join(seq), "fam", TokenizerMode.PAPER)) != b"\n".join(seq) + b"\n"
+    ]
+    assert not broken, f"{len(broken)} of {len(sequences)} sequences broke, the first {broken[0]}"
 
 
 @pytest.mark.parametrize("algo", ["bogus", "textorder"])
