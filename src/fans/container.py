@@ -65,6 +65,17 @@ bare varints. Flag bit 1 exists in version 1 only: it means an older build
 passed the dictionary blob through an external filter command, which fans no
 longer runs, so the reader refuses it with NotDecodableError.
 
+unpack_archive reads every version in one pass and tests the version once
+for each of three facts: whether the archive is sealed (versions 2 to 4 end
+in a CRC, and in them flag bit 1 is reserved), which of the four dictionary
+layouts it holds (version 1's sized blob, version 2's single section, the
+front-coded pairs and suffixes of a static version-4 archive, or the
+lengths and bytes sections of version 3 and of adaptive version-4
+archives), and whether its counts are bare varints (version 1) or a
+section. Its SectionSizes are the distances between section boundaries.
+The final state's byte count is the length of its minimal varint: that is
+the length it was read from, since read_varints refuses longer encodings.
+
 Algo byte 3 was a text-order archive, which older builds wrote for size
 comparison. Its table is the reversed text, which the archive does not hold,
 so the reader refuses that byte with NotDecodableError in every version and
@@ -336,7 +347,10 @@ def pack_archive(
     count every entry of the dictionary and no other, each a positive
     integer, and sum to n; only an empty static archive may omit it. Its
     total is not read. A static final_state must be an int in [n, 2n), or
-    0 when n = 0; an adaptive archive takes neither.
+    0 when n = 0; an adaptive archive takes neither. Once the fields pass,
+    the archive is written in one pass: the fixed bytes, the header varints
+    (a static final state last among them), the deflated sections, the code
+    bytes and the CRC.
     """
     if algo not in ALGO_NAMES:
         raise InconsistentFields(f"unknown algo id {algo}")
@@ -355,19 +369,9 @@ def pack_archive(
         if d == 0 or d > n:
             raise InconsistentFields("dictionary size impossible for token count")
 
-    flags = 0
-    if mode is TokenizerMode.PAPER:
-        flags |= _FLAG_PAPER
-
-    out = bytearray()
-    out += MAGIC
-    out.append(VERSION)
-    out.append(algo)
-    out.append(flags)
-    out += varints((n, d, code.bit_length))
+    fields = [n, d, code.bit_length]
     if algo == ALGO_FAM:
-        _put_deflated(out, varints(len(t) for t in dictionary))
-        _put_deflated(out, b"".join(dictionary))
+        sections = (varints(len(t) for t in dictionary), b"".join(dictionary))
     else:
         pairs, suffixes = _front_code(dictionary)
         census = freqs.counts if freqs is not None else {}
@@ -377,37 +381,43 @@ def pack_archive(
                 "frequencies must count each dictionary entry, and no other, "
                 "with positive integers that sum to the token count"
             )
-        out += varints((final_state,))
-        _put_deflated(out, pairs)
-        _put_deflated(out, suffixes)
-        _put_deflated(out, varints(counts))
+        fields.append(final_state)
+        sections = (pairs, suffixes, varints(counts))
+
+    flags = _FLAG_PAPER if mode is TokenizerMode.PAPER else 0
+    out = bytearray(MAGIC) + bytes((VERSION, algo, flags)) + varints(fields)
+    for raw in sections:
+        _put_deflated(out, raw)
     out += code.data
     out += zlib.crc32(out).to_bytes(_CRC_BYTES, "little")
     return bytes(out)
 
 
 def unpack_archive(data: bytes) -> Archive:
-    """Parse and validate archive bytes (version 4, 3, 2 or 1) end to end."""
+    """Parse and validate archive bytes (version 4, 3, 2 or 1) end to end.
+
+    One pass from the magic to the last section. The version is tested
+    once for each fact it decides: the CRC and flag bit 1 (versions 2 to 4),
+    the dictionary layout and the frequency layout. The final state's byte
+    count is the length of its minimal varint, since read_varints refuses
+    any longer encoding.
+    """
     if len(data) < 4:
         raise TruncatedError("shorter than the magic")
     if data[:4] != MAGIC:
         raise BadMagic("not an archive (bad magic)")
     if len(data) < 7:
         raise TruncatedError("header cut short")
-    version = data[4]
-    if version in (VERSION, _VERSION_3, _VERSION_2):
-        end = len(data) - _CRC_BYTES
+    version, algo, flags = data[4:7]
+    if version not in (VERSION, _VERSION_3, _VERSION_2, _VERSION_1):
+        raise BadVersion(f"unsupported version {version}")
+    sealed = version != _VERSION_1
+    end = len(data) - _CRC_BYTES if sealed else len(data)
+    if sealed:
         if end < 7:
             raise TruncatedError("header cut short")
         if zlib.crc32(memoryview(data)[:end]) != int.from_bytes(data[end:], "little"):
             raise CorruptError("archive checksum does not match its bytes")
-        known_flags = _FLAG_PAPER
-    elif version == _VERSION_1:
-        end = len(data)
-        known_flags = _FLAG_PAPER | _FLAG_FILTERED
-    else:
-        raise BadVersion(f"unsupported version {version}")
-    algo = data[5]
     if algo == ALGO_TEXT_ORDER:
         raise NotDecodableError(
             "text-order archives, which older builds wrote for size comparison, "
@@ -415,8 +425,7 @@ def unpack_archive(data: bytes) -> Archive:
         )
     if algo not in ALGO_NAMES:
         raise CorruptError(f"unknown algo id {algo}")
-    flags = data[6]
-    if flags & ~known_flags:
+    if flags & ~(_FLAG_PAPER if sealed else _FLAG_PAPER | _FLAG_FILTERED):
         raise CorruptError("reserved flag bits set")
     if flags & _FLAG_FILTERED:
         raise NotDecodableError(
@@ -424,17 +433,12 @@ def unpack_archive(data: bytes) -> Archive:
             "which fans no longer runs"
         )
     mode = TokenizerMode.PAPER if flags & _FLAG_PAPER else TokenizerMode.LOSSLESS
+    static = algo != ALGO_FAM
 
-    (n, d, code_bit_len), pos = read_varints(data, 7, 3)
-    final_state = None
-    fs_size = 0
-    if algo != ALGO_FAM:
-        (final_state,), fs_end = read_varints(data, pos, 1)
-        fs_size = fs_end - pos
-        pos = fs_end
-    header_size = pos - fs_size + (len(data) - end)  # versions 2 to 4 count their CRC here
-
-    dict_start = pos
+    fields, dict_start = read_varints(data, 7, 3 + static)
+    n, d, code_bit_len = fields[:3]
+    final_state = fields[3] if static else None
+    pos = dict_start
     if version == _VERSION_1:
         (blob_len,), pos = read_varints(data, pos, 1)
         if pos + blob_len > end:
@@ -444,7 +448,7 @@ def unpack_archive(data: bytes) -> Archive:
     elif version == _VERSION_2:
         blob, pos = _read_deflated(data, pos, end, "dictionary section")
         entries = parse_dict_entries(blob, d)
-    elif version == VERSION and algo != ALGO_FAM:
+    elif version == VERSION and static:
         pairs, pos = _read_deflated(data, pos, end, "dictionary pairs section")
         blob, pos = _read_deflated(data, pos, end, "dictionary suffix section")
         entries = _front_decode(pairs, blob, d)
@@ -452,28 +456,25 @@ def unpack_archive(data: bytes) -> Archive:
         lengths, pos = _read_deflated(data, pos, end, "dictionary lengths section")
         blob, pos = _read_deflated(data, pos, end, "dictionary bytes section")
         entries = _cut_dict_entries(lengths, blob, d)
-    dict_region = pos - dict_start
 
+    freq_start = pos
     freqs = None
-    freq_size = 0
-    if algo != ALGO_FAM:
-        freq_start = pos
-        if version == _VERSION_1:
-            freqs, pos = read_varints(data, pos, d)
-        else:
+    if static:
+        if sealed:
             section, pos = _read_deflated(data, pos, end, "frequency section")
             freqs, used = read_varints(section, 0, d)
+        else:
+            freqs, pos = read_varints(data, pos, d)
         if 0 in freqs:
             raise CorruptError("zero frequency for a dictionary token")
-        if version != _VERSION_1 and used != len(section):
+        if sealed and used != len(section):
             raise TrailingBytes("frequency section has extra bytes")
-        freq_size = pos - freq_start
 
-    code_bytes = (code_bit_len + 7) // 8
-    if pos + code_bytes > end:
+    code_start = pos
+    pos += (code_bit_len + 7) // 8
+    if pos > end:
         raise TruncatedError("code section runs past end of archive")
-    code = ByteImage(data[pos : pos + code_bytes], code_bit_len)
-    pos += code_bytes
+    code = ByteImage(data[code_start:pos], code_bit_len)
     if pos != end:
         raise TrailingBytes(f"{end - pos} bytes past the last section")
 
@@ -491,23 +492,13 @@ def unpack_archive(data: bytes) -> Archive:
     if n and final_state is not None and not n <= final_state < 2 * n:
         raise CorruptError("final state outside the table range")
 
+    fs_size = len(varints(fields[3:]))
     sizes = SectionSizes(
-        header=header_size,
+        header=dict_start - fs_size + len(data) - end,  # versions 2 to 4 count their CRC here
         final_state=fs_size,
-        dict_region=dict_region,
-        freqs=freq_size,
-        code=code_bytes,
+        dict_region=freq_start - dict_start,
+        freqs=code_start - freq_start,
+        code=end - code_start,
         total=len(data),
     )
-    return Archive(
-        algo=algo,
-        mode=mode,
-        filtered=False,
-        n=n,
-        d=d,
-        entries=entries,
-        final_state=final_state,
-        freqs=freqs,
-        code=code,
-        sizes=sizes,
-    )
+    return Archive(algo, mode, False, n, d, entries, final_state, freqs, code, sizes)

@@ -8,6 +8,8 @@ encode_step/decode_step run one loop iteration at a time so tests can check
 per-step invariants. oracle_fam_decode is the whole decode as a loop over
 decode_step: one bisect per symbol for a rank and one pop per code bit, the
 loop the fast core replaced. It raises the core's CorruptError messages.
+HAND_TRACES are the coder's three frozen hand-trace vectors, the one copy
+the tests share.
 
 The oracles keep their code bits in a plain list in push order: encoders
 append, and decoders pop() from the end.
@@ -34,6 +36,13 @@ class _LastTokenMarker:
 LT = _LastTokenMarker()
 
 Symbol = Hashable  # a token (bytes) or the LT marker
+
+# The adaptive coder's hand traces: (tokens, code bits in push order, dictionary).
+HAND_TRACES = [
+    ([b"a", b"b", b"a"], [1, 0, 0, 1, 0], [b"b", b"a"]),
+    ([b"a", b"a"], [1, 0, 0], [b"a"]),
+    ([b"a"], [0], [b"a"]),
+]
 
 
 def fam_dictionary(tokens: Sequence[Hashable]) -> list:

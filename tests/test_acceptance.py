@@ -33,6 +33,8 @@ from fans.static_codec import (
 )
 from fans.tokenizer import TokenizerMode, tokenize
 
+from fam_oracle import HAND_TRACES
+
 CORPUS = Path(os.environ.get("FANS_CORPUS_DIR", Path(__file__).parent / "data" / "corpus"))
 TEXTS = ["alice29.txt", "asyoulik.txt"]
 ALGOS = ["fam", "ranged", "uniform", "textorder"]
@@ -142,13 +144,8 @@ def test_1_round_trip_identity(capsys, random_suite):
 
 
 def test_2_hand_trace_vectors(capsys):
-    expected = [
-        ([b"a", b"b", b"a"], [1, 0, 0, 1, 0], [b"b", b"a"]),
-        ([b"a", b"a"], [1, 0, 0], [b"a"]),
-        ([b"a"], [0], [b"a"]),
-    ]
     problems = []
-    for tokens, want_bits, want_w0 in expected:
+    for tokens, want_bits, want_w0 in HAND_TRACES:
         code, w0 = fam_encode(tokens)
         _, _, x, _ = fam_encode_ids(number_ids(tokens)[1], len(w0))
         if list(code) != want_bits or w0 != want_w0 or x != 1:

@@ -42,7 +42,7 @@ from fans.errors import (
     TruncatedError,
 )
 from fans.fam_codec import fam_encode
-from fans.pipeline import decompress
+from fans.pipeline import compress, decompress
 from fans.static_codec import StaticFrequencies
 from fans.tokenizer import TokenizerMode, iter_tokens
 
@@ -166,6 +166,17 @@ def test_frozen_static_archive_round_trip():
     assert (arc1.sizes.header, arc1.sizes.final_state) == (10, 1)
     assert (arc1.sizes.dict_region, arc1.sizes.freqs) == (5, 2)
     assert (arc1.sizes.code, arc1.sizes.total) == (1, 19)
+
+
+def test_sizes_split_a_multi_byte_final_state_from_the_header():
+    # 300 tokens of one kind: the final state is 300, a 2-byte varint, so a
+    # reader that sized it as one byte would move a byte into the header.
+    arc = unpack_archive(compress(b"a " * 300, "ranged", TokenizerMode.PAPER))
+    assert (arc.n, arc.final_state) == (300, 300)
+    assert (arc.sizes.header, arc.sizes.final_state) == (15, 2)
+    arc1 = unpack_archive(v1_bytes(arc))
+    assert arc1[:-1] == arc[:-1]
+    assert (arc1.sizes.header, arc1.sizes.final_state) == (11, 2)
 
 
 def test_empty_input_archives():

@@ -23,6 +23,7 @@ from fans.tokenizer import TokenizerMode
 
 from archive_v1 import old_tokens
 from fam_oracle import (
+    HAND_TRACES,
     LT,
     DecoderState,
     EncoderState,
@@ -32,27 +33,19 @@ from fam_oracle import (
     select_symbol,
 )
 
-# (tokens, code bits in push order, dictionary)
-TRACES = [
-    ([b"a", b"b", b"a"], [1, 0, 0, 1, 0], [b"b", b"a"]),
-    ([b"a", b"a"], [1, 0, 0], [b"a"]),
-    ([b"a"], [0], [b"a"]),
-]
-
-
-@pytest.mark.parametrize("tokens,bits,w0", TRACES)
+@pytest.mark.parametrize("tokens,bits,w0", HAND_TRACES)
 def test_frozen_trace_encode(tokens, bits, w0):
     code, got_w0 = fam_encode(tokens)
     assert list(code) == bits
     assert got_w0 == w0
 
 
-@pytest.mark.parametrize("tokens,bits,w0", TRACES)
+@pytest.mark.parametrize("tokens,bits,w0", HAND_TRACES)
 def test_frozen_trace_decode(tokens, bits, w0):
     assert fam_decode(pack_bits(bits), w0, len(tokens)) == tokens
 
 
-@pytest.mark.parametrize("tokens,bits,w0", TRACES)
+@pytest.mark.parametrize("tokens,bits,w0", HAND_TRACES)
 def test_frozen_trace_final_states(tokens, bits, w0):
     _, _, x, l = fam_encode_ids(number_ids(tokens)[1], len(w0))
     assert (x, l) == (1, 0)
@@ -197,7 +190,7 @@ def _run_paired(tokens: list[bytes]) -> None:
     assert dec_fcurs[::-1] == enc_fws
 
 
-@pytest.mark.parametrize("tokens", [t for t, _, _ in TRACES])
+@pytest.mark.parametrize("tokens", [t for t, _, _ in HAND_TRACES])
 def test_step_interfaces_mirror_on_traces(tokens):
     _run_paired(tokens)
 

@@ -34,6 +34,7 @@ from archive_v1 import (
     v2_bytes,
     v3_bytes,
 )
+from fam_oracle import HAND_TRACES
 
 CORPUS = Path(__file__).parent / "data" / "corpus"
 ALICE = CORPUS / "alice29.txt"
@@ -154,14 +155,6 @@ def test_archives_of_the_old_lossless_tokens_still_decode(algo):
     texts = [b"", b"a", b"Hi, hi!", b"  a,,b c\n\n", (CORPUS / "asyoulik.txt").read_bytes()]
     for raw in texts:
         assert decompress(old_compress(raw, algo, TokenizerMode.LOSSLESS)) == raw
-
-
-# The adaptive coder's hand traces: (tokens, code bits in push order, dictionary).
-HAND_TRACES = [
-    ([b"a", b"b", b"a"], [1, 0, 0, 1, 0], [b"b", b"a"]),
-    ([b"a", b"a"], [1, 0, 0], [b"a"]),
-    ([b"a"], [0], [b"a"]),
-]
 
 
 def test_hand_traces_and_every_short_sequence_round_trip_through_compress():
