@@ -17,21 +17,27 @@ determined and trailing bytes are an error. The frequency section is written
 here from the static coder's census, so no coder module formats archive
 bytes.
 
-Each census and final-state check has one owner per side. On writing,
-pack_archive reads the census once in dictionary order and refuses it
-unless it counts every entry and no other, each a positive integer, summing
-to n, and it refuses a static final state unless it is an int in the
-table's range [n, 2n), or 0 when n = 0; so it writes no archive the reader
-refuses. static_codec.StaticFrequencies, which carries the census here,
-checks nothing. On reading, unpack_archive refuses a zero count, counts
-that do not sum to n, and a final state outside [n, 2n) when n > 0 (when
-n = 0 it must be 0), so the static decoder reads only code bits.
+Both sides apply one set of header rules, _header_fault: n = 0 comes with
+no dictionary, code bits or nonzero final state; otherwise 1 <= d <= n, a
+static archive's counts sum to n, and its final state lies in the table's
+range [n, 2n). unpack_archive raises a broken rule as CorruptError, and
+pack_archive raises the same words as InconsistentFields, so the writer
+writes no archive the reader refuses for them. The writer also refuses
+what the reader has no rule for: a static final state that is not an int,
+and a census that misses an entry, counts another, or holds a count that
+is not a positive int. static_codec.StaticFrequencies, which carries the
+census here, checks nothing. The reader also refuses a zero count, so the
+static decoder reads only code bits.
 
 Every integer field is a varint, written by `varints` and read by
 `read_varints`, the format's only varint codec: unsigned LEB128 (7 value
 bits per byte, low group first, continuation in the high bit) in minimal
-form, at most 10 bytes. The reader refuses a redundant trailing zero group
-and a longer encoding with OverlongVarint.
+form, at most 10 bytes. The writer is the plain loop over the values; a
+path that wrote runs of one-byte values at once measured slower on every
+section. The reader takes each run of one-byte varints with one regex
+match, about 20 times faster than a byte loop on a static dictionary's
+pairs, and refuses a redundant trailing zero group and a longer encoding
+with OverlongVarint.
 
 An adaptive archive's dictionary is in the order its markers transmit. Its
 first section holds the d entry lengths as varints and its second the
@@ -92,7 +98,7 @@ import re
 import sys
 import zlib
 from collections import namedtuple
-from itertools import groupby, islice
+from itertools import islice
 
 from .bitio import ByteImage
 from .errors import (
@@ -148,17 +154,13 @@ Archive.__doc__ = (
 
 
 def varints(values) -> bytearray:
-    """The values as varints; each run of one-byte values is written at once."""
+    """The values as varints, one at a time; a negative value raises ValueError."""
     out = bytearray()
-    for small, run in groupby(values, (0x7F).__ge__):
-        if small:
-            out += bytes(run)  # raises ValueError on a negative value
-        else:
-            for value in run:
-                while value > 0x7F:
-                    out.append((value & 0x7F) | 0x80)
-                    value >>= 7
-                out.append(value)
+    for value in values:
+        while value > 0x7F:
+            out.append((value & 0x7F) | 0x80)
+            value >>= 7
+        out.append(value)
     return out
 
 
@@ -330,6 +332,26 @@ def _read_deflated(data: bytes, pos: int, end: int, name: str) -> tuple[bytes, i
     return raw, pos + size
 
 
+def _header_fault(n: int, d: int, code_bit_len: int, final_state, counts) -> str | None:
+    """The first header rule the fields break, in the reader's words, or None.
+
+    The decoders take these fields as given and repeat none of the rules.
+    n = 0 has no dictionary, code bits or nonzero final state; otherwise
+    1 <= d <= n, the counts (None for an adaptive archive) sum to n, and a
+    static final state lies in the table's range [n, 2n).
+    """
+    if n == 0:
+        if d or code_bit_len or (final_state or 0) != 0:
+            return "empty stream with leftover sections"
+    elif d == 0 or d > n:
+        return "dictionary size impossible for token count"
+    if counts is not None and sum(counts) != n:
+        return "frequencies do not sum to the token count"
+    if n and final_state is not None and not n <= final_state < 2 * n:
+        return "final state outside the table range"
+    return None
+
+
 def pack_archive(
     algo: int,
     mode: TokenizerMode,
@@ -341,48 +363,45 @@ def pack_archive(
 ) -> bytes:
     """Assemble version-4 archive bytes; raises InconsistentFields on bad combinations.
 
-    A static dictionary must be in byte order, strictly increasing; an
-    adaptive one must hold distinct, nonempty entries. freqs is a
-    static_codec.StaticFrequencies, whose counts, keyed by entry, must
-    count every entry of the dictionary and no other, each a positive
-    integer, and sum to n; only an empty static archive may omit it. Its
-    total is not read. A static final_state must be an int in [n, 2n), or
-    0 when n = 0; an adaptive archive takes neither. Once the fields pass,
-    the archive is written in one pass: the fixed bytes, the header varints
-    (a static final state last among them), the deflated sections, the code
-    bytes and the CRC.
+    It first refuses what the reader has no rule for: an unknown algo id;
+    for an adaptive archive, a final state or freqs, and a dictionary whose
+    entries are not distinct and nonempty; for a static one, a dictionary
+    that is not strictly increasing, a final_state that is not an int, and
+    freqs (a static_codec.StaticFrequencies; only an empty archive may omit
+    it, and its total is not read) that do not count every entry and no
+    other with a positive int. Then it refuses the first header rule of
+    _header_fault that the fields break, in the words unpack_archive raises
+    as CorruptError, so it writes no archive the reader refuses for them.
+    Once the fields pass, the archive is written in one pass: the fixed
+    bytes, the header varints (a static final state last among them), the
+    deflated sections, the code bytes and the CRC.
     """
     if algo not in ALGO_NAMES:
         raise InconsistentFields(f"unknown algo id {algo}")
     d = len(dictionary)
+    fields = [n, d, code.bit_length]
     if algo == ALGO_FAM:
         if final_state is not None or freqs is not None:
             raise InconsistentFields("adaptive archives carry no final state or frequencies")
         if b"" in dictionary or len(set(dictionary)) != d:
             raise InconsistentFields("an adaptive dictionary must hold distinct, nonempty entries")
-    elif not (isinstance(final_state, int) and (n <= final_state < 2 * n or final_state == n == 0)):
-        raise InconsistentFields("a static final state must be an int in [n, 2n), or 0 when n = 0")
-    if n == 0:
-        if d or code.bit_length:
-            raise InconsistentFields("empty input must have no dictionary or code")
-    else:
-        if d == 0 or d > n:
-            raise InconsistentFields("dictionary size impossible for token count")
-
-    fields = [n, d, code.bit_length]
-    if algo == ALGO_FAM:
+        counts = None
         sections = (varints(len(t) for t in dictionary), b"".join(dictionary))
     else:
+        if not isinstance(final_state, int):
+            raise InconsistentFields("a static final state must be an int")
         pairs, suffixes = _front_code(dictionary)
         census = freqs.counts if freqs is not None else {}
         counts = [census.get(entry, 0) for entry in dictionary]
-        if len(census) != d or not all(isinstance(c, int) and c > 0 for c in counts) or sum(counts) != n:
+        if len(census) != d or not all(isinstance(c, int) and c > 0 for c in counts):
             raise InconsistentFields(
-                "frequencies must count each dictionary entry, and no other, "
-                "with positive integers that sum to the token count"
+                "frequencies must count each dictionary entry, and no other, with positive integers"
             )
         fields.append(final_state)
         sections = (pairs, suffixes, varints(counts))
+    fault = _header_fault(n, d, code.bit_length, final_state, counts)
+    if fault:
+        raise InconsistentFields(fault)
 
     flags = _FLAG_PAPER if mode is TokenizerMode.PAPER else 0
     out = bytearray(MAGIC) + bytes((VERSION, algo, flags)) + varints(fields)
@@ -478,19 +497,9 @@ def unpack_archive(data: bytes) -> Archive:
     if pos != end:
         raise TrailingBytes(f"{end - pos} bytes past the last section")
 
-    # Cross-field checks: the decoders take these fields as given and repeat
-    # none of them. When n = 0, d = 0 leaves freqs empty; otherwise a static
-    # final state lies in the table's range [n, 2n).
-    if n == 0:
-        if d or code_bit_len or (final_state or 0) != 0:
-            raise CorruptError("empty stream with leftover sections")
-    else:
-        if d == 0 or d > n:
-            raise CorruptError("dictionary size impossible for token count")
-    if freqs is not None and sum(freqs) != n:
-        raise CorruptError("frequencies do not sum to the token count")
-    if n and final_state is not None and not n <= final_state < 2 * n:
-        raise CorruptError("final state outside the table range")
+    fault = _header_fault(n, d, code_bit_len, final_state, freqs)
+    if fault:
+        raise CorruptError(fault)
 
     fs_size = len(varints(fields[3:]))
     sizes = SectionSizes(

@@ -18,13 +18,13 @@ archives decompress to one word per line.
 
 iter_tokens reads the input in chunks of about _CHUNK bytes and yields the
 tokens of one chunk at a time, so a caller that consumes them as they come
-(number_ids does) never holds a bytes object per token of the whole input. Each
-chunk is cut where no token can straddle the cut: in lossless mode at the
-first word start at or past _CHUNK bytes, in paper mode just after the first
-non-letter there. A lossless cut at a word's end would strip the word of its
-separator. A run longer than a chunk just makes that chunk longer. So the
-chunks' tokens, in order, are the tokens of the whole input, and tokenize is
-the list of them.
+(number_ids does) never holds a bytes object per token of the whole input.
+Both modes cut the chunks by one rule: at the first word start at or past
+_CHUNK bytes. A cut at a word's end would strip a lossless word of its
+separator. The cut always lands just after a byte that is not a letter or
+digit, so no paper-mode letter run crosses it either. A run longer than a
+chunk just makes that chunk longer. So the chunks' tokens, in order, are the
+tokens of the whole input, and tokenize is the list of them.
 
 Lossless tokens come from one findall per chunk; the split on letter/digit
 runs that this mode used before is cheaper, but gives only tokens that
@@ -62,11 +62,9 @@ class TokenizerMode(enum.Enum):
 
 
 _LOSSLESS_RE = re.compile(rb"[0-9A-Za-z]+(?:[^0-9A-Za-z](?![^0-9A-Za-z]))?|[^0-9A-Za-z]+")
-# Matched one byte before a chunk's nominal end, these reach the chunk's cut:
-# the start of the next word (lossless), or just past the first non-letter
-# from there (paper). Either ends at or past the nominal end.
-_LOSSLESS_CUT = re.compile(rb"[0-9A-Za-z]*[^0-9A-Za-z]*")
-_PAPER_CUT = re.compile(rb"[A-Za-z]*[^A-Za-z]?")
+# Matched one byte before a chunk's nominal end, this reaches the chunk's cut,
+# at or past that end: the start of the next word, or the end of the input.
+_CUT = re.compile(rb"[0-9A-Za-z]*[^0-9A-Za-z]*")
 # Paper mode's translate table: A-Z to a-z, a-z kept, any other byte a space.
 _PAPER_TABLE = bytes(
     v + 32 if 65 <= v <= 90 else v if 97 <= v <= 122 else 32 for v in range(256)
@@ -82,12 +80,12 @@ def _paper_tokens(chunk: bytes) -> list[bytes]:
     return chunk.translate(_PAPER_TABLE).split()
 
 
-def _chunks(data: bytes, cut: re.Pattern) -> Iterator[bytes]:
+def _chunks(data: bytes) -> Iterator[bytes]:
     size = len(data)
     start = 0
     while start < size:
         end = start + _CHUNK
-        stop = cut.match(data, end - 1).end() if end < size else size
+        stop = _CUT.match(data, end - 1).end() if end < size else size
         yield data[start:stop]
         start = stop
 
@@ -95,12 +93,12 @@ def _chunks(data: bytes, cut: re.Pattern) -> Iterator[bytes]:
 def iter_tokens(data: bytes, mode: TokenizerMode = TokenizerMode.LOSSLESS) -> Iterator[bytes]:
     """The tokens of data, a chunk at a time; an unknown mode raises here."""
     if mode is TokenizerMode.LOSSLESS:
-        chunks = map(_LOSSLESS_RE.findall, _chunks(data, _LOSSLESS_CUT))
+        split = _LOSSLESS_RE.findall
     elif mode is TokenizerMode.PAPER:
-        chunks = map(_paper_tokens, _chunks(data, _PAPER_CUT))
+        split = _paper_tokens
     else:
         raise ModeError(f"unknown tokenizer mode: {mode!r}")
-    return chain.from_iterable(chunks)
+    return chain.from_iterable(map(split, _chunks(data)))
 
 
 def tokenize(data: bytes, mode: TokenizerMode = TokenizerMode.LOSSLESS) -> list[bytes]:

@@ -248,14 +248,14 @@ def test_pack_rejects_inconsistent_fields():
     # Censuses the reader would refuse or the writer could not read: a zero
     # count, a negative count, counts that miss the token count, an entry
     # with no count, and a count for no entry that n includes.
-    for n, dictionary, counts in (
-        (2, [b"a", b"b"], {b"a": 2, b"b": 0}),
-        (2, [b"a", b"b"], {b"a": 3, b"b": -1}),
-        (3, [b"a"], {b"a": 2}),
-        (3, [b"a", b"b"], {b"a": 3}),
-        (3, [b"a"], {b"a": 2, b"b": 1}),
+    for n, dictionary, counts, message in (
+        (2, [b"a", b"b"], {b"a": 2, b"b": 0}, "frequencies must count each dictionary entry"),
+        (2, [b"a", b"b"], {b"a": 3, b"b": -1}, "frequencies must count each dictionary entry"),
+        (3, [b"a"], {b"a": 2}, "frequencies do not sum to the token count"),
+        (3, [b"a", b"b"], {b"a": 3}, "frequencies must count each dictionary entry"),
+        (3, [b"a"], {b"a": 2, b"b": 1}, "frequencies must count each dictionary entry"),
     ):
-        with pytest.raises(InconsistentFields, match="frequencies must count each dictionary entry"):
+        with pytest.raises(InconsistentFields, match=message):
             pack_archive(
                 ALGO_UNIFORM, TokenizerMode.LOSSLESS, n, dictionary, code,
                 final_state=n, freqs=StaticFrequencies(counts, n),
@@ -355,6 +355,29 @@ def test_parser_owns_the_cross_field_checks(case):
     base, header, code, message = CROSS_FIELD[case]
     with pytest.raises(CorruptError, match=message):
         unpack_archive(_reheaded(base, header, code))
+
+
+@pytest.mark.parametrize("case", CROSS_FIELD)
+def test_writer_and_reader_name_the_same_header_fault(case):
+    # The writer, given the fields the case's header claims (the base
+    # archive's entries and counts cut to d), refuses them in the words the
+    # parser uses.
+    base, header, code, _ = CROSS_FIELD[case]
+    with pytest.raises(CorruptError) as parsed:
+        unpack_archive(_reheaded(base, header, code))
+    arc = unpack_archive(base)
+    fields, _ = read_varints(header, 0, len(header))
+    n, d, code_bits = fields[:3]
+    entries = arc.entries[:d]
+    assert len(entries) == d
+    if arc.algo == ALGO_FAM:
+        kwargs = {}
+    else:
+        census = dict(zip(entries, arc.freqs))
+        kwargs = {"final_state": fields[3], "freqs": StaticFrequencies(census, n)}
+    with pytest.raises(InconsistentFields) as written:
+        pack_archive(arc.algo, arc.mode, n, entries, ByteImage(code, code_bits), **kwargs)
+    assert str(written.value) == str(parsed.value)
 
 
 def test_dict_entry_parsing():

@@ -45,12 +45,12 @@ def test_count_frequencies():
 def test_frequency_validation():
     # StaticFrequencies is a plain record; the writer refuses a zero count, a
     # negative count and counts that do not sum to the token count.
-    for n, counts in (
-        (2, {b"a": 2, b"b": 0}),
-        (2, {b"a": 3, b"b": -1}),
-        (3, {b"a": 1, b"b": 1}),
+    for n, counts, message in (
+        (2, {b"a": 2, b"b": 0}, "frequencies must count each dictionary entry"),
+        (2, {b"a": 3, b"b": -1}, "frequencies must count each dictionary entry"),
+        (3, {b"a": 1, b"b": 1}, "frequencies do not sum to the token count"),
     ):
-        with pytest.raises(InconsistentFields, match="frequencies must count each dictionary entry"):
+        with pytest.raises(InconsistentFields, match=message):
             pack_archive(
                 ALGO_UNIFORM, TokenizerMode.LOSSLESS, n, [b"a", b"b"], ByteImage(b"", 0),
                 final_state=n, freqs=StaticFrequencies(counts, n),

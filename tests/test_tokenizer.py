@@ -188,7 +188,7 @@ def test_lossless_chunks_are_cut_at_word_starts(data, size):
     # A cut at a word's end would part the word from its separator byte.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tokenizer, "_CHUNK", size)
-        chunks = list(tokenizer._chunks(data, tokenizer._LOSSLESS_CUT))
+        chunks = list(tokenizer._chunks(data))
     assert b"".join(chunks) == data
     cut = 0
     for chunk in chunks[:-1]:
