@@ -1,6 +1,6 @@
 """Single-file archive format; this module owns every byte of it.
 
-Version 4, the one written, in order: magic "FANS", version byte, algo byte,
+Version 5, the one written, in order: magic "FANS", version byte, algo byte,
 flags byte, then varints n, d, code_bit_len, an optional final-state varint
 (static algos only), the two dictionary sections, an optional frequency
 section (static algos only), the packed code bits, and last the CRC-32 of
@@ -10,8 +10,8 @@ deflate stream (zlib's default level, no zlib header), with a window and
 hash table no larger than the blob needs. The writer deflates each blob with
 zlib's default, filtered and Huffman-only strategies and keeps the shortest
 stream, the default on a tie. The reader inflates any raw deflate stream
-and never learns which was kept, so every version-4 reader, including those
-of builds that always wrote the default stream, reads these archives. Every
+and never learns which was kept, so every reader of a version, including
+those of builds that always wrote the default stream, reads them. Every
 section length is implied by the header fields, so the total length is fully
 determined and trailing bytes are an error. The frequency section is written
 here from the static coder's census, so no coder module formats archive
@@ -42,45 +42,56 @@ with OverlongVarint.
 An adaptive archive's dictionary is in the order its markers transmit. Its
 first section holds the d entry lengths as varints and its second the
 entries themselves, concatenated, so each deflates with a table of its own.
-A static archive carries its counts, so its dictionary is in byte order and
-front-coded: the first section holds, for each entry, the length of the
-prefix it shares with the entry before it and the length of the rest, as d
-pairs of varints; the second holds those rests (the suffixes), concatenated.
-The frequency blob holds d varint counts in dictionary order.
+Most lossless entries are a word with the one byte it takes along
+(_WORD_AND_BYTE, [0-9A-Za-z]+[^0-9A-Za-z]), and such an entry ends at its
+first byte that is not a letter or digit, so version 5 stores a 0 for it
+instead of its length. That took small-cli's 24 archives from 55,480 to
+54,002 bytes. Every other entry, and every paper-mode one (letters only),
+keeps its length, and an explicit length on a word and its byte still reads
+as the same entry. A static archive carries its counts, so its dictionary is
+in byte order and front-coded: the first section holds, for each entry, the
+length of the prefix it shares with the entry before it and the length of
+the rest, as d pairs of varints; the second holds those rests (the
+suffixes), concatenated. The frequency blob holds d varint counts in
+dictionary order.
 
 The reader checks the CRC before it parses any section, and inflates a
-section only up to one byte past its declared raw length, so a header
-cannot make it allocate beyond what the section's own bytes inflate to. A
-section must inflate to exactly its declared length and end its deflate
-stream on its last byte. Each layout's dictionary is cut and checked where
-its sections are read, so every archive the reader returns carries its
-entries. An adaptive dictionary's lengths must be nonzero
-and sum to the length of its bytes section, and the entries they cut must be
-distinct. A static dictionary's suffix lengths must sum to the length of its
+section only up to one byte past its declared raw length, so a header cannot
+make it allocate beyond what the section's own bytes inflate to. A section
+must inflate to exactly its declared length and end its deflate stream on
+its last byte. Each layout's dictionary is cut and checked where its
+sections are read, so every archive the reader returns carries its entries.
+An adaptive dictionary's entries, each cut at its length or, for a version-5
+zero, at the end of the word and its byte that must start there, must use up
+its bytes section exactly and be distinct; versions 3 and 4 refuse a zero
+length. A static dictionary's suffix lengths must sum to the length of its
 suffix section; each shared prefix must be no longer than the entry before,
 and each entry rebuilt must be greater than the one before it, which makes
 the entries nonempty and distinct.
 
-Version 3 archives are still read: their static dictionaries are stored as
-the adaptive ones are, in an order of their own (which decoding never
-assumed). Version 2 archives have the same layout with a single dictionary
-section, whose blob holds each entry as a varint length plus the token
-bytes. Version 1 archives are read too. They carry no CRC, store that
-dictionary blob as a varint byte length plus the blob, and the counts as
-bare varints. Flag bit 1 exists in version 1 only: it means an older build
-passed the dictionary blob through an external filter command, which fans no
-longer runs, so the reader refuses it with NotDecodableError.
+Version 4 archives are still read: they store every adaptive entry's length,
+and differ from version 5 in nothing else. Version 3 archives are read too:
+their static dictionaries are stored as the adaptive ones are, in an order
+of their own (which decoding never assumed). Version 2 archives have the
+same layout with a single dictionary section, whose blob holds each entry as
+a varint length plus the token bytes. Version 1 archives are read too. They
+carry no CRC, store that dictionary blob as a varint byte length plus the
+blob, and the counts as bare varints. Flag bit 1 exists in version 1 only:
+it means an older build passed the dictionary blob through an external
+filter command, which fans no longer runs, so the reader refuses it with
+NotDecodableError.
 
 unpack_archive reads every version in one pass and tests the version once
-for each of three facts: whether the archive is sealed (versions 2 to 4 end
+for each of three facts: whether the archive is sealed (versions 2 to 5 end
 in a CRC, and in them flag bit 1 is reserved), which of the four dictionary
 layouts it holds (version 1's sized blob, version 2's single section, the
-front-coded pairs and suffixes of a static version-4 archive, or the
-lengths and bytes sections of version 3 and of adaptive version-4
-archives), and whether its counts are bare varints (version 1) or a
-section. Its SectionSizes are the distances between section boundaries.
-The final state's byte count is the length of its minimal varint: that is
-the length it was read from, since read_varints refuses longer encodings.
+front-coded pairs and suffixes of a static version-4 or 5 archive, or the
+lengths and bytes sections of version 3 and of adaptive version-4 and 5
+archives, where version 5 reads a zero length), and whether its counts are
+bare varints (version 1) or a section. Its SectionSizes are the distances
+between section boundaries. The final state's byte count is the length of
+its minimal varint: that is the length it was read from, since read_varints
+refuses longer encodings.
 
 Algo byte 3 was a text-order archive, which older builds wrote for size
 comparison. Its table is the reversed text, which the archive does not hold,
@@ -114,7 +125,8 @@ from .errors import (
 from .tokenizer import TokenizerMode
 
 MAGIC = b"FANS"
-VERSION = 4
+VERSION = 5
+_VERSION_4 = 4
 _VERSION_3 = 3
 _VERSION_2 = 2
 _VERSION_1 = 1
@@ -134,6 +146,12 @@ _FLAG_FILTERED = 0x02
 # A run of one-byte varints: every byte below 0x80.
 _ONE_BYTE_VARINTS = re.compile(rb"[\x00-\x7f]*")
 _VARINT_MAX_BYTES = 10  # enough for any 64-bit value
+
+# A lossless word with the one byte it takes along. From version 5 on, an
+# adaptive dictionary entry that this matches in full is stored with length
+# 0: the greedy letter/digit run stops at the entry's own last byte, so the
+# reader finds the same cut.
+_WORD_AND_BYTE = re.compile(rb"[0-9A-Za-z]+[^0-9A-Za-z]")
 
 # The deflate strategies the writer tries for each section, the default
 # first. Huffman-only suits the varint sections, which hold little to match;
@@ -216,22 +234,36 @@ def parse_dict_entries(blob: bytes, d: int) -> list[bytes]:
     return entries
 
 
-def _cut_dict_entries(lengths_blob: bytes, blob: bytes, d: int) -> list[bytes]:
-    """blob cut at the d varint lengths of lengths_blob, which must use all of it."""
+def _cut_dict_entries(lengths_blob: bytes, blob: bytes, d: int, implied: bool) -> list[bytes]:
+    """blob cut at the d varint lengths of lengths_blob, which must use all of it.
+
+    With implied (version 5), a length of 0 stands for the _WORD_AND_BYTE
+    match at the cut, which must exist; earlier versions refuse a 0.
+    """
     lengths, used = read_varints(lengths_blob, 0, d)
-    if 0 in lengths:
+    if not implied and 0 in lengths:
         raise CorruptError("zero length for a dictionary token")
     if used != len(lengths_blob):
         raise TrailingBytes("dictionary lengths section has extra bytes")
-    if sum(lengths) != len(blob):
-        raise CorruptError(
-            f"dictionary lengths sum to {sum(lengths)} bytes, its bytes section holds {len(blob)}"
-        )
+    word_at = _WORD_AND_BYTE.match
     entries = []
     pos = 0
     for length in lengths:
-        entries.append(blob[pos : pos + length])
-        pos += length
+        if length:
+            end = pos + length
+        elif word := word_at(blob, pos):
+            end = word.end()
+        else:
+            raise CorruptError(
+                f"dictionary entry {len(entries)} has no stored length, but its bytes "
+                f"section holds no word and its byte at {pos} of {len(blob)}"
+            )
+        entries.append(blob[pos:end])
+        pos = end
+    if pos != len(blob):
+        raise CorruptError(
+            f"dictionary lengths sum to {pos} bytes, its bytes section holds {len(blob)}"
+        )
     if len(set(entries)) != len(entries):
         raise CorruptError("dictionary entries are not distinct")
     return entries
@@ -361,7 +393,7 @@ def pack_archive(
     final_state: int | None = None,
     freqs=None,
 ) -> bytes:
-    """Assemble version-4 archive bytes; raises InconsistentFields on bad combinations.
+    """Assemble version-5 archive bytes; raises InconsistentFields on bad combinations.
 
     It first refuses what the reader has no rule for: an unknown algo id;
     for an adaptive archive, a final state or freqs, and a dictionary whose
@@ -374,7 +406,8 @@ def pack_archive(
     as CorruptError, so it writes no archive the reader refuses for them.
     Once the fields pass, the archive is written in one pass: the fixed
     bytes, the header varints (a static final state last among them), the
-    deflated sections, the code bytes and the CRC.
+    deflated sections (an adaptive entry that _WORD_AND_BYTE matches in full
+    with length 0), the code bytes and the CRC.
     """
     if algo not in ALGO_NAMES:
         raise InconsistentFields(f"unknown algo id {algo}")
@@ -386,7 +419,9 @@ def pack_archive(
         if b"" in dictionary or len(set(dictionary)) != d:
             raise InconsistentFields("an adaptive dictionary must hold distinct, nonempty entries")
         counts = None
-        sections = (varints(len(t) for t in dictionary), b"".join(dictionary))
+        word_and_byte = _WORD_AND_BYTE.fullmatch
+        lengths = varints(0 if word_and_byte(t) else len(t) for t in dictionary)
+        sections = (lengths, b"".join(dictionary))
     else:
         if not isinstance(final_state, int):
             raise InconsistentFields("a static final state must be an int")
@@ -413,10 +448,10 @@ def pack_archive(
 
 
 def unpack_archive(data: bytes) -> Archive:
-    """Parse and validate archive bytes (version 4, 3, 2 or 1) end to end.
+    """Parse and validate archive bytes (version 5, 4, 3, 2 or 1) end to end.
 
     One pass from the magic to the last section. The version is tested
-    once for each fact it decides: the CRC and flag bit 1 (versions 2 to 4),
+    once for each fact it decides: the CRC and flag bit 1 (versions 2 to 5),
     the dictionary layout and the frequency layout. The final state's byte
     count is the length of its minimal varint, since read_varints refuses
     any longer encoding.
@@ -428,7 +463,7 @@ def unpack_archive(data: bytes) -> Archive:
     if len(data) < 7:
         raise TruncatedError("header cut short")
     version, algo, flags = data[4:7]
-    if version not in (VERSION, _VERSION_3, _VERSION_2, _VERSION_1):
+    if version not in (VERSION, _VERSION_4, _VERSION_3, _VERSION_2, _VERSION_1):
         raise BadVersion(f"unsupported version {version}")
     sealed = version != _VERSION_1
     end = len(data) - _CRC_BYTES if sealed else len(data)
@@ -467,14 +502,14 @@ def unpack_archive(data: bytes) -> Archive:
     elif version == _VERSION_2:
         blob, pos = _read_deflated(data, pos, end, "dictionary section")
         entries = parse_dict_entries(blob, d)
-    elif version == VERSION and static:
+    elif version >= _VERSION_4 and static:
         pairs, pos = _read_deflated(data, pos, end, "dictionary pairs section")
         blob, pos = _read_deflated(data, pos, end, "dictionary suffix section")
         entries = _front_decode(pairs, blob, d)
     else:
         lengths, pos = _read_deflated(data, pos, end, "dictionary lengths section")
         blob, pos = _read_deflated(data, pos, end, "dictionary bytes section")
-        entries = _cut_dict_entries(lengths, blob, d)
+        entries = _cut_dict_entries(lengths, blob, d, implied=version == VERSION)
 
     freq_start = pos
     freqs = None
@@ -503,7 +538,7 @@ def unpack_archive(data: bytes) -> Archive:
 
     fs_size = len(varints(fields[3:]))
     sizes = SectionSizes(
-        header=dict_start - fs_size + len(data) - end,  # versions 2 to 4 count their CRC here
+        header=dict_start - fs_size + len(data) - end,  # versions 2 to 5 count their CRC here
         final_state=fs_size,
         dict_region=freq_start - dict_start,
         freqs=code_start - freq_start,

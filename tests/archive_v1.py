@@ -1,13 +1,17 @@
 """Archives fans no longer writes, rebuilt for the tests that pin them.
 
-fans writes version 4 only. A version-4 adaptive archive holds the same
-fields as the version-3, version-2 and version-1 archives of the same input:
-version 3 stores the dictionary as a deflated lengths blob and a deflated
-bytes blob, each with a deflate state sized to it; version 2 stores it as
-one deflated blob of varint-length-prefixed entries, with zlib's default
-deflate state for every section; and version 1 stores that blob and the
-counts raw, with no CRC. So writing the parsed fields back in any of these
-layouts must reproduce the bytes that older builds wrote, digest for digest.
+fans writes version 5 only. A version-5 adaptive archive holds the same
+fields as the version-4, version-3, version-2 and version-1 archives of the
+same input: version 4 stores every entry's length, where version 5 stores
+0 for a word with its one byte; version 3 stores the dictionary as a
+deflated lengths blob and a deflated bytes blob, each with a deflate state
+sized to it, and version 4 does too, keeping the shortest of three deflate
+strategies' streams; version 2 stores it as one deflated blob of
+varint-length-prefixed entries, with zlib's default deflate state for every
+section; and version 1 stores that blob and the counts raw, with no CRC. So
+writing the parsed fields back in any of these layouts must reproduce the
+bytes that older builds wrote, digest for digest. A static version-4
+archive is version 5's with another version byte.
 
 Static archives before version 4 kept their dictionary in last-occurrence
 order, earliest first, and built their spread in that order, so their code
@@ -18,7 +22,7 @@ Older builds also wrote text-order archives (algo byte 3), whose table is
 the reversed text. The text-order coder still runs in the benchmark, and a
 static archive's layout does not depend on its spread, so such an archive is
 the uniform layout of the text-order code with its algo byte set to 3.
-Versions 3 and 4 never carried one.
+Versions 3 to 5 never carried one.
 
 Builds before the one-byte separator rule cut lossless text into alternating
 maximal runs of letters/digits and of other bytes. old_tokens keeps that
@@ -40,11 +44,13 @@ from fans.container import (
     ALGO_TEXT_ORDER,
     MAGIC,
     Archive,
+    pack_archive,
+    unpack_archive,
     varints,
 )
 from fans.fam_model import number_ids
 from fans.pipeline import count_ids, encode_ids, pack_coded
-from fans.static_codec import SpreadStrategy, build_spread_ids, static_encode_ids
+from fans.static_codec import SpreadStrategy, StaticFrequencies, build_spread_ids, static_encode_ids
 from fans.tokenizer import TokenizerMode, iter_tokens, tokenize
 
 from fam_oracle import fam_dictionary
@@ -67,7 +73,7 @@ def old_tokens(raw: bytes, mode: TokenizerMode) -> list[bytes]:
 def old_compress(raw: bytes, algo: str, mode: TokenizerMode) -> bytes:
     """The version-4 archive of raw as builds before the one-byte separator rule wrote it."""
     seen, ids = number_ids(old_tokens(raw, mode))
-    return pack_coded(algo, mode, seen, len(ids), encode_ids(algo, ids, seen))
+    return v4_bytes(unpack_archive(pack_coded(algo, mode, seen, len(ids), encode_ids(algo, ids, seen))))
 
 
 def encode_dict_entries(entries: list[bytes]) -> bytes:
@@ -101,13 +107,38 @@ def v1_bytes(archive: Archive, flags: int | None = None) -> bytes:
     return bytes(out)
 
 
-def _put_section(out: bytearray, raw: bytes, sized: bool) -> None:
-    """raw as a deflated section; version 3 sizes the deflate state to the blob."""
+def _put_section(out: bytearray, raw: bytes, sized: bool, strategies=(zlib.Z_DEFAULT_STRATEGY,)) -> None:
+    """raw as a deflated section; version 3 on sizes the deflate state to the
+    blob, and the last version-4 build kept the shortest of three strategies'
+    streams, the first on a tie."""
     wbits = max(9, min(15, (len(raw) + 262).bit_length())) if sized else 15
-    deflater = zlib.compressobj(wbits=-wbits, memLevel=min(8, wbits - 6))
-    packed = deflater.compress(raw) + deflater.flush()
+    streams = []
+    for strategy in strategies:
+        deflater = zlib.compressobj(wbits=-wbits, memLevel=min(8, wbits - 6), strategy=strategy)
+        streams.append(deflater.compress(raw) + deflater.flush())
+    packed = min(streams, key=len)
     out += varints((len(raw), len(packed)))
     out += packed
+
+
+def v4_bytes(archive: Archive) -> bytes:
+    """archive's fields in version-4 layout, sealed, as the last version-4 build wrote them.
+
+    Version 5 changed only the adaptive lengths section, so a static archive
+    is version 5's with its version byte set to 4.
+    """
+    if archive.algo != ALGO_FAM:
+        freqs = StaticFrequencies(dict(zip(archive.entries, archive.freqs)), archive.n)
+        data = pack_archive(
+            archive.algo, archive.mode, archive.n, archive.entries, archive.code, archive.final_state, freqs
+        )
+        return sealed(data[:4] + b"\x04" + data[5:-4])
+    out = _header(archive, 4, None)
+    strategies = (zlib.Z_DEFAULT_STRATEGY, zlib.Z_FILTERED, zlib.Z_HUFFMAN_ONLY)
+    _put_section(out, varints(len(t) for t in archive.entries), sized=True, strategies=strategies)
+    _put_section(out, b"".join(archive.entries), sized=True, strategies=strategies)
+    out += archive.code.data
+    return sealed(out)
 
 
 def v3_bytes(archive: Archive) -> bytes:
@@ -132,7 +163,7 @@ def v2_bytes(archive: Archive) -> bytes:
 
 
 def sealed(body: bytes) -> bytes:
-    """body with its CRC-32 appended, as versions 2 to 4 end."""
+    """body with its CRC-32 appended, as versions 2 to 5 end."""
     return bytes(body) + zlib.crc32(body).to_bytes(4, "little")
 
 

@@ -33,6 +33,7 @@ from archive_v1 import (
     v1_bytes,
     v2_bytes,
     v3_bytes,
+    v4_bytes,
 )
 from fam_oracle import HAND_TRACES
 
@@ -41,7 +42,7 @@ ALICE = CORPUS / "alice29.txt"
 
 # SHA-256 of the version-1 archive of alice29.txt for each (mode, algo). They
 # were recorded before the CLI, the bench and the library shared one
-# pipeline, and fans has since written them in versions 2, 3 and 4; the
+# pipeline, and fans has since written them in versions 2 to 5; the
 # fields of each archive, written back in version-1 layout, must still give
 # them. Those builds cut lossless text by archive_v1.old_tokens, so the
 # lossless fields are coded over its tokens. No writer makes text-order
@@ -81,12 +82,12 @@ DIGESTS_V3 = {
     ("paper", "ranged"): "81b7f54bcaefad76d0d46c23bc5a8ac5d3cab701b80510368768a632572790c1",
     ("paper", "uniform"): "87c5562d75410e227f3b54770540a761e1c504e41f3ba511409b891e539d2d6e",
 }
-# SHA-256 of compress(alice29.txt, algo, mode), the version-4 archive. They
-# move with the bytes the writer chooses as well as with the format: the
-# writer keeps the shortest of several deflate streams for each section, and
-# every one of them reads back the same. A change here is a change to the
-# archive bytes, not necessarily to the format, which is still version 4. The
-# lossless rows moved when a word took its one-byte separator along.
+# SHA-256 of the version-4 archive of alice29.txt, which compress wrote
+# before version 5; the fields written back by archive_v1.v4_bytes must give
+# them. They moved with the bytes the version-4 writer chose as well as with
+# the format: it kept the shortest of several deflate streams for each
+# section, and every one of them reads back the same. The lossless rows moved
+# when a word took its one-byte separator along.
 DIGESTS_V4 = {
     ("lossless", "fam"): "98442e9b88ca7b5fb506de03c91a17f082091da82768a29a7f96ca6cf938e550",
     ("lossless", "ranged"): "21c8249d1e8266b9ba492b0d4d52a9170a6e0877e89bbff7ae9fe72537dc4fea",
@@ -94,6 +95,18 @@ DIGESTS_V4 = {
     ("paper", "fam"): "b4bc00c74b56cdcea10c97d33e3e25abbc5b1d5f00eab2f3abeac2e18d69e462",
     ("paper", "ranged"): "c75a87c4c9973ae773dd747ea2f2fbd0ef98d94ee09a2da8a53d0e86f568c352",
     ("paper", "uniform"): "9fc647121a0f6565a93c2898935d8317d8f51e8bc083f4a9fe4a9aca08d869aa",
+}
+# SHA-256 of compress(alice29.txt, algo, mode), the version-5 archive. It
+# stores a word-and-its-byte fam entry with length 0; every other archive
+# differs from version 4 only in its version byte and CRC. A change here is
+# a change to the archive bytes, not necessarily to the format.
+DIGESTS_V5 = {
+    ("lossless", "fam"): "fa652ee65fa6bf705408547b818a6611c11ded4d2f0c44a8c9a72d5e5f414394",
+    ("lossless", "ranged"): "8cdaad2e41b253f5f00760a2bc4b6b738d60d01f6eec672bcd94fd369fda906f",
+    ("lossless", "uniform"): "8591448f5f8364a119ca8bcaed7b098de411b3d8f7c939e985ff587bbf1a4a88",
+    ("paper", "fam"): "61f869abbdbd0a3442f081b3307ff06dbd765374b806a6c073dc734f795c8811",
+    ("paper", "ranged"): "e08cd90fac88c47a9b8d38cfbb8ad07fc2a5b0bede614568a9b8f1d4a18e1e4c",
+    ("paper", "uniform"): "6f723481053a3f3d948ab090b20280abcf3035a77df17c1856a24b3a35c4954f",
 }
 # SHA-256 of the lossless version-4 archives of alice29.txt that builds
 # before the one-byte separator rule wrote: old_compress must still give
@@ -116,7 +129,9 @@ def test_archive_bytes_are_pinned(mode, algo):
         archive = text_order_layout(raw, TokenizerMode(mode))
     else:
         archive = compress(raw, algo, TokenizerMode(mode))
-        assert hashlib.sha256(archive).hexdigest() == DIGESTS_V4[mode, algo]
+        assert hashlib.sha256(archive).hexdigest() == DIGESTS_V5[mode, algo]
+        v4 = v4_bytes(unpack_archive(archive))
+        assert hashlib.sha256(v4).hexdigest() == DIGESTS_V4[mode, algo]
     if algo == "fam":
         fields = unpack_archive(old_compress(raw, algo, TokenizerMode(mode)))
     else:
@@ -126,6 +141,7 @@ def test_archive_bytes_are_pinned(mode, algo):
     if algo != "textorder":
         older.insert(0, v3_bytes(fields))
         assert hashlib.sha256(older[0]).hexdigest() == DIGESTS_V3[mode, algo]
+        older.insert(0, v4)
     assert hashlib.sha256(older[-2]).hexdigest() == DIGESTS_V2[mode, algo]
     assert hashlib.sha256(older[-1]).hexdigest() == DIGESTS[mode, algo]
     record, _ = bench_file(ALICE, algo, TokenizerMode(mode))
