@@ -107,18 +107,29 @@ def v1_bytes(archive: Archive, flags: int | None = None) -> bytes:
     return bytes(out)
 
 
-def _put_section(out: bytearray, raw: bytes, sized: bool, strategies=(zlib.Z_DEFAULT_STRATEGY,)) -> None:
-    """raw as a deflated section; version 3 on sizes the deflate state to the
-    blob, and the last version-4 build kept the shortest of three strategies'
-    streams, the first on a tie."""
+# The deflate strategies whose shortest stream the last version-4 build kept,
+# the first on a tie.
+V4_STRATEGIES = (zlib.Z_DEFAULT_STRATEGY, zlib.Z_FILTERED, zlib.Z_HUFFMAN_ONLY)
+
+
+def deflate_streams(raw: bytes, sized: bool, strategies=(zlib.Z_DEFAULT_STRATEGY,)) -> list[bytes]:
+    """raw as a raw deflate stream for each strategy, in order; version 3 on
+    sizes the deflate state to the blob, and version 2 uses zlib's default."""
     wbits = max(9, min(15, (len(raw) + 262).bit_length())) if sized else 15
     streams = []
     for strategy in strategies:
         deflater = zlib.compressobj(wbits=-wbits, memLevel=min(8, wbits - 6), strategy=strategy)
         streams.append(deflater.compress(raw) + deflater.flush())
-    packed = min(streams, key=len)
-    out += varints((len(raw), len(packed)))
-    out += packed
+    return streams
+
+
+def section(raw_len: int, stream: bytes) -> bytes:
+    """A deflated section: the raw length, the stream's length, the stream."""
+    return bytes(varints((raw_len, len(stream)))) + stream
+
+
+def _put_section(out: bytearray, raw: bytes, sized: bool, strategies=(zlib.Z_DEFAULT_STRATEGY,)) -> None:
+    out += section(len(raw), min(deflate_streams(raw, sized, strategies), key=len))
 
 
 def v4_bytes(archive: Archive) -> bytes:
@@ -134,9 +145,8 @@ def v4_bytes(archive: Archive) -> bytes:
         )
         return sealed(data[:4] + b"\x04" + data[5:-4])
     out = _header(archive, 4, None)
-    strategies = (zlib.Z_DEFAULT_STRATEGY, zlib.Z_FILTERED, zlib.Z_HUFFMAN_ONLY)
-    _put_section(out, varints(len(t) for t in archive.entries), sized=True, strategies=strategies)
-    _put_section(out, b"".join(archive.entries), sized=True, strategies=strategies)
+    _put_section(out, varints(len(t) for t in archive.entries), sized=True, strategies=V4_STRATEGIES)
+    _put_section(out, b"".join(archive.entries), sized=True, strategies=V4_STRATEGIES)
     out += archive.code.data
     return sealed(out)
 

@@ -28,16 +28,18 @@ reached. It exits 1 if any version's digest differs from its pin.
 
     python tests/damage.py --base REV
 
-runs this census once with the fans of a temporary git worktree of REV and
-once with the working tree's, each in a child process, prints every case
-whose outcome differs, grouped by (REV outcome -> tree outcome), and exits 1
-if any does. Each side builds its archives with its own compress, so an
-archive byte that moved shows too. Only the versions both sides build are
-compared: a REV that writes version 4 builds no version 5. It then lists the
-cases whose outcome held but whose error is raised elsewhere, grouped by
-(REV owner -> tree owner), where an owner is the module and function of the
-innermost frame: a check that moved to another owner. That list does not
-change the exit code. The worktree is removed afterwards.
+runs REV's own census, from a `git archive` copy of REV's src and tests,
+and this tree's census, each in a child process with that checkout's src
+and tests first on its path, so each side builds its cases with its own
+damage.py, archive_v1.py and compress: an archive byte that moved shows
+too. It prints every case whose outcome differs, grouped by (REV outcome ->
+tree outcome), and exits 1 if any does. Only the versions both sides build
+are compared: a REV that writes version 4 builds no version 5. It then
+lists the cases whose outcome held but whose error is raised elsewhere,
+grouped by (REV owner -> tree owner), where an owner is the module and
+function of the innermost frame: a check that moved to another owner. That
+list does not change the exit code. A REV without tests/damage.py has no
+census, and the command says so and exits.
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ from __future__ import annotations
 import argparse
 import ast
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import time
+import zipfile
 from collections import Counter, defaultdict, namedtuple
 from pathlib import Path
 
@@ -209,19 +213,21 @@ def report(cases: list[Case]) -> int:
     return 1 if found != OUTCOMES else 0
 
 
-def outcomes_with(src: Path) -> dict[tuple[int, str, str], tuple[str, str | None]]:
-    """{(version, archive, damage): (outcome, owner)} of this census, run in a
-    child process that imports fans from src. The owner is "module.function"
-    of the error's innermost frame, or None."""
+def outcomes_with(root: Path) -> dict[tuple[int, str, str], tuple[str, str | None]]:
+    """{(version, archive, damage): (outcome, owner)} of the census of the
+    checkout at root, run in a child process that puts root's src and tests
+    first on its path. The owner is "module.function" of the error's
+    innermost frame, or None."""
+    paths = [str(root / "src"), str(root / "tests")]
     child = (
-        f"import sys; sys.path[:0] = [{str(src)!r}, {str(TESTS)!r}]; import json, damage; "
-        "print(json.dumps([[c.version, c.archive, c.damage, c.outcome, c.site and '.'.join(c.site)]"
+        f"import sys; sys.path[:0] = {paths!r}; import json, damage; "
+        "print(json.dumps([[c.version, c.archive, c.damage, c.outcome, c.site and '.'.join(map(str, c.site))]"
         " for c in damage.census()]))"
     )
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
     if proc.returncode:
-        sys.exit(f"the census failed with the fans in {src}:\n{proc.stderr}")
+        sys.exit(f"the census of {root} failed:\n{proc.stderr}")
     rows = json.loads(proc.stdout)
     return {(v, archive, damage): (outcome, owner) for v, archive, damage, outcome, owner in rows}
 
@@ -238,14 +244,15 @@ def compare(base: str) -> int:
     """Print the cases whose outcome differs between base and the working tree,
     then those whose outcome held but whose owner moved; 1 if any outcome differs."""
     with tempfile.TemporaryDirectory() as tmp:
-        worktree = Path(tmp) / "base"
-        git = ["git", "-C", str(ROOT), "worktree"]
-        subprocess.run(git + ["add", "--detach", "--quiet", str(worktree), base], check=True)
-        try:
-            before = outcomes_with(worktree / "src")
-        finally:
-            subprocess.run(git + ["remove", "--force", str(worktree)], check=True)
-    after = outcomes_with(ROOT / "src")
+        archive = ["git", "-C", str(ROOT), "archive", "--format=zip", base, "src", "tests"]
+        zipped = subprocess.run(archive, stdout=subprocess.PIPE)
+        if zipped.returncode:
+            sys.exit(f"git archive could not read {base}")
+        zipfile.ZipFile(io.BytesIO(zipped.stdout)).extractall(tmp)
+        if not (Path(tmp) / "tests" / "damage.py").exists():
+            sys.exit(f"{base} has no tests/damage.py, so it has no census to compare with")
+        before = outcomes_with(Path(tmp))
+    after = outcomes_with(ROOT)
     both = {v for v, _, _ in before} & {v for v, _, _ in after}
     before = {case: seen for case, seen in before.items() if case[0] in both}
     after = {case: seen for case, seen in after.items() if case[0] in both}

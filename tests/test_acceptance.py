@@ -33,9 +33,10 @@ from fans.static_codec import (
 )
 from fans.tokenizer import TokenizerMode, tokenize
 
+import common
 from fam_oracle import HAND_TRACES
 
-CORPUS = Path(os.environ.get("FANS_CORPUS_DIR", Path(__file__).parent / "data" / "corpus"))
+CORPUS = Path(os.environ.get("FANS_CORPUS_DIR", common.CORPUS))
 TEXTS = ["alice29.txt", "asyoulik.txt"]
 ALGOS = ["fam", "ranged", "uniform", "textorder"]
 BASELINES = ["ranged", "uniform", "textorder"]

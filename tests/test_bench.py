@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +25,8 @@ from fans.fam_model import number_ids, renumber
 from fans.pipeline import compress, count_ids, decode_ids, encode_ids, pack_coded
 from fans.tokenizer import TokenizerMode, iter_tokens, tokenize
 
-CORPUS = Path(__file__).parent / "data" / "corpus"
+from common import CORPUS
+
 ALGOS = ["fam", "ranged", "uniform", "textorder"]
 
 

@@ -54,7 +54,7 @@ def test_push_rejects_non_bits():
             pack_bits(bad)
 
 
-def test_unpack_known_vectors():
+def test_byte_image_iterates_and_counts_its_bits():
     assert list(ByteImage(b"\x09", 5)) == [1, 0, 0, 1, 0]
     assert list(ByteImage(b"", 0)) == []
     assert len(ByteImage(b"\xff\x01", 9)) == 9
@@ -167,7 +167,7 @@ def test_pack_unpack_round_trip(bits):
 
 @given(st.lists(st.integers(0, 1), max_size=300))
 @settings(max_examples=100, deadline=None)
-def test_bitstack_is_the_unpacked_image(bits):
+def test_pack_bits_matches_bits_pushed_into_an_integer(bits):
     # The bits, pushed one at a time into an integer LSB-first, give the
     # image's bytes; the image unpacks back to the same bit list.
     value = 0

@@ -16,8 +16,8 @@ from fans.container import unpack_archive
 from fans.tokenizer import TokenizerMode
 
 from archive_v1 import static_fields, text_order_archives, v1_bytes, v2_bytes, v3_bytes
+from common import ALICE, CORPUS
 
-CORPUS = Path(__file__).parent / "data" / "corpus"
 # Child interpreters import fans from this checkout, installed or not.
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
@@ -38,7 +38,7 @@ def _decompress(tmp_path, arc: Path) -> bytes:
 
 @pytest.mark.parametrize("algo", ["fam", "ranged", "uniform"])
 def test_round_trip_text(tmp_path, algo):
-    payload = (CORPUS / "alice29.txt").read_bytes()[:20000]
+    payload = ALICE.read_bytes()[:20000]
     _, arc = _compress(tmp_path, payload, "-a", algo)
     assert _decompress(tmp_path, arc) == payload
 
@@ -99,7 +99,7 @@ def test_filtered_archive_is_not_decodable(tmp_path, capsys):
 def test_decompress_reads_version_2(tmp_path):
     # Older builds wrote version 2, with the dictionary in one section of
     # varint-length-prefixed entries; fans still decodes it.
-    payload = (CORPUS / "alice29.txt").read_bytes()[:20000]
+    payload = ALICE.read_bytes()[:20000]
     _, arc = _compress(tmp_path, payload, "-a", "ranged")
     arc.write_bytes(v2_bytes(unpack_archive(arc.read_bytes())))
     assert arc.read_bytes()[4] == 2
@@ -110,7 +110,7 @@ def test_decompress_reads_version_3_static(tmp_path):
     # Before version 4, static archives kept their dictionary in
     # last-occurrence order and built their spread in it; decoding never
     # assumed an order, so fans still reads them.
-    payload = (CORPUS / "alice29.txt").read_bytes()[:20000]
+    payload = ALICE.read_bytes()[:20000]
     fields = static_fields(payload, TokenizerMode.LOSSLESS, "ranged")
     assert fields.entries != sorted(fields.entries)
     arc = tmp_path / "input.fans"
@@ -262,7 +262,7 @@ _OFF_STARTUP_PATH = (
 )
 
 
-def test_cli_import_leaves_numpy_out():
+def test_cli_import_leaves_heavy_modules_out():
     # A small file's CLI call is mostly interpreter start and imports. -S
     # keeps site's own preloads from hiding a module the CLI would import.
     probe = f"import fans.cli, sys; print(*[m for m in {_OFF_STARTUP_PATH!r} if m in sys.modules])"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -47,9 +46,18 @@ from fans.pipeline import compress, decompress
 from fans.static_codec import StaticFrequencies
 from fans.tokenizer import TokenizerMode, iter_tokens
 
-from archive_v1 import encode_dict_entries, sealed, v1_bytes, v2_bytes, v3_bytes, v4_bytes
-
-ALICE = Path(__file__).parent / "data" / "corpus" / "alice29.txt"
+from archive_v1 import (
+    V4_STRATEGIES,
+    deflate_streams,
+    encode_dict_entries,
+    sealed,
+    section,
+    v1_bytes,
+    v2_bytes,
+    v3_bytes,
+    v4_bytes,
+)
+from common import ALICE
 
 # fam archives of a b a: versions 1 and 2 (read only): header, deflated
 # dictionary section (raw length 4, deflated length 6), the code byte, CRC-32
@@ -507,16 +515,12 @@ def test_checksum_catches_every_flip():
 
 
 def _deflate(raw: bytes) -> bytes:
-    deflater = zlib.compressobj(wbits=-15)
-    return deflater.compress(raw) + deflater.flush()
-
-
-def _section(raw_len: int, stream: bytes) -> bytes:
-    return bytes(varints((raw_len, len(stream)))) + stream
+    """raw as a version-2 section's stream: zlib's default deflate state."""
+    return deflate_streams(raw, sized=False)[0]
 
 
 def _deflated(raw: bytes) -> bytes:
-    return _section(len(raw), _deflate(raw))
+    return section(len(raw), _deflate(raw))
 
 
 # The raw blobs behind the frozen vectors' sections: FAM_ABA_V2's
@@ -541,20 +545,20 @@ def _static_v4(pairs: bytes, suffixes: bytes) -> bytes:
     return sealed(STATIC_AB_V4[:11] + dict_sections + _deflated(FREQS_AB) + b"\x04")
 
 
-def _with_section(which: str, section: bytes) -> bytes:
-    """A sealed archive with one section replaced by `section`."""
+def _with_section(which: str, replacement: bytes) -> bytes:
+    """A sealed archive with one section replaced by `replacement`."""
     if which == "dictionary":
-        return sealed(FAM_ABA_V2[:10] + section + b"\x09")
+        return sealed(FAM_ABA_V2[:10] + replacement + b"\x09")
     if which == "lengths":
-        return sealed(FAM_ABA_V4[:10] + section + _deflated(BYTES_BA) + b"\x09")
+        return sealed(FAM_ABA_V4[:10] + replacement + _deflated(BYTES_BA) + b"\x09")
     if which == "bytes":
-        return sealed(FAM_ABA_V4[:10] + _deflated(LENGTHS) + section + b"\x09")
+        return sealed(FAM_ABA_V4[:10] + _deflated(LENGTHS) + replacement + b"\x09")
     if which == "pairs":
-        return sealed(STATIC_AB_V4[:11] + section + _deflated(SUFFIXES_AB) + _deflated(FREQS_AB) + b"\x04")
+        return sealed(STATIC_AB_V4[:11] + replacement + _deflated(SUFFIXES_AB) + _deflated(FREQS_AB) + b"\x04")
     if which == "suffixes":
-        return sealed(STATIC_AB_V4[:11] + _deflated(PAIRS_AB) + section + _deflated(FREQS_AB) + b"\x04")
+        return sealed(STATIC_AB_V4[:11] + _deflated(PAIRS_AB) + replacement + _deflated(FREQS_AB) + b"\x04")
     dict_sections = _deflated(PAIRS_AB) + _deflated(SUFFIXES_AB)
-    return sealed(STATIC_AB_V4[:11] + dict_sections + section + b"\x04")
+    return sealed(STATIC_AB_V4[:11] + dict_sections + replacement + b"\x04")
 
 
 RAW = {
@@ -566,13 +570,13 @@ RAW = {
     "frequency": FREQS_AB,
 }
 HOSTILE = {
-    "cut-short": lambda raw: _section(len(raw), _deflate(raw)[:-1]),
-    "bytes-after-stream": lambda raw: _section(len(raw), _deflate(raw) + b"\x00"),
-    "declared-longer": lambda raw: _section(len(raw) + 1, _deflate(raw)),
-    "declared-shorter": lambda raw: _section(len(raw) - 1, _deflate(raw)),
-    "not-deflate": lambda raw: _section(len(raw), b"\xff\xff\xff"),
-    "declared-2**64": lambda raw: _section(1 << 64, _deflate(raw)),
-    "megabyte-of-zeros": lambda raw: _section(10, _deflate(bytes(1 << 20))),
+    "cut-short": lambda raw: section(len(raw), _deflate(raw)[:-1]),
+    "bytes-after-stream": lambda raw: section(len(raw), _deflate(raw) + b"\x00"),
+    "declared-longer": lambda raw: section(len(raw) + 1, _deflate(raw)),
+    "declared-shorter": lambda raw: section(len(raw) - 1, _deflate(raw)),
+    "not-deflate": lambda raw: section(len(raw), b"\xff\xff\xff"),
+    "declared-2**64": lambda raw: section(1 << 64, _deflate(raw)),
+    "megabyte-of-zeros": lambda raw: section(10, _deflate(bytes(1 << 20))),
 }
 
 
@@ -580,16 +584,6 @@ HOSTILE = {
 def test_sections_rebuild_the_frozen_vectors(which):
     want = {"dictionary": FAM_ABA_V2, "lengths": FAM_ABA_V4, "bytes": FAM_ABA_V4}.get(which, STATIC_AB_V4)
     assert _with_section(which, _deflated(RAW[which])) == want
-
-
-def _strategy_streams(raw: bytes) -> list[bytes]:
-    """raw deflated with the default, filtered and Huffman-only strategies, in that order."""
-    wbits = max(9, min(15, (len(raw) + 262).bit_length()))
-    streams = []
-    for strategy in (zlib.Z_DEFAULT_STRATEGY, zlib.Z_FILTERED, zlib.Z_HUFFMAN_ONLY):
-        deflater = zlib.compressobj(wbits=-wbits, memLevel=min(8, wbits - 6), strategy=strategy)
-        streams.append(deflater.compress(raw) + deflater.flush())
-    return streams
 
 
 # The entry lengths of alice29.txt's distinct lossless tokens, as the fam
@@ -601,7 +595,7 @@ WORD_LENGTHS = bytes(
 
 
 def test_word_lengths_deflate_shortest_huffman_only():
-    default, _, huffman_only = map(len, _strategy_streams(WORD_LENGTHS))
+    default, _, huffman_only = map(len, deflate_streams(WORD_LENGTHS, sized=True, strategies=V4_STRATEGIES))
     assert huffman_only < default
 
 
@@ -621,7 +615,7 @@ def test_sections_keep_the_shortest_deflate_stream(raw):
     (raw_len, size), pos = read_varints(out, 0, 2)
     stream = bytes(out[pos:])
     assert (raw_len, size) == (len(raw), len(stream))
-    streams = _strategy_streams(raw)
+    streams = deflate_streams(raw, sized=True, strategies=V4_STRATEGIES)
     assert len(stream) == min(map(len, streams))
     if len(streams[0]) == len(stream):
         assert stream == streams[0]

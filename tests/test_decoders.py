@@ -38,18 +38,11 @@ from fans.static_codec import (
     static_encode_ids,
 )
 
+from common import slot_lists
 from fam_oracle import LT, EncoderState, encode_step, oracle_fam_decode, prepare, select_symbol
 
 CODERS = ["fam", "ranged", "uniform", "textorder"]
 REFILL_BITS = 8 * REFILL_BYTES
-
-
-def _slot_lists(spread) -> dict:
-    """Each symbol's slots in ascending order, as the spread assigns them."""
-    slots: dict = {}
-    for j, s in enumerate(spread):
-        slots.setdefault(s, []).append(j)
-    return slots
 
 
 def oracle_static_decode(code: list[int], final_state, spread, freqs, n) -> list[bytes]:
@@ -62,7 +55,7 @@ def oracle_static_decode(code: list[int], final_state, spread, freqs, n) -> list
     total = n
     if not total <= final_state < 2 * total:
         raise CorruptError("final state outside the table range")
-    slots = _slot_lists(spread)
+    slots = slot_lists(spread)
     x = final_state
     out = []
     pop = code.pop
@@ -89,7 +82,7 @@ def oracle_static_encode(tokens, spread, freqs) -> tuple[list[int], int, int]:
 
     Returns (code, final state, the most bits any one step pushed).
     """
-    slots = _slot_lists(spread)
+    slots = slot_lists(spread)
     total = len(tokens)
     x = total
     code = []
@@ -270,6 +263,18 @@ def test_fam_end_of_stream_errors_match_the_oracle(residue):
     for variant in [bits[:-k] for k in range(1, 17)] + [bits + [0], bits + [1]]:
         fast, oracle = stream.outcomes(variant)
         assert fast == oracle
+
+
+def test_fam_prepared_sequence_overrun_matches_the_oracle():
+    # Inside the decoder's contract, 1 <= d <= n, damaged code can still
+    # reach a new-symbol marker that leaves no room for its token among the
+    # n + d slots of the prepared sequence; no damaged archive in the census
+    # reaches this check.
+    code = ByteImage(bytes.fromhex("ebc8d4"), 24)
+    with pytest.raises(CorruptError, match="^prepared sequence overrun$"):
+        fam_codec.fam_decode_ids(code, 8, 9)
+    with pytest.raises(CorruptError, match="^prepared sequence overrun$"):
+        oracle_fam_decode(list(code), [b"%d" % i for i in range(8)], 9)
 
 
 def fam_stream_filling_the_window() -> Stream:

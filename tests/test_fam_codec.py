@@ -6,10 +6,7 @@ and match the fast coder bit for bit.
 
 from __future__ import annotations
 
-import gc
 import random
-import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +19,7 @@ from fans.fam_model import number_ids, renumber
 from fans.tokenizer import TokenizerMode
 
 from archive_v1 import old_tokens
+from common import corpus_times, traced_peak
 from fam_oracle import (
     HAND_TRACES,
     LT,
@@ -264,9 +262,7 @@ def _corpus_x8_ids() -> tuple[list[bytes], list[int]]:
     # The stream the per-token budgets below were set on: corpus x8 cut into
     # alternating runs, 233,313 tokens. The coders see ids only, so a change
     # of tokenizer would move these budgets without any change to the coders.
-    corpus = Path(__file__).parent / "data" / "corpus"
-    raw = b"".join(path.read_bytes() for path in sorted(corpus.glob("*.txt"))) * 8
-    seen, ids = number_ids(old_tokens(raw, TokenizerMode.LOSSLESS))
+    seen, ids = number_ids(old_tokens(corpus_times(8), TokenizerMode.LOSSLESS))
     assert len(ids) >= 200_000
     return seen, ids
 
@@ -276,14 +272,7 @@ def test_encoder_peak_memory_per_token():
     # entries. In 8-byte entries the peak was 17.0 B per token, and as lists
     # of int objects 49.
     w0, ids = _corpus_x8_ids()
-    gc.disable()  # a collection inside the traced call moves the peak
-    tracemalloc.start()
-    try:
-        _, _, x, l = fam_encode_ids(ids, len(w0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        gc.enable()
+    (_, _, x, l), peak = traced_peak(fam_encode_ids, ids, len(w0))
     assert (x, l) == (1, 0)
     assert peak <= 16 * len(ids), peak / len(ids)
 
@@ -299,14 +288,7 @@ def test_decoder_peak_memory_per_token():
     d = len(seen)
     bits, order, _, _ = fam_encode_ids(ids, d)
     code = pack_bits(bits)
-    gc.disable()  # a collection inside the traced call moves the peak
-    tracemalloc.start()
-    try:
-        recon, _ = fam_decode_ids(code, d, len(ids))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        gc.enable()
+    (recon, _), peak = traced_peak(fam_decode_ids, code, d, len(ids))
     assert [w for w in reversed(recon) if w != d] == renumber(ids, order)
     assert peak <= 16.5 * len(ids), peak / len(ids)
 

@@ -4,12 +4,9 @@ damage past the checksum still ends in a FansError."""
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import itertools
 import random
-import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,10 +32,8 @@ from archive_v1 import (
     v3_bytes,
     v4_bytes,
 )
+from common import ALICE, CORPUS, corpus_times, traced_peak
 from fam_oracle import HAND_TRACES
-
-CORPUS = Path(__file__).parent / "data" / "corpus"
-ALICE = CORPUS / "alice29.txt"
 
 # SHA-256 of the version-1 archive of alice29.txt for each (mode, algo). They
 # were recorded before the CLI, the bench and the library shared one
@@ -256,21 +251,6 @@ def test_ids_are_only_keys(stream, rng):
         assert [got_counts[i] for i in got_order] == [counts[i] for i in order]
 
 
-def _traced_peak(fn, *args):
-    # A full collection empties CPython's free lists, so one that fires
-    # inside the traced call sends later allocations to the traced allocator
-    # and raises the peak, depending on what earlier tests allocated. With
-    # the collector off, the peak does not depend on when it last ran.
-    gc.disable()
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-
-
 def test_decompress_peak_is_the_decoders():
     # Past the decoder, decompress joins the output from the decoder's own
     # sequence, a slice at a time, so it holds little beyond that sequence
@@ -279,14 +259,14 @@ def test_decompress_peak_is_the_decoders():
     # took the peak to 20.7 B per token. The budget is per input byte: 6.5 B
     # here is 17.5 B per token of the 204,149 that the alternating-runs
     # tokenizer cut this input into.
-    raw = b"".join(path.read_bytes() for path in (ALICE, CORPUS / "asyoulik.txt")) * 7
+    raw = corpus_times(7)
     assert len(raw) >= 500_000
     data = compress(raw)
-    out, pipeline_peak = _traced_peak(decompress, data)
+    out, pipeline_peak = traced_peak(decompress, data)
     assert out == raw
     del out
     archive = unpack_archive(data)
-    _, decoder_peak = _traced_peak(fam_decode_ids, archive.code, archive.d, archive.n)
+    _, decoder_peak = traced_peak(fam_decode_ids, archive.code, archive.d, archive.n)
     assert pipeline_peak <= decoder_peak + len(raw), (pipeline_peak, decoder_peak)
     assert pipeline_peak <= 6.5 * len(raw), pipeline_peak / len(raw)
 
@@ -295,10 +275,10 @@ def test_decompress_peak_is_the_decoders():
     # the output past the decoder's peak, against 3.5 at 1,024.
     raw = ALICE.read_bytes()
     data = compress(raw, "fam", TokenizerMode.PAPER)
-    out, pipeline_peak = _traced_peak(decompress, data)
+    out, pipeline_peak = traced_peak(decompress, data)
     assert out == b"".join(t + b"\n" for t in tokenize(raw, TokenizerMode.PAPER))
     archive = unpack_archive(data)
-    _, decoder_peak = _traced_peak(fam_decode_ids, archive.code, archive.d, archive.n)
+    _, decoder_peak = traced_peak(fam_decode_ids, archive.code, archive.d, archive.n)
     assert pipeline_peak <= decoder_peak + 5 * len(out), (pipeline_peak, decoder_peak, len(out))
 
 
@@ -321,9 +301,9 @@ def test_compress_peak_per_token():
     # in 8-byte entries rather than 4 took it to 26.6. The budget is per
     # input byte: 9.3 B here is 25 B per token of the 233,313 that the
     # alternating-runs tokenizer cut this input into.
-    raw = b"".join(path.read_bytes() for path in sorted(CORPUS.glob("*.txt"))) * 8
+    raw = corpus_times(8)
     assert len(raw) >= 600_000
-    data, peak = _traced_peak(compress, raw)
+    data, peak = traced_peak(compress, raw)
     assert unpack_archive(data).n == len(tokenize(raw))
     assert peak <= 9.3 * len(raw), peak / len(raw)
 
@@ -336,7 +316,7 @@ def test_small_compress_peak_is_not_the_deflate_state(algo, mode):
     # against 91-164 KB with the sized state.
     raw = (CORPUS / "asyoulik.txt").read_bytes()[:4096]
     compress(b"warm", algo, TokenizerMode(mode))  # import the coders untraced
-    data, peak = _traced_peak(compress, raw, algo, TokenizerMode(mode))
+    data, peak = traced_peak(compress, raw, algo, TokenizerMode(mode))
     assert decompress(data)
     assert peak <= 200_000, peak
 
@@ -349,8 +329,8 @@ def test_static_decompress_peak_is_below_compress(name, algo):
     # the decode path took decompress's peak up to compress's.
     raw = (CORPUS / name).read_bytes()
     compress(b"warm", algo, TokenizerMode.PAPER)  # import the static coder untraced
-    data, compress_peak = _traced_peak(compress, raw, algo, TokenizerMode.PAPER)
-    _, decompress_peak = _traced_peak(decompress, data)
+    data, compress_peak = traced_peak(compress, raw, algo, TokenizerMode.PAPER)
+    _, decompress_peak = traced_peak(decompress, data)
     assert 4 * decompress_peak <= 3 * compress_peak, (decompress_peak, compress_peak)
 
 
@@ -361,11 +341,11 @@ def test_static_peaks_per_token():
     # with 8-byte arrays at 38.8 and 29.1. Decoding a copy of the code
     # drained from a BitStack took decompress to 24.9, and a decoded id list
     # grown by appends to 23.8.
-    raw = b"".join(path.read_bytes() for path in sorted(CORPUS.glob("*.txt"))) * 8
+    raw = corpus_times(8)
     compress(b"warm", "ranged", TokenizerMode.PAPER)  # import the static coder untraced
-    data, compress_peak = _traced_peak(compress, raw, "ranged", TokenizerMode.PAPER)
+    data, compress_peak = traced_peak(compress, raw, "ranged", TokenizerMode.PAPER)
     n = unpack_archive(data).n
     assert n >= 100_000
-    _, decompress_peak = _traced_peak(decompress, data)
+    _, decompress_peak = traced_peak(decompress, data)
     assert compress_peak <= 37 * n, compress_peak / n
     assert decompress_peak <= 23.5 * n, decompress_peak / n

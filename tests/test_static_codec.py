@@ -23,6 +23,8 @@ from fans.static_codec import (
 )
 from fans.tokenizer import TokenizerMode
 
+from common import slot_lists
+
 ALL_STRATEGIES = [SpreadStrategy.RANGED, SpreadStrategy.UNIFORM, SpreadStrategy.TEXT_ORDER]
 
 
@@ -85,11 +87,6 @@ def test_text_order_spread_is_reversed_stream():
         build_spread(SpreadStrategy.TEXT_ORDER, freqs, [b"a", b"b"])
 
 
-def _slots(spread, sym):
-    """The slots sym owns, in ascending order."""
-    return [j for j, s in enumerate(spread) if s == sym]
-
-
 def test_uniform_spread_gap_bound():
     # Gaps between consecutive slots of a symbol stay within ceil(M/c) plus
     # the alphabet size. The tighter ceil(M/c) + 1 fails under heavy ties:
@@ -101,7 +98,7 @@ def test_uniform_spread_gap_bound():
         counts[tok] = 1
         dictionary.append(tok)
     freqs = StaticFrequencies(counts, 20)
-    z_slots = _slots(build_spread(SpreadStrategy.UNIFORM, freqs, dictionary), b"z")
+    z_slots = slot_lists(build_spread(SpreadStrategy.UNIFORM, freqs, dictionary))[b"z"]
     z_gap = max(b - a for a, b in zip(z_slots, z_slots[1:]))
     assert z_gap == 11
     assert z_gap > math.ceil(20 / 10) + 1
@@ -114,8 +111,7 @@ def test_uniform_spread_gap_bound():
         total = sum(counts.values())
         freqs = StaticFrequencies(counts, total)
         spread = build_spread(SpreadStrategy.UNIFORM, freqs, dictionary)
-        for sym in dictionary:
-            slots = _slots(spread, sym)
+        for sym, slots in slot_lists(spread).items():
             bound = math.ceil(total / counts[sym]) + d
             for a, b in zip(slots, slots[1:]):
                 assert b - a <= bound

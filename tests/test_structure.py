@@ -16,6 +16,8 @@ from fans import fam_model, pipeline
 from fans.container import unpack_archive
 from fans.tokenizer import TokenizerMode
 
+from common import ALICE
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fans"
 
@@ -201,7 +203,7 @@ def _replay_only_uses(sources: list[Path]) -> list[str]:
     ]
 
 
-def test_id_level_path_takes_no_bit_stack():
+def test_replay_only_names_stay_in_their_module():
     # Every coder, wrapper and container trades ids and ByteImages. bitio's
     # pack/unpack shims and the token-level wrappers stay only for the
     # benchmark's replay; no module but the one that defines such a name
@@ -211,7 +213,7 @@ def test_id_level_path_takes_no_bit_stack():
     assert _replay_only_uses(sources) == []
 
 
-def test_guard_flags_bit_stacks(tmp_path):
+def test_guard_flags_replay_only_uses(tmp_path):
     home = tmp_path / "home.py"
     home.write_text(
         "def pack(stack):\n"
@@ -492,7 +494,7 @@ def test_benchmark_replay_matches_the_pipeline(tmp_path):
     # coder's bits as len() of the wrappers' code, which must be the bit
     # count the archive records.
     tracing = _load_tracing()
-    raw = (ROOT / "tests" / "data" / "corpus" / "alice29.txt").read_bytes()[:6000]
+    raw = ALICE.read_bytes()[:6000]
     src = tmp_path / "in.txt"
     src.write_bytes(raw)
     tr = tracing.Tracer()

@@ -2,8 +2,6 @@
 
 import itertools
 import re
-import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -12,6 +10,9 @@ from hypothesis import strategies as st
 from fans import tokenizer
 from fans.errors import ModeError
 from fans.tokenizer import _JOIN_SLICE, TokenizerMode, detokenize, iter_tokens, tokenize
+
+from archive_v1 import old_tokens
+from common import ALICE, CORPUS, traced_peak
 
 
 def test_lossless_known_vector():
@@ -49,12 +50,7 @@ def test_detokenize_peak_memory_tracks_the_output():
     # One bytes.join over every token takes an 80-byte view per item, about
     # 16 MB here against 0.3 MB of output.
     tokens = [b"ab" if i % 2 else b" " for i in range(200_000)]
-    tracemalloc.start()
-    try:
-        out = detokenize(tokens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(detokenize, tokens)
     assert len(out) == 300_000
     assert peak <= 2 * len(out) + 1_000_000, peak
 
@@ -62,14 +58,9 @@ def test_detokenize_peak_memory_tracks_the_output():
 def test_detokenize_peak_on_a_short_text():
     # The slice's views are a fixed cost: at 4,096 tokens a slice, alice29's
     # 42.5 KB of output peaked at 394 KB, about nine times over.
-    raw = (_CORPUS / "alice29.txt").read_bytes()
+    raw = ALICE.read_bytes()
     tokens = tokenize(raw, TokenizerMode.LOSSLESS)
-    tracemalloc.start()
-    try:
-        out = detokenize(tokens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(detokenize, tokens)
     assert out == raw
     assert peak <= 4 * len(out), (peak, len(out))
 
@@ -95,19 +86,15 @@ def test_lossless_round_trip(data):
     assert detokenize(tokenize(data, TokenizerMode.LOSSLESS)) == data
 
 
-# The maximal runs of letters/digits and of other bytes, alternating.
-_RUNS_SPLIT = re.compile(rb"([0-9A-Za-z]+)")
-_CORPUS = Path(__file__).parent / "data" / "corpus"
-
-
 def _oracle(data: bytes) -> list[bytes]:
-    """Lossless tokens built from the alternating runs: a separator run of
-    one byte joins the word before it; every other run is a token."""
+    """Lossless tokens built from the alternating runs of letters/digits and
+    of other bytes: a separator run of one byte joins the word before it;
+    every other run is a token."""
     tokens: list[bytes] = []
-    for run in _RUNS_SPLIT.split(data):
+    for run in old_tokens(data, TokenizerMode.LOSSLESS):
         if len(run) == 1 and not run.isalnum() and tokens and tokens[-1].isalnum():
             tokens[-1] += run
-        elif run:
+        else:
             tokens.append(run)
     return tokens
 
@@ -121,7 +108,7 @@ def test_lossless_matches_oracle_on_short_inputs():
 
 @pytest.mark.parametrize("name", ["alice29.txt", "asyoulik.txt"])
 def test_lossless_matches_oracle_on_corpus(name):
-    data = (_CORPUS / name).read_bytes()
+    data = (CORPUS / name).read_bytes()
     assert tokenize(data, TokenizerMode.LOSSLESS) == _oracle(data)
 
 
@@ -154,7 +141,8 @@ def test_paper_tokens_are_lowercase_alpha(data):
 
 
 # One-shot oracles over the whole input, with no chunks: the lossless oracle,
-# and the lowered input's letter runs.
+# and the lowered input's letter runs, the regex the translate-and-split
+# paper tokenizer replaced.
 def _one_shot(data: bytes, mode: TokenizerMode) -> list[bytes]:
     if mode is TokenizerMode.LOSSLESS:
         return _oracle(data)
@@ -222,19 +210,14 @@ def test_chunk_cuts_split_no_token(data, size, mode):
     assert _chunked(data, mode, size) == _one_shot(data, mode)
 
 
-# Paper tokens as the letter runs of the lowered input, the regex the
-# translate-and-split tokenizer replaced; it must give the same list.
-_PAPER_ORACLE = re.compile(rb"[A-Za-z]+")
-
-
 @given(st.binary(max_size=512), st.integers(1, 16))
 @example(bytes(range(256)), 7)
 def test_paper_matches_the_regex_oracle(data, size):
-    assert _chunked(data, TokenizerMode.PAPER, size) == _PAPER_ORACLE.findall(data.lower())
+    assert _chunked(data, TokenizerMode.PAPER, size) == _one_shot(data, TokenizerMode.PAPER)
 
 
 def test_corpus_tokens_cross_many_chunks():
-    raw = (_CORPUS / "alice29.txt").read_bytes()
+    raw = ALICE.read_bytes()
     for mode in TokenizerMode:
         assert _chunked(raw, mode, 1000) == _one_shot(raw, mode)
 
